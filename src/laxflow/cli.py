@@ -76,7 +76,10 @@ def parse_time_expr(expr) -> float:
             return math.sqrt(ev(n.args[0]))
         raise ConfigError(f"unsupported expression in time {expr!r}")
 
-    return ev(node)
+    try:
+        return ev(node)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"cannot evaluate time {expr!r}: {exc}") from exc
 
 
 def parse_profile(spec) -> InitialProfile:

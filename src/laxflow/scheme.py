@@ -13,6 +13,7 @@ exact-in-time evaluation; there is no time stepping.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import spectral
 from .lax import build_bo_lax, build_ccm_lax, data_digest
-from .propagator import PropagatorCache, apply_group_many
+from .propagator import PropagatorCache, advance
 from .spectral import (
     HardyVector,
     InitialProfile,
@@ -124,6 +125,8 @@ class SchemeConfig:
         if self.equation not in ("BO", "CCM-focusing", "CCM-defocusing"):
             raise ValueError(f"unknown equation {self.equation!r}")
         t = np.array(self.times, dtype=np.float64)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
@@ -178,16 +181,15 @@ def _resolve_data(cfg: SchemeConfig):
     return hardy0, u0
 
 
-def run_scheme(
-    cfg: SchemeConfig,
-    cache: Optional[PropagatorCache] = None,
-    iterate_hook=None,
-) -> SchemeOutput:
+def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> SchemeOutput:
     """Evaluate the scheme at every configured time.
 
     All times share one pass over k: the iterates for distinct t are columns
-    of one matrix, so each step is two dense products against the cached
-    eigenvector matrix.
+    of one M x T matrix.  The steps k >= 1 are taken in maximal runs of equal
+    n(k), one cached decomposition each.  A long run costs one product
+    W = Q^H S* Q and then one M x M by M x T product per step in the
+    eigenbasis; a short run takes two such products per step in the
+    standard basis (see `propagator.advance`).
     """
     sched = cfg.schedule
     K = sched.K
@@ -216,24 +218,18 @@ def run_scheme(
     coeffs = np.zeros((T, K), dtype=np.complex128)
     V = np.tile(seed.padded(M)[:, None], (1, T))
     coeffs[:, 0] = V[0, :]
-    if iterate_hook is not None:
-        iterate_hook(0, V)
 
     def factory_for(n):
         if is_bo:
             return lambda: build_bo_lax(u0, n, M)
         return lambda: build_ccm_lax(u0, n, M, sign)
 
-    for k in range(1, K):
-        n = int(sched.values[k])
-        # left shift, zero-padding the top frequency
-        V[:-1, :] = V[1:, :]
-        V[-1, :] = 0.0
+    k = 1
+    for n, run in itertools.groupby(sched.values[1:].tolist()):
+        steps = len(list(run))
         eig = cache.get_or_build((cfg.equation, sign, n, M, digest), factory_for(n))
-        V = apply_group_many(eig, cfg.times, alpha, V)
-        coeffs[:, k] = V[0, :]
-        if iterate_hook is not None:
-            iterate_hook(k, V)
+        coeffs[:, k : k + steps], V = advance(eig, cfg.times, alpha, V, steps)
+        k += steps
 
     # one more shift yields u^K up to a unitary factor; its norm and support
     # are what the exact-preservation property constrains

@@ -31,6 +31,11 @@ class TestParsing:
             with pytest.raises(ConfigError):
                 parse_time_expr(bad)
 
+    def test_time_arithmetic_errors_are_config_errors(self):
+        for bad in ("1/0", "pi/(1-1)", "1" + "0" * 400):
+            with pytest.raises(ConfigError):
+                parse_time_expr(bad)
+
     def test_profile_strings(self):
         p = parse_profile("single-mode:k0=3,amplitude=0.2")
         assert p.kind == "single-mode"
@@ -126,6 +131,19 @@ class TestEvolve:
         assert main(["evolve", "--equation", "CCM-focusing", "--K", "8", "--times", "0",
                      "--profile", "random-sobolev:s=1,seed=0,norm=2",
                      "--out", str(tmp_path / "z")]) == 2
+
+    def test_division_by_zero_time_is_config_error(self, tmp_path, capsys):
+        assert main(["evolve", "--K", "8", "--times", "1/0",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("times", ["1e400", "0;-1e400"])
+    def test_non_finite_time_writes_nothing(self, tmp_path, times):
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--times", times, "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestTalbot:

@@ -5,6 +5,7 @@ from laxflow.lax import LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
     KappaZero,
     PropagatorCache,
+    advance,
     apply_group,
     apply_group_many,
     eig_hermitian,
@@ -97,6 +98,19 @@ class TestApplyGroup:
         out = apply_group_many(e, ts, 1, V)
         for j, t in enumerate(ts):
             np.testing.assert_allclose(out[:, j], apply_group(e, t, 1, V[:, j]), atol=1e-13)
+
+    # M = 6: the eigenbasis body runs iff T * (steps - 2) > 6
+    @pytest.mark.parametrize("steps,T", [(1, 4), (6, 1), (3, 7), (6, 4)])
+    def test_advance_matches_stepwise(self, steps, T):
+        e = eig_hermitian(build_bo_lax(random_spectrum(6, 5), 6, 6))
+        ts = np.linspace(-3.0, 3.0, T)
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal((6, T)) + 1j * rng.standard_normal((6, T))
+        rows, out = advance(e, ts, 1, V, steps)
+        for s in range(steps):
+            V = apply_group_many(e, ts, 1, np.vstack([V[1:], np.zeros((1, T))]))
+            np.testing.assert_allclose(rows[:, s], V[0], atol=1e-12)
+        np.testing.assert_allclose(out, V, atol=1e-12)
 
 
 class TestCache:

@@ -123,6 +123,12 @@ class TestSchemeBasics:
         with pytest.raises(ValueError):
             SchemeConfig("KdV", make_schedule("constant", 2), np.array([0.0]), HardyVector([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SchemeConfig("BO", make_schedule("constant", 2), np.array([0.0, bad]),
+                         bo_profile(0))
+
 
 class TestLinearCase:
     """n(0) = K, all later truncations zero: the scheme reproduces the free flow."""
@@ -154,6 +160,25 @@ class TestBruteForceOracle:
         h0 = project_hardy(u0) if is_bo else u0
         oracle = scheme_by_brute_force(u0.coeff, h0.coeffs, sched.values, equation, t)
         np.testing.assert_allclose(out.coeffs[0], oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_eigenbasis_and_standard_basis_runs(self, equation):
+        """A run of 7 steps at 5 times goes through the eigenbasis (5 * (7 - 2) > 8),
+        the same run at one time through the standard basis (1 * (7 - 2) <= 8)."""
+        K = 8
+        sched = make_schedule("constant", K)
+        is_bo = equation == "BO"
+        u0 = analyze_profile(bo_profile(8, norm=0.4), K, hardy=not is_bo)
+        h0 = project_hardy(u0) if is_bo else u0
+        ts = np.array([-3.1, -0.4, 0.0, 0.7, 2.9])
+        many = run(equation, sched, ts, u0)
+        for i, t in enumerate(ts):
+            oracle = scheme_by_brute_force(u0.coeff, h0.coeffs, sched.values, equation, t)
+            np.testing.assert_allclose(many.coeffs[i], oracle, atol=1e-9)
+        one = run(equation, sched, ts[3], u0)
+        np.testing.assert_allclose(one.coeffs[0], many.coeffs[3], atol=1e-12)
+        np.testing.assert_allclose(one.final_iterate[:, 0], many.final_iterate[:, 3],
+                                   atol=1e-12)
 
 
 class TestConservation:
@@ -200,15 +225,19 @@ class TestConservation:
 
 class TestIterateStructure:
     def test_support_bound(self):
-        """Each iterate u^k is supported in the first iterate_size(sched, k) modes."""
+        """Each iterate u^k is supported in the first iterate_size(sched, k) modes.
+
+        The run on the prefix n(0..k) ends with S* u^k as its final iterate,
+        so that vector vanishes beyond mode iterate_size(sched, k) - 1.
+        """
         K = 16
         sched = make_schedule("half-staircase", K)
-        seen = {}
-        cfg = SchemeConfig("BO", sched, np.array([1.3]), bo_profile(1))
-        run_scheme(cfg, iterate_hook=lambda k, V: seen.update({k: V.copy()}))
-        for k, V in seen.items():
-            m = iterate_size(sched, k)
-            assert np.max(np.abs(V[m:, :]), initial=0.0) <= 1e-12
+        u0 = analyze_profile(bo_profile(1), K)
+        for k in range(K):
+            prefix = make_schedule("custom", k + 1, sched.values[: k + 1])
+            out = run_scheme(SchemeConfig("BO", prefix, np.array([1.3, -2.2]), u0))
+            m = max(iterate_size(sched, k) - 1, 0)
+            assert np.max(np.abs(out.final_iterate[m:, :]), initial=0.0) <= 1e-12
 
     def test_cache_shared_across_runs(self):
         K = 8
