@@ -3,7 +3,9 @@
 At ambient size M the operators act on coefficient vectors over the
 frequency window [0, M).  The derivative part is never truncated: rows and
 columns at or beyond the truncation parameter n carry only the diagonal
-entry j, matching the analysis of the scheme.  The potential blocks are
+entry j, matching the analysis of the scheme.  A `LaxMatrix` therefore
+stores only its dense n x n block; the tail diag(n..M-1) is implicit and
+exact.  The potential blocks are
 
 * BO:  B[j, l] = u0hat(j - l) for j, l < n (Hermitian Toeplitz), and the
   operator is diag(0..M-1) - B;
@@ -46,9 +48,9 @@ def data_digest(u0) -> str:
 
 @dataclass(frozen=True)
 class LaxMatrix:
-    """M x M Hermitian realization of a truncated Lax operator."""
+    """Truncated Lax operator on [0, M): a Hermitian n x n block, then diag(n..M-1)."""
 
-    entries: np.ndarray
+    block: np.ndarray
     equation: str  # "BO" or "CCM"
     n: int
     M: int
@@ -56,9 +58,19 @@ class LaxMatrix:
     sign: Optional[str] = None  # "focusing" / "defocusing", CCM only
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.complex128)
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+        _check_sizes(self.n, self.M)
+        b = np.array(self.block, dtype=np.complex128)
+        if b.shape != (self.n, self.n):
+            raise ValueError(f"block shape {b.shape} != ({self.n}, {self.n})")
+        b.flags.writeable = False
+        object.__setattr__(self, "block", b)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense M x M matrix, built on each access."""
+        e = np.diag(np.arange(self.M, dtype=np.complex128))
+        e[: self.n, : self.n] = self.block
+        return e
 
     @property
     def cache_key(self):
@@ -91,13 +103,12 @@ def build_bo_lax(u0: RealSpectrum, n: int, M: int) -> LaxMatrix:
     """BO Lax matrix diag(0..M-1) minus the n x n Toeplitz block of u0."""
     _check_sizes(n, M)
     u0.check_symmetry()
-    entries = np.diag(np.arange(M, dtype=np.complex128))
+    block = np.diag(np.arange(n, dtype=np.complex128))
     if n > 0:
         col = np.array([u0.coeff(j) for j in range(n)])
         # row entries are u0hat(-l) = conj(u0hat(l)), exact by symmetry
-        block = scipy.linalg.toeplitz(col, np.conj(col))
-        entries[:n, :n] -= block
-    return LaxMatrix(entries, "BO", n, M, data_digest(u0))
+        block -= scipy.linalg.toeplitz(col, np.conj(col))
+    return LaxMatrix(block, "BO", n, M, data_digest(u0))
 
 
 def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
@@ -105,7 +116,7 @@ def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
     _check_sizes(n, M)
     if sign not in ("focusing", "defocusing"):
         raise ValueError("sign must be 'focusing' or 'defocusing'")
-    entries = np.diag(np.arange(M, dtype=np.complex128))
+    block = np.diag(np.arange(n, dtype=np.complex128))
     if n > 0:
         col = u0.padded(n)
         a = scipy.linalg.toeplitz(col, np.zeros(n, dtype=np.complex128))
@@ -113,10 +124,10 @@ def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
         # re-symmetrize so the Hermitian invariant holds bit-exactly
         gram = 0.5 * (gram + gram.conj().T)
         if sign == "focusing":
-            entries[:n, :n] -= gram
+            block -= gram
         else:
-            entries[:n, :n] += gram
-    return LaxMatrix(entries, "CCM", n, M, data_digest(u0), sign=sign)
+            block += gram
+    return LaxMatrix(block, "CCM", n, M, data_digest(u0), sign=sign)
 
 
 def apply_free_resolvent(r: FreeResolvent, v) -> np.ndarray:
@@ -128,9 +139,12 @@ def apply_free_resolvent(r: FreeResolvent, v) -> np.ndarray:
 
 
 def hermitian_defect(m: LaxMatrix) -> float:
-    """max |E[j,l] - conj(E[l,j])|; zero for matrices built here."""
-    e = m.entries
-    return float(np.max(np.abs(e - e.conj().T))) if e.size else 0.0
+    """max |E[j,l] - conj(E[l,j])|; zero for matrices built here.
+
+    The diagonal tail is real, so only the block can carry a defect.
+    """
+    b = m.block
+    return float(np.max(np.abs(b - b.conj().T))) if b.size else 0.0
 
 
 def dump_matrix(m: LaxMatrix, path, fmt: str = "csv") -> None:

@@ -2,11 +2,15 @@
 
 Because the Lax matrices are Hermitian, e^{i alpha t (I + 2 L)} is computed
 through the spectral decomposition L = Q diag(lambda) Q^H once per distinct
-truncation parameter.  A run of r scheme steps sharing one decomposition then
-costs, for an M x T block of iterates, one product W = Q^H S* Q plus one
-M x M by M x T product per step in the eigenbasis, or, for short runs, two
-such products per step in the standard basis.  All eigenvalues are real, so
-|phase| = 1 for every t and the evolution is unconditionally stable in time.
+truncation parameter n.  Only the dense n x n block is decomposed, at
+O(n^3); the tail diag(n..M-1) is already diagonal, so on those rows the
+group is the elementwise phase e^{i alpha t (1 + 2j)}.  A run of r scheme
+steps sharing one decomposition then costs, for an M x T block of iterates,
+one product W = Q^H S* Q plus one n x n by n x T product per step in the
+eigenbasis, or, for short runs, two such products per step in the standard
+basis; the tail is shifted and phased elementwise either way.  All
+eigenvalues are real, so |phase| = 1 for every t and the evolution is
+unconditionally stable in time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "apply_group",
     "apply_group_many",
     "advance",
-    "get_or_build",
     "find_kappa_zero",
 ]
 
@@ -37,7 +40,12 @@ _RECON_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition L = Q diag(eigenvalues) Q^H, eigenvalues ascending."""
+    """Eigendecomposition of a block-plus-tail Lax matrix.
+
+    eigenvectors is the n x n matrix Q with block = Q diag(lambda) Q^H;
+    eigenvalues holds all M eigenvalues: the block's, ascending, then the
+    tail's n..M-1, whose eigenvectors are the unit vectors e_n..e_{M-1}.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -55,19 +63,30 @@ class HermitianEig:
     def M(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def n(self) -> int:
+        return len(self.eigenvectors)
+
+    def phases(self, ts, alpha: int) -> np.ndarray:
+        """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts))."""
+        return np.exp(1j * alpha * np.outer(1.0 + 2.0 * self.eigenvalues, ts))
+
 
 def eig_hermitian(m: LaxMatrix) -> HermitianEig:
-    """Diagonalize a Lax matrix, canonicalizing order and phases.
+    """Diagonalize the block of a Lax matrix, canonicalizing order and phases.
 
     Columns are sorted by ascending eigenvalue and each eigenvector is
     rotated so its largest-magnitude component is real positive, making the
-    result a deterministic function of the input matrix.
+    result a deterministic function of the input matrix.  The tail is exact,
+    so the Hermitian, reconstruction and orthonormality checks on the block
+    are the checks on the whole matrix.
     """
     defect = hermitian_defect(m)
     if defect != 0.0:
         raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
+    block = m.block
     try:
-        lam, q = np.linalg.eigh(m.entries)
+        lam, q = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver failed for {m.equation} Lax matrix "
@@ -75,24 +94,28 @@ def eig_hermitian(m: LaxMatrix) -> HermitianEig:
         ) from exc
 
     # canonical phases: largest-magnitude entry of each column real positive
-    idx = np.argmax(np.abs(q), axis=0)
-    lead = q[idx, np.arange(q.shape[1])]
-    q = q * np.conj(lead / np.abs(lead))
+    if m.n:
+        idx = np.argmax(np.abs(q), axis=0)
+        lead = q[idx, np.arange(m.n)]
+        q = q * np.conj(lead / np.abs(lead))
 
-    scale = 1.0 + float(np.max(np.abs(m.entries))) if m.entries.size else 1.0
+    tail = np.arange(m.n, m.M, dtype=np.float64)
+    # the largest entry of the whole matrix, tail included
+    scale = 1.0 + max(float(np.max(np.abs(block), initial=0.0)),
+                      float(np.max(tail, initial=0.0)))
     recon = (q * lam) @ q.conj().T
-    if np.max(np.abs(recon - m.entries)) > _RECON_TOL * scale:
+    if np.max(np.abs(recon - block), initial=0.0) > _RECON_TOL * scale:
         raise RuntimeError(
             f"eigendecomposition residual too large for {m.equation} "
             f"(n={m.n}, M={m.M})"
         )
-    ortho = q.conj().T @ q - np.eye(m.M)
-    if np.max(np.abs(ortho)) > _RECON_TOL:
+    ortho = q.conj().T @ q - np.eye(m.n)
+    if np.max(np.abs(ortho), initial=0.0) > _RECON_TOL:
         raise RuntimeError(
             f"eigenvectors lost orthonormality for {m.equation} "
             f"(n={m.n}, M={m.M})"
         )
-    return HermitianEig(lam, q, m.cache_key)
+    return HermitianEig(np.concatenate([lam, tail]), q, m.cache_key)
 
 
 def apply_group(e: HermitianEig, t: float, alpha: int, v) -> np.ndarray:
@@ -103,19 +126,29 @@ def apply_group(e: HermitianEig, t: float, alpha: int, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (e.M,):
         raise ValueError(f"vector length {v.shape} incompatible with M={e.M}")
-    phases = np.exp(1j * alpha * t * (1.0 + 2.0 * e.eigenvalues))
-    q = e.eigenvectors
-    return q @ (phases * (q.conj().T @ v))
+    return apply_group_many(e, [t], alpha, v[:, None])[:, 0]
 
 
-def apply_group_many(e: HermitianEig, ts, alpha: int, V: np.ndarray) -> np.ndarray:
+def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
     """Apply the group at several times at once; column j of V evolves by ts[j]."""
     ts = np.asarray(ts, dtype=np.float64)
+    V = np.asarray(V, dtype=np.complex128)
     if V.shape != (e.M, len(ts)):
         raise ValueError("V must be (M, len(ts))")
-    phases = np.exp(1j * alpha * np.outer(1.0 + 2.0 * e.eigenvalues, ts))
-    q = e.eigenvectors
-    return q @ (phases * (q.conj().T @ V))
+    n, q = e.n, e.eigenvectors
+    phases = e.phases(ts, alpha)
+    out = phases * V
+    out[:n] = q @ (phases[:n] * (q.conj().T @ V[:n]))
+    return out
+
+
+def _shift_tail(blk: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
+    """[blk; X[n+1:]; 0]: new block rows, then the tail rows of S* X (n < M)."""
+    out = np.empty_like(X)
+    out[:n] = blk
+    out[n:-1] = X[n + 1 :]
+    out[-1] = 0.0
+    return out
 
 
 def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
@@ -125,30 +158,50 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     zero mode of the iterate after step s + 1, shape (len(ts), steps), and V
     is the last iterate in the standard basis.
 
-    The standard basis costs 16 M^2 T flops a step; the eigenbasis, where a
-    step is w <- phases * (W w) with W = Q^H S* Q, costs 8 M^3 + 8 M^2 T
-    (steps + 2) in all.  The cheaper one is taken: the eigenbasis iff
-    T (steps - 2) > M.
+    The tail rows n..M-1 are shifted and phased elementwise.  On the block
+    the standard basis costs 16 n^2 T flops a step; the eigenbasis, where the
+    block rows hold w = Q^H V[:n] and a step is w <- phases * (W w + c v_n)
+    with W = Q^H S* Q and c = Q^H e_{n-1} taking in the first tail row v_n,
+    costs 8 n^3 + 8 n^2 T (steps + 2) in all.  The cheaper one is taken: the
+    eigenbasis iff T (steps - 2) > n.  With n = 0 a step is pure phases.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    M, T = e.M, len(ts)
+    M, n, T = e.M, e.n, len(ts)
     if V.shape != (M, T):
         raise ValueError("V must be (M, len(ts))")
-    phases = np.exp(1j * alpha * np.outer(1.0 + 2.0 * e.eigenvalues, ts))
+    phases = e.phases(ts, alpha)
     q = e.eigenvectors
     qh = q.conj().T
+    # rows of V that feed the block through S*: 1..n, or 1..M-1 if there is no tail
+    b = min(n + 1, M)
     rows = np.empty((T, steps), dtype=np.complex128)
-    if T * (steps - 2) > M:
+    if n and T * (steps - 2) > n:
         # S* Q is Q shifted up one row with a zero last row, so Q^H S* Q
         # needs no shifted copy
         w_op = qh[:, :-1] @ q[1:]
-        w = qh @ V
+        if n < M:
+            # the first tail row shifts into block row n - 1: column Q^H e_{n-1}
+            w_op = np.hstack([w_op, qh[:, -1:]])
+            X = np.concatenate([qh @ V[:n], V[n:]])
+        else:
+            X = qh @ V
         for s in range(steps):
-            w = phases * (w_op @ w)
-            rows[:, s] = q[0] @ w
-        return rows, q @ w
+            blk = w_op @ X[:b]
+            X = blk if n == M else _shift_tail(blk, X, n)
+            X *= phases
+            rows[:, s] = q[0] @ X[:n]
+        if n == M:
+            return rows, q @ X
+        X[:n] = q @ X[:n]
+        return rows, X
+    pb, pt = phases[:n], phases[n:]
     for s in range(steps):
-        V = q @ (phases * (qh[:, :-1] @ V[1:]))
+        blk = q @ (pb * (qh[:, : b - 1] @ V[1:b]))
+        if n == M:
+            V = blk
+        else:
+            V = _shift_tail(blk, V, n)
+            V[n:] *= pt
         rows[:, s] = V[0]
     return rows, V
 
@@ -161,6 +214,13 @@ class PropagatorCache:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     decompositions: int = 0
     hits: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the cached decompositions: 16 n^2 + 8 M each."""
+        with self._lock:
+            entries = list(self._store.values())
+        return sum(e.eigenvalues.nbytes + e.eigenvectors.nbytes for e in entries)
 
     def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix]) -> HermitianEig:
         with self._lock:
@@ -178,10 +238,6 @@ class PropagatorCache:
             else:
                 self.hits += 1
             return existing
-
-
-def get_or_build(cache: PropagatorCache, key: Tuple, factory) -> HermitianEig:
-    return cache.get_or_build(key, factory)
 
 
 @dataclass(frozen=True)

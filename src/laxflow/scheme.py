@@ -127,6 +127,9 @@ class SchemeConfig:
         t = np.array(self.times, dtype=np.float64)
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
+        # outputs are looked up by exact time, so each time must name one column
+        if len(np.unique(t)) != len(t):
+            raise ValueError("times must be distinct")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
@@ -186,10 +189,12 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
 
     All times share one pass over k: the iterates for distinct t are columns
     of one M x T matrix.  The steps k >= 1 are taken in maximal runs of equal
-    n(k), one cached decomposition each.  A long run costs one product
-    W = Q^H S* Q and then one M x M by M x T product per step in the
+    n(k), one cached decomposition each: O(n^3) for the n x n block, held
+    as n^2 complex numbers.  On the block a long run costs one product
+    W = Q^H S* Q and then one n x n by n x T product per step in the
     eigenbasis; a short run takes two such products per step in the
-    standard basis (see `propagator.advance`).
+    standard basis.  The tail rows n..M-1 take their phases elementwise
+    (see `propagator.advance`).
     """
     sched = cfg.schedule
     K = sched.K

@@ -145,6 +145,13 @@ class TestEvolve:
         assert main(["evolve", "--K", "8", "--times", times, "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("cmd", ["evolve", "talbot"])
+    def test_duplicate_times_write_nothing(self, tmp_path, capsys, cmd):
+        out = tmp_path / "x"
+        assert main([cmd, "--K", "8", "--times", "pi/2;1;2*pi/4", "--out", str(out)]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestTalbot:
     def test_time_zero_linear_equals_nonlinear(self, tmp_path):

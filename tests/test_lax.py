@@ -148,8 +148,19 @@ class TestBookkeeping:
     def test_defect_detects_corruption(self):
         e = np.diag(np.arange(3.0)).astype(complex)
         e[0, 1] = 1j
-        m = LaxMatrix(e, "BO", 2, 3, "deadbeef")
+        m = LaxMatrix(e[:2, :2], "BO", 2, 3, "deadbeef")
         assert hermitian_defect(m) == pytest.approx(1.0)
+
+    def test_rejects_block_of_wrong_shape(self):
+        with pytest.raises(ValueError):
+            LaxMatrix(np.eye(3), "BO", 2, 3, "deadbeef")
+
+    def test_dense_view_has_diagonal_tail(self):
+        m = build_bo_lax(random_real_spectrum(8, 2), 3, 8)
+        e = m.entries
+        np.testing.assert_array_equal(e[:3, :3], m.block)
+        np.testing.assert_array_equal(e[3:, 3:], np.diag(np.arange(3.0, 8.0)))
+        assert not e[:3, 3:].any() and not e[3:, :3].any()
 
     def test_dump_matrix_roundtrip(self, tmp_path):
         m = build_bo_lax(random_real_spectrum(4, 5), 4, 4)

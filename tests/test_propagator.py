@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from laxflow.lax import LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
+    _RECON_TOL,
     KappaZero,
     PropagatorCache,
     advance,
@@ -22,10 +24,11 @@ def random_spectrum(K, seed, norm=0.5):
 
 class TestEig:
     def test_free_operator(self):
+        # n = 0: an empty block, so every eigenvector is a unit vector of the tail
         m = build_bo_lax(random_spectrum(6, 0), 0, 6)
         e = eig_hermitian(m)
         np.testing.assert_allclose(e.eigenvalues, np.arange(6.0))
-        np.testing.assert_allclose(e.eigenvectors, np.eye(6), atol=1e-15)
+        assert e.eigenvectors.shape == (0, 0)
 
     def test_two_by_two_golden(self):
         # [[1, 1], [1, 0]] has eigenvalues (1 +- sqrt 5) / 2
@@ -111,6 +114,57 @@ class TestApplyGroup:
             V = apply_group_many(e, ts, 1, np.vstack([V[1:], np.zeros((1, T))]))
             np.testing.assert_allclose(rows[:, s], V[0], atol=1e-12)
         np.testing.assert_allclose(out, V, atol=1e-12)
+
+
+M_BLOCK = 8
+
+
+def block_lax(family, n):
+    p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 11, "norm": 0.5})
+    if family == "BO":
+        return build_bo_lax(analyze_profile(p, M_BLOCK), n, M_BLOCK), 1
+    u0 = analyze_profile(p, M_BLOCK, hardy=True)
+    return build_ccm_lax(u0, n, M_BLOCK, family.split("-")[1]), -1
+
+
+@pytest.mark.parametrize("n", [0, 1, M_BLOCK // 2, M_BLOCK - 1, M_BLOCK])
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+class TestBlockRepresentation:
+    """Decomposing the n x n block plus the diagonal tail is the dense decomposition."""
+
+    def test_eigenvalues_match_dense(self, family, n):
+        m, _ = block_lax(family, n)
+        e = eig_hermitian(m)
+        assert e.eigenvectors.shape == (n, n)
+        np.testing.assert_array_equal(e.eigenvalues[n:], np.arange(n, M_BLOCK))
+        np.testing.assert_allclose(np.sort(e.eigenvalues), np.linalg.eigvalsh(m.entries),
+                                   rtol=0, atol=1e-12)
+
+    def test_reconstructs_dense(self, family, n):
+        m, _ = block_lax(family, n)
+        e = eig_hermitian(m)
+        q = scipy.linalg.block_diag(e.eigenvectors, np.eye(M_BLOCK - n))
+        recon = (q * e.eigenvalues) @ q.conj().T
+        dense = m.entries
+        assert np.max(np.abs(recon - dense)) <= _RECON_TOL * (1.0 + np.max(np.abs(dense)))
+
+    # the eigenbasis body runs iff T * (steps - 2) > n: never for (1, 3),
+    # for every n >= 1 with (12, 3) and (20, 2)
+    @pytest.mark.parametrize("steps,T", [(1, 3), (5, 1), (12, 3), (20, 2)])
+    def test_advance_matches_expm(self, family, n, steps, T):
+        m, alpha = block_lax(family, n)
+        e = eig_hermitian(m)
+        ts = np.linspace(-1.5, 2.0, T)
+        rng = np.random.default_rng(n)
+        V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
+        rows, out = advance(e, ts, alpha, V, steps)
+        gen = np.eye(M_BLOCK) + 2.0 * m.entries
+        groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
+        for s in range(steps):
+            shifted = np.vstack([V[1:], np.zeros((1, T))])
+            V = np.stack([g @ shifted[:, j] for j, g in enumerate(groups)], axis=1)
+            np.testing.assert_allclose(rows[:, s], V[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, V, rtol=0, atol=1e-12)
 
 
 class TestCache:

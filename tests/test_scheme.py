@@ -130,6 +130,16 @@ class TestSchemeBasics:
                          bo_profile(0))
 
 
+    def test_duplicate_times_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            SchemeConfig("BO", make_schedule("constant", 2), np.array([0.5, 1.0, 0.5]),
+                         bo_profile(0))
+        # 0.0 == -0.0, so the output could not tell them apart either
+        with pytest.raises(ValueError, match="distinct"):
+            SchemeConfig("BO", make_schedule("constant", 2), np.array([0.0, -0.0]),
+                         bo_profile(0))
+
+
 class TestLinearCase:
     """n(0) = K, all later truncations zero: the scheme reproduces the free flow."""
 
@@ -249,6 +259,16 @@ class TestIterateStructure:
         assert a.decompositions == 1
         assert b.decompositions == 0
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    def test_cache_holds_blocks_only(self):
+        # full staircase K = 64: steps k >= 1 decompose n = 63..1 at M = 64,
+        # each entry an n x n block plus M eigenvalues
+        K = 64
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
+                           np.array([0.5, 2.0]), bo_profile(2))
+        out = run_scheme(cfg)
+        assert out.decompositions == K - 1
+        assert out.cache.nbytes == sum(16 * n * n + 8 * K for n in range(1, K))
 
     def test_time_reversal_bo(self):
         """Real initial coefficients: BO output at -t is the conjugate of +t."""
