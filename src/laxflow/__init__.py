@@ -16,6 +16,7 @@ from .spectral import (  # noqa: F401
     l2_norm,
     hs_kappa_norm,
     synthesize,
+    sample_grid,
     analyze_profile,
     hermitian_symmetrize,
 )

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import __version__
 from . import diagnostics as diag
 from .propagator import find_kappa_zero
 from .scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
-from .spectral import InitialProfile, analyze_profile, synthesize
+from .spectral import InitialProfile, analyze_profile, sample_grid
 
 SCHEMA_VERSION = 1
 
@@ -49,9 +48,10 @@ def parse_time_expr(expr) -> float:
     """Parse a time value; strings may use pi, sqrt2, sqrt() and arithmetic."""
     if isinstance(expr, (int, float)):
         return float(expr)
+    # deep nesting overflows the parser as RecursionError or MemoryError
     try:
         node = ast.parse(str(expr), mode="eval").body
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ConfigError(f"cannot parse time {expr!r}") from exc
 
     def ev(n):
@@ -72,31 +72,35 @@ def parse_time_expr(expr) -> float:
                 return a * b
             if isinstance(n.op, ast.Div):
                 return a / b
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "sqrt":
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "sqrt"
+                and len(n.args) == 1 and not n.keywords):
             return math.sqrt(ev(n.args[0]))
         raise ConfigError(f"unsupported expression in time {expr!r}")
 
     try:
         return ev(node)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError, RecursionError) as exc:
+        # ValueError: sqrt of a negative number
         raise ConfigError(f"cannot evaluate time {expr!r}: {exc}") from exc
 
 
 def parse_profile(spec) -> InitialProfile:
     """Parse "square-wave", "single-mode:k0=3,amplitude=0.2", etc."""
     if isinstance(spec, dict):
-        return InitialProfile(spec["kind"], {k: v for k, v in spec.items() if k != "kind"})
-    kind, _, rest = str(spec).partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"bad profile parameter {item!r}")
-            try:
-                params[key.strip()] = ast.literal_eval(val)
-            except (ValueError, SyntaxError) as exc:
-                raise ConfigError(f"bad profile parameter {item!r}") from exc
+        kind = spec.get("kind")
+        params = {k: v for k, v in spec.items() if k != "kind"}
+    else:
+        kind, _, rest = str(spec).partition(":")
+        params = {}
+        if rest:
+            for item in rest.split(","):
+                key, _, val = item.partition("=")
+                if not val:
+                    raise ConfigError(f"bad profile parameter {item!r}")
+                try:
+                    params[key.strip()] = ast.literal_eval(val)
+                except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+                    raise ConfigError(f"bad profile parameter {item!r}") from exc
     try:
         return InitialProfile(kind, params)
     except ValueError as exc:
@@ -116,17 +120,8 @@ def parse_schedule(spec, K: int):
         return make_schedule(kind, K)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad schedule {spec!r}: {exc}") from exc
-
-
-def max_workers() -> int:
-    """Parallelism cap from LAXFLOW_THREADS (>= 1)."""
-    raw = os.environ.get("LAXFLOW_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else max(1, os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"LAXFLOW_THREADS={raw!r} is not an integer")
 
 
 # ---------------------------------------------------------------- output
@@ -141,6 +136,13 @@ def write_csv(path: Path, header, rows) -> None:
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
+
+
+def write_coefficients(path: Path, times, coeffs) -> None:
+    """The (t, k, re, im) rows of coeffs[i, k] = uhat(times[i], k)."""
+    write_csv(path, ("t", "k", "re", "im"),
+              [(float(t), k, float(c.real), float(c.imag))
+               for t, row in zip(times, coeffs) for k, c in enumerate(row)])
 
 
 def _sha256(path: Path) -> str:
@@ -180,7 +182,6 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------- commands
 
 def cmd_evolve(args) -> int:
-    out = _outdir(args)
     K = int(args.K)
     times = _resolve_times(args)
     schedule = parse_schedule(args.schedule, K)
@@ -191,20 +192,13 @@ def cmd_evolve(args) -> int:
     result = run_scheme(cfg)
     wall = time.perf_counter() - t0
 
-    rows = []
-    for i, t in enumerate(result.times):
-        for k in range(K):
-            c = result.coeffs[i, k]
-            rows.append((float(t), k, float(c.real), float(c.imag)))
-    write_csv(out / "coefficients.csv", ("t", "k", "re", "im"), rows)
-
-    xs = -np.pi + 2.0 * np.pi * np.arange(2 * K) / (2 * K)
+    out = _outdir(args)
+    write_coefficients(out / "coefficients.csv", result.times, result.coeffs)
     sample_rows = []
     for t in result.times:
         fld = result.real_spectrum(t) if args.equation == "BO" else result.hardy(t)
-        vals = synthesize(fld, xs)
-        for x, v in zip(xs, vals):
-            sample_rows.append((float(t), float(x), float(v.real)))
+        xs, vals = sample_grid(fld, K)
+        sample_rows += [(float(t), float(x), float(v.real)) for x, v in zip(xs, vals)]
     write_csv(out / "samples.csv", ("t", "x", "value"), sample_rows)
 
     files = [out / "coefficients.csv", out / "samples.csv"]
@@ -224,7 +218,6 @@ TALBOT_TIMES = ("pi/2", "pi/3", "pi/6", "sqrt2*pi")
 def cmd_talbot(args) -> int:
     if args.equation != "BO":
         raise ConfigError("the Talbot experiment is defined for the BO equation")
-    out = _outdir(args)
     K = int(args.K)
     time_exprs = args.times.split(";") if args.times else list(TALBOT_TIMES)
     times = np.array([parse_time_expr(t) for t in time_exprs])
@@ -235,23 +228,18 @@ def cmd_talbot(args) -> int:
     linear = run_scheme(SchemeConfig("BO", make_schedule("linear-case", K), times, profile))
     wall = time.perf_counter() - t0
 
-    xs = -np.pi + 2.0 * np.pi * np.arange(2 * K) / (2 * K)
+    out = _outdir(args)
     files = []
     for i, t in enumerate(times):
         for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
-            vals = synthesize(result.real_spectrum(t), xs)
+            xs, vals = sample_grid(result.real_spectrum(t), K)
             path = out / f"talbot_{i}_{tag}.csv"
             write_csv(path, ("x", "value"),
                       [(float(x), float(v.real)) for x, v in zip(xs, vals)])
             files.append(path)
     for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
-        rows = []
-        for i, t in enumerate(times):
-            for k in range(K):
-                c = result.coeffs[i, k]
-                rows.append((float(t), k, float(c.real), float(c.imag)))
         path = out / f"coefficients_{tag}.csv"
-        write_csv(path, ("t", "k", "re", "im"), rows)
+        write_coefficients(path, result.times, result.coeffs)
         files.append(path)
 
     write_manifest(out, _config_echo(args, times=time_exprs), {
@@ -263,7 +251,6 @@ def cmd_talbot(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    out = _outdir(args)
     Ks = [int(k) for k in args.Ks.split(",")]
     profile = parse_profile(args.profile)
     t0 = time.perf_counter()
@@ -276,6 +263,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
     slope = diag.fit_rate(table) if len(table.rows) >= 4 else None
+    out = _outdir(args)
 
     write_csv(out / "table.csv",
               ("K", "schedule", "error", "norm_diff", "wall_time_s", "decompositions"),
@@ -298,7 +286,6 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    out = _outdir(args)
     M = int(args.M)
     eq_short = "BO" if args.equation == "BO" else "CCM"
     profile = parse_profile(args.profile)
@@ -307,25 +294,20 @@ def cmd_diagnostics(args) -> int:
     ns = [2**e for e in range(0, int(math.log2(M)) + 1)]
 
     t0 = time.perf_counter()
-    # the three suites are independent; LAXFLOW_THREADS caps the parallelism
-    with ThreadPoolExecutor(max_workers=min(3, max_workers())) as pool:
-        fut_bounds = pool.submit(diag.run_bound_suite, u0, args.equation, M,
-                                 kappas, ns, seed=int(args.seed))
-        fut_res = pool.submit(diag.run_resolvent_convergence, u0, args.equation, M)
-        fut_sweep = pool.submit(diag.run_propagator_sweep, u0, args.equation, M,
-                                float(args.T))
-        reports = fut_bounds.result()
-        res_rows = fut_res.result()
-        sweep_failed = False
-        try:
-            sweep_rows = fut_sweep.result()
-        except RuntimeError:
-            sweep_rows, sweep_failed = [], True
+    # one suite after another: BLAS already uses every core
+    reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed))
+    res_rows = diag.run_resolvent_convergence(u0, args.equation, M)
+    sweep_failed = False
+    try:
+        sweep_rows = diag.run_propagator_sweep(u0, args.equation, M, float(args.T))
+    except RuntimeError:
+        sweep_rows, sweep_failed = [], True
     if args.corrupt_bounds:
         # harness self-test: a zeroed bound must be reported as a failure
         reports = [diag.BoundReport(r.name, r.params, r.measured, 0.0) for r in reports]
     wall = time.perf_counter() - t0
 
+    out = _outdir(args)
     write_csv(out / "bounds.csv", ("name", "n", "kappa", "measured", "bound", "pass"),
               [(r.name, r.params.get("n", ""), r.params.get("kappa", ""),
                 r.measured, r.bound, r.passed) for r in reports])

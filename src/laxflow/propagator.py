@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .lax import LaxMatrix, hermitian_defect
 from .spectral import HardyVector, RealSpectrum, l2_norm
@@ -256,21 +257,25 @@ class KappaZero:
 _CCM_GRID_MAX_EXP = 20
 
 
-def _ccm_perturbation_norms(u0: HardyVector, M: int, kappa: float, ns) -> float:
-    """Largest singular value of G_n R0(kappa) over the given truncations."""
-    import scipy.linalg
-
-    col = u0.padded(M)
-    a = scipy.linalg.toeplitz(col, np.zeros(M, dtype=np.complex128))
-    r0 = 1.0 / (np.arange(M) + kappa)
-    worst = 0.0
+def _ccm_gram_blocks(u0: HardyVector, ns) -> list:
+    """The n x n Gram blocks A_n A_n^H, A_n lower-triangular Toeplitz of u0."""
+    blocks = []
     for n in ns:
-        g = np.zeros((M, M), dtype=np.complex128)
-        if n > 0:
-            an = a[:n, :n]
-            g[:n, :n] = an @ an.conj().T
-        sv = np.linalg.norm(g * r0, ord=2)
-        worst = max(worst, sv)
+        an = scipy.linalg.toeplitz(u0.padded(n), np.zeros(n, dtype=np.complex128))
+        blocks.append(an @ an.conj().T)
+    return blocks
+
+
+def _ccm_perturbation_norm(blocks, kappa: float) -> float:
+    """Largest singular value of G_n R0(kappa) over the Gram blocks.
+
+    G_n R0(kappa) vanishes outside its n x n block, so the block's norm is
+    the whole operator's.
+    """
+    worst = 0.0
+    for g in blocks:
+        r0 = 1.0 / (np.arange(len(g)) + kappa)
+        worst = max(worst, float(np.linalg.norm(g * r0, ord=2)))
     return worst
 
 
@@ -279,7 +284,9 @@ def find_kappa_zero(u0, equation: str, M: int) -> KappaZero:
 
     BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form;
     the smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
-    the Galerkin perturbation norm is <= 1/2 at n in {1, M/2, M} is used.
+    the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 at n in
+    {1, M/2, M} is used.  Each n x n Gram block G_n is built once and
+    each norm is an n x n SVD.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
@@ -292,10 +299,11 @@ def find_kappa_zero(u0, equation: str, M: int) -> KappaZero:
         raise ValueError("equation must be 'BO' or 'CCM'")
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
-    ns = (1, M // 2, M)
+    # the Gram blocks do not depend on kappa: build them once
+    blocks = _ccm_gram_blocks(u0, (1, M // 2, M))
     for e in range(_CCM_GRID_MAX_EXP + 1):
         kappa = float(2**e)
-        if _ccm_perturbation_norms(u0, M, kappa, ns) <= 0.5:
+        if _ccm_perturbation_norm(blocks, kappa) <= 0.5:
             return KappaZero("CCM", kappa, "search")
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "

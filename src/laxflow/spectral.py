@@ -15,6 +15,8 @@ Two coefficient containers are used throughout:
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -33,6 +35,7 @@ __all__ = [
     "l2_norm",
     "hs_kappa_norm",
     "synthesize",
+    "sample_grid",
     "analyze_profile",
     "hermitian_symmetrize",
 ]
@@ -162,16 +165,40 @@ class InitialProfile:
     * single-mode: {"k0": int, "amplitude": complex}
     * random-sobolev: {"s": float, "seed": int, "norm": optional target
       L2 norm to scale to}
+
+    The parameter each kind cannot do without (coeffs, k0, s) is checked on
+    construction.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     _KINDS = ("explicit", "square-wave", "single-mode", "random-sobolev")
+    _REQUIRED = {"explicit": "coeffs", "single-mode": "k0", "random-sobolev": "s"}
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        required = self._REQUIRED.get(self.kind)
+        if required is not None and required not in self.params:
+            raise ValueError(f"profile {self.kind!r} needs the parameter {required!r}")
+        if self.kind == "single-mode" and not _is_integer(self.params["k0"]):
+            raise ValueError(f"single-mode k0 must be an integer, got {self.params['k0']!r}")
+        if self.kind == "random-sobolev" and not _is_finite_real(self.params["s"]):
+            raise ValueError(f"random-sobolev s must be a finite number, got {self.params['s']!r}")
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite_real(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 Field = Union[HardyVector, RealSpectrum]
@@ -200,6 +227,12 @@ def inner_with_one(h: HardyVector) -> complex:
     return complex(h.coeffs[0]) if len(h) else 0.0 + 0.0j
 
 
+def _modes(f: Field) -> np.ndarray:
+    if isinstance(f, RealSpectrum):
+        return np.arange(-f.K + 1, f.K)
+    return np.arange(len(f.coeffs))
+
+
 def l2_norm(f: Field) -> float:
     """Plancherel L2 norm: sqrt of the sum of |c(k)|^2 over stored modes."""
     return float(np.linalg.norm(f.coeffs))
@@ -207,29 +240,40 @@ def l2_norm(f: Field) -> float:
 
 def hs_kappa_norm(h: Field, spec: NormSpec) -> float:
     """Weighted Sobolev norm sqrt(sum (|k| + kappa)^{2s} |c(k)|^2)."""
-    if isinstance(h, RealSpectrum):
-        ks = np.arange(-h.K + 1, h.K)
-    else:
-        ks = np.arange(len(h.coeffs))
-    w = (np.abs(ks) + spec.kappa) ** spec.s
+    w = (np.abs(_modes(h)) + spec.kappa) ** spec.s
     return float(np.linalg.norm(w * h.coeffs))
 
 
 def synthesize(f: Field, points) -> np.ndarray:
     """Evaluate f(x_j) = sum_k c(k) e^{ik x_j} by direct summation.
 
-    Direct summation is the correctness oracle; no FFT path is used.
+    Direct summation works at arbitrary points and is the reference for
+    :func:`sample_grid`.
     """
     x = np.asarray(points, dtype=np.float64)
-    if isinstance(f, RealSpectrum):
-        ks = np.arange(-f.K + 1, f.K)
-    else:
-        ks = np.arange(len(f.coeffs))
+    ks = _modes(f)
     if len(ks) == 0:
         return np.zeros_like(x, dtype=np.complex128)
     # (npoints, nmodes) phase matrix; fine for the <=4096-point grids used here
     phases = np.exp(1j * np.outer(x, ks))
     return phases @ f.coeffs
+
+
+def sample_grid(f: Field, K: int):
+    """Samples of f on the grid x_j = -pi + pi j / K, j < 2K: (xs, values).
+
+    e^{ik x_j} = (-1)^k e^{2 pi i k j / 2K}, so the samples are one length-2K
+    inverse FFT of c(k) (-1)^k.  Modes are folded modulo 2K, which is exact
+    on this grid, so any f is accepted.
+    """
+    if K < 1:
+        raise ValueError("grid parameter K must be >= 1")
+    N = 2 * K
+    xs = -np.pi + 2.0 * np.pi * np.arange(N) / N
+    ks = _modes(f)
+    a = np.zeros(N, dtype=np.complex128)
+    np.add.at(a, ks % N, np.where(ks % 2 == 0, 1.0, -1.0) * f.coeffs)
+    return xs, np.fft.ifft(a, norm="forward")
 
 
 def square_wave_coefficient(k: int) -> complex:

@@ -6,14 +6,49 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxflow.cli import (
     ConfigError,
     main,
-    max_workers,
     parse_profile,
     parse_schedule,
     parse_time_expr,
+    write_coefficients,
+    write_csv,
+)
+
+# Each parser is fuzzed with arbitrary text and with text from its own
+# grammar, which gets past the first syntax check and into the evaluation.
+_atoms = st.one_of(
+    st.sampled_from(["pi", "sqrt2", "x", "1e400", "1j", "True", "'a'", "None", "[]"]),
+    st.integers().map(str),
+    st.floats(allow_nan=False).map(repr),
+)
+_time_exprs = st.recursive(_atoms, lambda e: st.one_of(
+    st.tuples(e, st.sampled_from("+-*/%"), e).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+    st.tuples(st.sampled_from("-+~"), e).map("".join),
+    st.tuples(st.sampled_from(["sqrt", "exp", "pi"]), st.lists(e, max_size=3))
+      .map(lambda t: f"{t[0]}({', '.join(t[1])})"),
+), max_leaves=8)
+_profile_values = st.one_of(_time_exprs, st.sampled_from(["{[]: 1}", "[1, 2]", "(", ""]))
+_profiles = st.tuples(
+    st.sampled_from(["explicit", "square-wave", "single-mode", "random-sobolev", "x"]),
+    st.lists(st.tuples(st.sampled_from(["k0", "s", "seed", "norm", "coeffs", "amplitude"]),
+                       _profile_values).map("=".join), max_size=3).map(",".join),
+).map(lambda t: f"{t[0]}:{t[1]}" if t[1] else t[0])
+# (spec, K); a custom list mostly has the K values it needs
+_schedules = st.one_of(
+    st.tuples(st.one_of(st.text(max_size=40), st.sampled_from(
+        ["constant", "linear-case", "half-staircase", "full-staircase", "custom"])),
+        st.integers(-2, 6)),
+    # values past int64 included: the schedule stores int64
+    st.lists(st.one_of(st.integers(-10, 10), st.integers(2**63, 2**70),
+                       st.integers(-2**70, -2**63 - 1)).map(str) | _atoms,
+             max_size=6).flatmap(
+        lambda v: st.tuples(st.just("custom:" + ",".join(v)),
+                            st.sampled_from([len(v), len(v) + 1]))),
 )
 
 
@@ -50,6 +85,45 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_profile("soliton")
 
+    @pytest.mark.parametrize("bad", ["sqrt()", "sqrt(1, 2)", "sqrt(x=1)", "sqrt(-1)",
+                                     "-" * 5000 + "1", "-" * 200000 + "1"])
+    def test_malformed_time_is_config_error(self, bad):
+        with pytest.raises(ConfigError):
+            parse_time_expr(bad)
+
+    @pytest.mark.parametrize("spec", ["random-sobolev", "random-sobolev:seed=1",
+                                      "single-mode", "single-mode:amplitude=0.5",
+                                      "explicit", "single-mode:k0=1e400",
+                                      {"s": 1.0}, {"kind": "single-mode"}])
+    def test_profile_without_required_parameter(self, spec):
+        with pytest.raises(ConfigError):
+            parse_profile(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=40), _time_exprs))
+    def test_time_parser_raises_only_config_errors(self, text):
+        try:
+            parse_time_expr(text)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=40), _profiles))
+    def test_profile_parser_raises_only_config_errors(self, text):
+        try:
+            parse_profile(text)
+        except ConfigError:
+            pass
+
+    @pytest.mark.filterwarnings("ignore:schedule has n\\(0\\) = 0")
+    @settings(max_examples=300, deadline=None)
+    @given(_schedules)
+    def test_schedule_parser_raises_only_config_errors(self, spec_and_K):
+        try:
+            parse_schedule(*spec_and_K)
+        except ConfigError:
+            pass
+
     def test_schedule_strings(self):
         s = parse_schedule("custom:3,2,1", 3)
         np.testing.assert_array_equal(s.values, [3, 2, 1])
@@ -58,17 +132,6 @@ class TestParsing:
             parse_schedule("custom:1,2", 3)
         with pytest.raises(ConfigError):
             parse_schedule("bogus", 3)
-
-    def test_max_workers(self, monkeypatch):
-        monkeypatch.setenv("LAXFLOW_THREADS", "4")
-        assert max_workers() == 4
-        monkeypatch.setenv("LAXFLOW_THREADS", "0")
-        assert max_workers() == 1
-        monkeypatch.setenv("LAXFLOW_THREADS", "zoo")
-        with pytest.raises(ConfigError):
-            max_workers()
-        monkeypatch.delenv("LAXFLOW_THREADS")
-        assert max_workers() >= 1
 
 
 def manifest_of(outdir):
@@ -144,6 +207,30 @@ class TestEvolve:
         out = tmp_path / "x"
         assert main(["evolve", "--K", "8", "--times", times, "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--times", "sqrt()"],
+        ["--times", "0", "--profile", "random-sobolev"],
+        ["--times", "0", "--profile", "single-mode"],
+        ["--times", "0", "--profile", "explicit"],
+    ])
+    def test_former_crashes_are_config_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_coefficient_writer_matches_write_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        times = np.array([-np.pi, 0.0, 1.0 / 3.0, 2.5e-17])
+        coeffs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        coeffs[1, 2] = -0.0 + 1e300j
+        rows = [(float(t), k, float(coeffs[i, k].real), float(coeffs[i, k].imag))
+                for i, t in enumerate(times) for k in range(6)]
+        write_csv(tmp_path / "a.csv", ("t", "k", "re", "im"), rows)
+        write_coefficients(tmp_path / "b.csv", times, coeffs)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("cmd", ["evolve", "talbot"])
     def test_duplicate_times_write_nothing(self, tmp_path, capsys, cmd):
@@ -221,13 +308,6 @@ class TestDiagnostics:
                    "--profile", "random-sobolev:s=1,seed=0,norm=0.5",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAXFLOW_THREADS", "1")
-        rc = main(["diagnostics", "--M", "64", "--kappas", "1",
-                   "--profile", "random-sobolev:s=1,seed=0,norm=0.5",
-                   "--out", str(tmp_path / "x")])
-        assert rc == 0
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from laxflow.diagnostics import (
     BoundReport,
@@ -11,6 +12,8 @@ from laxflow.diagnostics import (
     run_propagator_sweep,
     run_resolvent_convergence,
 )
+from laxflow.lax import build_bo_lax, build_ccm_lax
+from laxflow.propagator import find_kappa_zero
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 
 
@@ -67,6 +70,95 @@ class TestBoundSuite:
     def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError):
             run_bound_suite(bo_data(8), "BO", 8, kappas=[0.5], ns=[1])
+
+
+def dense_mult_matrix(u0, M):
+    """U[j, l] = u0hat(j - l) on [0, M); coeff() is zero off the stored modes."""
+    return scipy.linalg.toeplitz([u0.coeff(j) for j in range(M)],
+                                 [u0.coeff(-l) for l in range(M)])
+
+
+def dense_lax(u0, equation, n, M):
+    if equation == "BO":
+        return build_bo_lax(u0, n, M).entries
+    return build_ccm_lax(u0, n, M, equation.split("-", 1)[1]).entries
+
+
+class TestNonzeroColumnNorms:
+    """The suite's column-restricted norms against the dense M x M expressions."""
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_match_dense_masks(self, equation):
+        M = 32
+        u0 = bo_data(M) if equation == "BO" else ccm_data(M)
+        ns, kappas = [0, 1, M // 2, M], [1.0, 7.5]
+        reports = run_bound_suite(u0, equation, M, kappas=kappas, ns=ns, n_vectors=10)
+        U = dense_mult_matrix(u0, M)
+        checked = 0
+        for r in reports:
+            if r.name not in ("mult-resolvent", "gram-resolvent"):
+                continue
+            n, kappa = r.params["n"], r.params["kappa"]
+            pn = (np.arange(M) < n).astype(float)
+            r0 = 1.0 / (np.arange(M) + kappa)
+            if r.name == "mult-resolvent":
+                dense = (U * pn) * r0
+            else:
+                dense = (((U * pn) @ U.conj().T) * pn) * r0
+            expected = np.linalg.norm(dense, ord=2)
+            assert r.measured == pytest.approx(expected, rel=1e-12, abs=0.0)
+            checked += 1
+        assert checked == len(ns) * len(kappas) * (1 if equation == "BO" else 2)
+
+
+def dense_kappa_zero(u0, M):
+    """The kappa0 search with a full M x M Gram matrix rebuilt for every kappa."""
+    a = scipy.linalg.toeplitz(u0.padded(M), np.zeros(M, dtype=np.complex128))
+    for e in range(21):
+        kappa = 2.0**e
+        r0 = 1.0 / (np.arange(M) + kappa)
+        worst = 0.0
+        for n in (1, M // 2, M):
+            g = np.zeros((M, M), dtype=np.complex128)
+            g[:n, :n] = a[:n, :n] @ a[:n, :n].conj().T
+            worst = max(worst, np.linalg.norm(g * r0, ord=2))
+        if worst <= 0.5:
+            return kappa
+    raise AssertionError("no kappa0 on the grid")
+
+
+class TestKappaZeroBlocks:
+    @pytest.mark.parametrize("norm, expected", [(0.5, 1.0), (1.0, 4.0), (2.0, 16.0)])
+    def test_matches_dense_search(self, norm, expected):
+        M = 32
+        u0 = ccm_data(M, seed=5, norm=norm)
+        kz = find_kappa_zero(u0, "CCM", M)
+        assert kz.value == dense_kappa_zero(u0, M) == expected
+
+
+class TestSweepAgainstDenseEigh:
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_rows_match(self, equation):
+        M, T = 64, 1.5
+        u0 = bo_data(M) if equation == "BO" else ccm_data(M)
+        rows = run_propagator_sweep(u0, equation, M, T=T)
+        basis = np.eye(M, 8, dtype=np.complex128)
+        rng = [np.random.Generator(np.random.Philox(key=s)) for s in range(8)]
+        z = np.hstack([r.standard_normal((M, 1)) + 1j * r.standard_normal((M, 1)) for r in rng])
+        F = np.hstack([basis, z / np.linalg.norm(z, axis=0)])
+        tgrid = np.linspace(-T, T, 21)
+
+        def evolve(n):
+            lam, q = np.linalg.eigh(dense_lax(u0, equation, n, M))
+            qh_f = q.conj().T @ F
+            return np.stack([q @ (np.exp(1j * t * lam)[:, None] * qh_f) for t in tgrid])
+
+        ref = evolve(M)
+        expected = [(n, np.max(np.linalg.norm(evolve(n) - ref, axis=1)))
+                    for n in (4, 8, 16, 32)]
+        assert [n for n, _ in rows] == [n for n, _ in expected]
+        for (_, got), (_, want) in zip(rows, expected):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestResolventConvergence:

@@ -14,6 +14,7 @@ from laxflow.spectral import (
     inner_with_one,
     l2_norm,
     project_hardy,
+    sample_grid,
     shift_left,
     synthesize,
     truncate,
@@ -119,6 +120,59 @@ class TestNorms:
     def test_rejects_small_kappa(self):
         with pytest.raises(ValueError):
             NormSpec(1.0, 0.5)
+
+
+class TestSampleGrid:
+    """The FFT grid sampler against direct summation."""
+
+    @staticmethod
+    def field(kind, K, rng):
+        c = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        if kind == "real":
+            c[0] = c[0].real
+            return RealSpectrum.from_hardy_part(c, K)
+        return HardyVector(c)
+
+    @pytest.mark.parametrize("kind", ["real", "hardy"])
+    @pytest.mark.parametrize("K", [1, 2, 7, 64])
+    def test_matches_synthesize(self, kind, K):
+        f = self.field(kind, K, np.random.default_rng(K))
+        xs, vals = sample_grid(f, K)
+        np.testing.assert_array_equal(xs, -np.pi + np.pi * np.arange(2 * K) / K)
+        np.testing.assert_allclose(vals, synthesize(f, xs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["real", "hardy"])
+    def test_modes_beyond_the_grid_fold_exactly(self, kind):
+        # 2 * 9 - 1 = 17 modes on a 6-point grid
+        f = self.field(kind, 9, np.random.default_rng(3))
+        xs, vals = sample_grid(f, 3)
+        np.testing.assert_allclose(vals, synthesize(f, xs), rtol=0, atol=1e-12)
+
+    def test_empty_field(self):
+        xs, vals = sample_grid(HardyVector([]), 4)
+        assert len(xs) == 8 and np.all(vals == 0)
+
+
+class TestProfileParameters:
+    @pytest.mark.parametrize("kind, params", [
+        ("explicit", {}),
+        ("single-mode", {"amplitude": 0.5}),
+        ("random-sobolev", {"seed": 1, "norm": 0.5}),
+        ("single-mode", {"k0": 1.5}),
+        ("single-mode", {"k0": True}),
+        ("random-sobolev", {"s": float("inf")}),
+        ("random-sobolev", {"s": "1"}),
+        ("random-sobolev", {"s": 10**400}),
+    ])
+    def test_missing_or_malformed_required_parameter(self, kind, params):
+        with pytest.raises(ValueError):
+            InitialProfile(kind, params)
+
+    def test_required_parameters_accepted(self):
+        InitialProfile("explicit", {"coeffs": [1.0]})
+        InitialProfile("single-mode", {"k0": np.int64(2)})
+        InitialProfile("random-sobolev", {"s": 1})
+        InitialProfile("square-wave")
 
 
 class TestSynthesize:
