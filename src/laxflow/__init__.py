@@ -7,25 +7,21 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     HardyVector,
     RealSpectrum,
-    NormSpec,
     InitialProfile,
     project_hardy,
     truncate,
-    shift_left,
-    inner_with_one,
     l2_norm,
-    hs_kappa_norm,
     synthesize,
     sample_grid,
     analyze_profile,
     hermitian_symmetrize,
 )
 from .lax import (  # noqa: F401
+    EQUATIONS,
+    Equation,
     LaxMatrix,
-    FreeResolvent,
     build_bo_lax,
     build_ccm_lax,
-    apply_free_resolvent,
     hermitian_defect,
 )
 from .propagator import (  # noqa: F401
@@ -33,7 +29,6 @@ from .propagator import (  # noqa: F401
     PropagatorCache,
     KappaZero,
     eig_hermitian,
-    apply_group,
     find_kappa_zero,
 )
 from .scheme import (  # noqa: F401

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import diagnostics as diag
+from .lax import EQUATIONS, Equation
 from .propagator import find_kappa_zero
 from .scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
 from .spectral import InitialProfile, analyze_profile, sample_grid
@@ -167,7 +168,7 @@ def write_manifest(outdir: Path, config: dict, extra: dict, files) -> Path:
 
 
 def _resolve_times(args) -> np.ndarray:
-    if getattr(args, "times", None):
+    if args.times:
         return np.array([parse_time_expr(t) for t in args.times.split(";")])
     T = float(args.T)
     return np.linspace(-T, T, int(args.grid_points))
@@ -287,9 +288,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     M = int(args.M)
-    eq_short = "BO" if args.equation == "BO" else "CCM"
+    eq = Equation.named(args.equation)
     profile = parse_profile(args.profile)
-    u0 = analyze_profile(profile, M, hardy=(eq_short == "CCM"))
+    u0 = analyze_profile(profile, M, hardy=eq.hardy)
     kappas = [float(k) for k in args.kappas.split(",")]
     ns = [2**e for e in range(0, int(math.log2(M)) + 1)]
 
@@ -316,7 +317,7 @@ def cmd_diagnostics(args) -> int:
     write_csv(out / "propagator_sweep.csv", ("n", "sup_error"),
               [(n, e) for n, e in sweep_rows])
 
-    kz = find_kappa_zero(u0, eq_short, M)
+    kz = find_kappa_zero(u0, eq.family, M)
     all_pass = (all(r.passed for r in reports)
                 and all(r.passed for r in res_rows)
                 and not sweep_failed)
@@ -370,43 +371,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="laxflow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, K_default):
+    # the flags some commands read; each command takes only those it reads
+    optional = {
+        "--K": {"type": int},
+        "--seed": {"default": 0, "type": int},
+        "--T": {"default": 1.0},
+        "--grid-points": {"dest": "grid_points", "default": 41, "type": int},
+        "--times": {"help": "semicolon-separated, e.g. 'pi/2;sqrt2*pi'"},
+    }
+
+    def command(name, func, flags, summary, **defaults):
+        # full names only: --K is not --Ks, and the config merge matches flags by name
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--equation", default="BO",
-                        choices=["BO", "CCM-focusing", "CCM-defocusing"])
-        sp.add_argument("--K", default=K_default, type=int)
+        sp.add_argument("--equation", default="BO", choices=list(EQUATIONS))
         sp.add_argument("--profile", default="square-wave")
         sp.add_argument("--out", default="laxflow-out")
-        sp.add_argument("--seed", default=0, type=int)
-        sp.add_argument("--T", default=1.0)
-        sp.add_argument("--grid-points", dest="grid_points", default=41, type=int)
-        sp.add_argument("--times", help="semicolon-separated, e.g. 'pi/2;sqrt2*pi'")
+        for flag in flags:
+            sp.add_argument(flag, **optional[flag])
+        sp.set_defaults(func=func, **defaults)
+        return sp
 
-    ev = sub.add_parser("evolve", help="run the scheme and emit coefficients/samples")
-    common(ev, 64)
+    ev = command("evolve", cmd_evolve, ("--K", "--T", "--grid-points", "--times"),
+                 "run the scheme and emit coefficients/samples", K=64)
     ev.add_argument("--schedule", default="constant")
     ev.add_argument("--override-focusing-threshold", action="store_true")
-    ev.set_defaults(func=cmd_evolve)
 
-    tb = sub.add_parser("talbot", help="square-wave Talbot panels, linear vs nonlinear")
-    common(tb, 1 << 10)
+    tb = command("talbot", cmd_talbot, ("--K", "--times"),
+                 "square-wave Talbot panels, linear vs nonlinear", K=1 << 10)
     tb.add_argument("--schedule", default="half-staircase")
-    tb.set_defaults(func=cmd_talbot)
 
-    cv = sub.add_parser("convergence", help="error table against a reference run")
-    common(cv, 128)
+    cv = command("convergence", cmd_convergence, ("--T", "--grid-points"),
+                 "error table against a reference run")
     cv.add_argument("--schedule", default="constant")
     cv.add_argument("--Ks", default="16,32,64,128")
     cv.add_argument("--kref", default=1024, type=int)
-    cv.set_defaults(func=cmd_convergence)
 
-    dg = sub.add_parser("diagnostics", help="operator-bound and convergence suites")
-    common(dg, 128)
+    dg = command("diagnostics", cmd_diagnostics, ("--seed", "--T"),
+                 "operator-bound and convergence suites",
+                 profile="random-sobolev:s=1,seed=0,norm=1")
     dg.add_argument("--M", default=128, type=int)
     dg.add_argument("--kappas", default="1,10,100")
     dg.add_argument("--corrupt-bounds", action="store_true", help=argparse.SUPPRESS)
-    dg.set_defaults(func=cmd_diagnostics)
-    dg.set_defaults(profile="random-sobolev:s=1,seed=0,norm=1")
     return p
 
 
@@ -417,7 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, argv)
-        args.T = parse_time_expr(args.T)
+        if hasattr(args, "T"):
+            args.T = parse_time_expr(args.T)
         return args.func(args)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

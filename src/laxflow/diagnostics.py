@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
-from .lax import build_bo_lax, build_ccm_lax
+from .lax import Equation, mult_matrix
 from .propagator import eig_hermitian, find_kappa_zero
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
@@ -48,41 +47,13 @@ class BoundReport:
         return self.measured <= self.bound + _PASS_TOL * (1.0 + self.bound)
 
 
-def _split_equation(equation: str) -> Tuple[str, Optional[str]]:
-    if equation == "BO":
-        return "BO", None
-    if equation in ("CCM-focusing", "CCM-defocusing"):
-        return "CCM", equation.split("-", 1)[1]
-    raise ValueError(f"unknown equation {equation!r}")
-
-
-def _build_lax(u0, equation: str, n: int, M: int):
-    eq, sign = _split_equation(equation)
-    if eq == "BO":
-        return build_bo_lax(u0, n, M)
-    return build_ccm_lax(u0, n, M, sign)
-
-
-def _mult_matrix(u0, M: int) -> np.ndarray:
-    """Multiplication by u0 compressed to [0, M): U[j, l] = u0hat(j - l)."""
-    if isinstance(u0, RealSpectrum):
-        col = np.array([u0.coeff(j) for j in range(M)])
-        row = np.array([u0.coeff(-l) for l in range(M)])
-    else:
-        col = u0.padded(M)
-        row = np.zeros(M, dtype=np.complex128)
-        row[0] = col[0]
-    return scipy.linalg.toeplitz(col, row)
-
-
 def _opnorm(a: np.ndarray) -> float:
     """Spectral norm; 0 for a matrix with no columns."""
     return float(np.linalg.norm(a, ord=2)) if a.size else 0.0
 
 
-def _resolvent_matrix(u0, equation: str, n: int, M: int, kappa: float) -> np.ndarray:
-    lax = _build_lax(u0, equation, n, M)
-    return np.linalg.inv(lax.entries + kappa * np.eye(M))
+def _resolvent_matrix(u0, eq: Equation, n: int, M: int, kappa: float) -> np.ndarray:
+    return np.linalg.inv(eq.build_lax(u0, n, M).entries + kappa * np.eye(M))
 
 
 def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
@@ -107,15 +78,15 @@ def run_bound_suite(
     by Pi_n on the right, so only their first n columns are nonzero and
     each norm is taken of that M x n matrix.
     """
+    eq = Equation.named(equation)
     if M < 8:
         raise ValueError("M must be >= 8")
     if any(k < 1 for k in kappas):
         raise ValueError("kappas must be >= 1")
-    eq, _sign = _split_equation(equation)
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
-    U = _mult_matrix(u0, M)
+    U = mult_matrix(u0, M)
     hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
 
     for kappa in kappas:
@@ -131,7 +102,7 @@ def run_bound_suite(
                     np.sqrt(3.0) / np.sqrt(kappa) * norm_u,
                 )
             )
-            if eq == "CCM":
+            if eq.family == "CCM":
                 # for Hardy data the multiplication matrix is the lower-
                 # triangular Toeplitz factor A itself: (A Pi_n A^H Pi_n) R0
                 prod = (U[:, :n] @ U[:n, :n].conj().T) * r0[:n]
@@ -156,7 +127,7 @@ def run_bound_suite(
                     )
                 )
 
-    if eq == "CCM":
+    if eq.family == "CCM":
         # decay of the Gram-resolvent operator norm as kappa grows (to 10^4)
         big_kappa = 1.0e4
         prod = (U @ U.conj().T) * (1.0 / (np.arange(M) + big_kappa))
@@ -181,16 +152,14 @@ def run_bound_suite(
     )
 
     # norm sandwich and its dual at kappa = kappa0
-    kz = find_kappa_zero(u0, eq, M)
-    kappa0 = kz.value
+    kappa0 = find_kappa_zero(u0, eq.family, M).value
     F = _random_unit_vectors(M, n_vectors, seed)
     ks = np.arange(M)
     h1 = np.linalg.norm(((ks + kappa0)[:, None]) * F, axis=0)
     hm1 = np.linalg.norm(F / (ks + kappa0)[:, None], axis=0)
     upper_name, dual_name = "sandwich", "dual-sandwich"
     for n in sorted({1, M // 2, M}):
-        lax = _build_lax(u0, equation, n, M)
-        shifted = lax.entries + kappa0 * np.eye(M)
+        shifted = eq.build_lax(u0, n, M).entries + kappa0 * np.eye(M)
         lf = np.linalg.norm(shifted @ F, axis=0)
         rf = np.linalg.norm(np.linalg.solve(shifted, F), axis=0)
         params = {"n": n, "kappa": kappa0, "M": M, "equation": equation}
@@ -209,8 +178,7 @@ def run_bound_suite(
 
     # semi-boundedness: smallest eigenvalue dominated by -kappa0
     for n in sorted({1, M // 2, M}):
-        lax = _build_lax(u0, equation, n, M)
-        lam_min = float(np.linalg.eigvalsh(lax.entries)[0])
+        lam_min = float(np.linalg.eigvalsh(eq.build_lax(u0, n, M).entries)[0])
         reports.append(
             BoundReport(
                 "semibound",
@@ -237,22 +205,22 @@ def run_resolvent_convergence(
     u0, equation: str, M: int, kappa: Optional[float] = None
 ) -> List[ResolventRow]:
     """Measure ||R_n(kappa) - R_M(kappa)|| against the 1/n rate bounds."""
+    eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 32")
-    eq, _ = _split_equation(equation)
-    kappa0 = find_kappa_zero(u0, eq, M).value
+    kappa0 = find_kappa_zero(u0, eq.family, M).value
     if kappa is None:
         kappa = kappa0
     if kappa < kappa0:
         raise ValueError(f"kappa must be >= kappa0 = {kappa0}")
     norm_u = l2_norm(u0)
-    r_full = _resolvent_matrix(u0, equation, M, M, kappa)
+    r_full = _resolvent_matrix(u0, eq, M, M, kappa)
     rows = []
     n = 2
     while n <= M // 2:
-        r_n = _resolvent_matrix(u0, equation, n, M, kappa)
+        r_n = _resolvent_matrix(u0, eq, n, M, kappa)
         measured = _opnorm(r_n - r_full)
-        if eq == "BO":
+        if eq.family == "BO":
             bound = 8.0 * np.sqrt(3.0) / (n * np.sqrt(kappa)) * norm_u
         else:
             # chained from the CCM resolvent-identity proof constants
@@ -314,6 +282,7 @@ def run_convergence_study(
     constant schedule; all runs share the same initial data materialized at
     bandwidth K_ref.
     """
+    eq = Equation.named(equation)
     Ks = list(Ks)
     if any(b <= a for a, b in zip(Ks, Ks[1:])):
         raise ValueError("Ks must be strictly increasing")
@@ -321,9 +290,8 @@ def run_convergence_study(
         raise ValueError("K_ref must be >= 4 * max(Ks)")
     if grid_points < 11:
         raise ValueError("grid_points must be >= 11")
-    eq, _ = _split_equation(equation)
     if isinstance(u0, InitialProfile):
-        u0 = analyze_profile(u0, K_ref, hardy=(eq == "CCM"))
+        u0 = analyze_profile(u0, K_ref, hardy=eq.hardy)
     times = np.linspace(-T, T, grid_points)
 
     ref_cfg = SchemeConfig(equation, make_schedule("constant", K_ref), times, u0)
@@ -380,6 +348,7 @@ def run_propagator_sweep(
     with the block's Hermitian, reconstruction and orthonormality checks);
     the tail rows n..M-1 evolve by the elementwise phases e^{itj}.
     """
+    eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 64")
     basis = np.eye(M, 8, dtype=np.complex128)
@@ -388,7 +357,7 @@ def run_propagator_sweep(
     tgrid = np.linspace(-T, T, 21)
 
     def evolve_all(n):
-        e = eig_hermitian(_build_lax(u0, equation, n, M))
+        e = eig_hermitian(eq.build_lax(u0, n, M))
         q = e.eigenvectors
         phases = np.exp(1j * np.outer(tgrid, e.eigenvalues))[:, :, None]
         # (times, M, vectors): block rows through the eigenbasis, tail rows phased

@@ -12,11 +12,13 @@ exact.  The potential blocks are
 * CCM: G = A A^H with A[j, m] = u0hat(j - m) lower-triangular Toeplitz on
   the n x n block, and the operator is diag(0..M-1) -/+ G for the
   focusing/defocusing sign.
+
+Both Toeplitz matrices come from `mult_matrix`.  `EQUATIONS` maps each
+equation name to its `Equation` record.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
@@ -27,15 +29,58 @@ import scipy.linalg
 from .spectral import HardyVector, RealSpectrum
 
 __all__ = [
+    "Equation",
+    "EQUATIONS",
     "LaxMatrix",
-    "FreeResolvent",
     "build_bo_lax",
     "build_ccm_lax",
-    "apply_free_resolvent",
+    "mult_matrix",
     "hermitian_defect",
-    "dump_matrix",
     "data_digest",
 ]
+
+
+@dataclass(frozen=True)
+class Equation:
+    """One of the three schemes u^k = e^{i alpha t (I + 2 L_n)} S* u^{k-1}.
+
+    They differ only in the sign alpha, the data space (real L2 for BO,
+    the Hardy space L2_+ for CCM) and the potential block of the Lax
+    operator (the Toeplitz block for BO, -/+ the Gram block for CCM).
+    """
+
+    name: str  # "BO", "CCM-focusing", "CCM-defocusing"
+    family: str  # "BO" or "CCM"
+    sign: Optional[str]  # "focusing" / "defocusing", CCM only
+    alpha: int
+
+    @classmethod
+    def named(cls, name: str) -> "Equation":
+        if not isinstance(name, str) or name not in EQUATIONS:
+            raise ValueError(f"unknown equation {name!r}")
+        return EQUATIONS[name]
+
+    @property
+    def hardy(self) -> bool:
+        """True iff the data live in the Hardy space rather than real L2."""
+        return self.family == "CCM"
+
+    def build_lax(self, u0, n: int, M: int) -> "LaxMatrix":
+        # the builders are looked up by name at each call, so a wrapper
+        # installed on the module (a tracer, say) sees every build
+        if self.family == "BO":
+            return build_bo_lax(u0, n, M)
+        return build_ccm_lax(u0, n, M, self.sign)
+
+
+EQUATIONS = {
+    e.name: e
+    for e in (
+        Equation("BO", "BO", None, 1),
+        Equation("CCM-focusing", "CCM", "focusing", -1),
+        Equation("CCM-defocusing", "CCM", "defocusing", -1),
+    )
+}
 
 
 def data_digest(u0) -> str:
@@ -51,19 +96,20 @@ class LaxMatrix:
     """Truncated Lax operator on [0, M): a Hermitian n x n block, then diag(n..M-1)."""
 
     block: np.ndarray
-    equation: str  # "BO" or "CCM"
-    n: int
+    equation: Equation
     M: int
-    data_digest: str
-    sign: Optional[str] = None  # "focusing" / "defocusing", CCM only
 
     def __post_init__(self):
-        _check_sizes(self.n, self.M)
         b = np.array(self.block, dtype=np.complex128)
-        if b.shape != (self.n, self.n):
-            raise ValueError(f"block shape {b.shape} != ({self.n}, {self.n})")
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"block shape {b.shape} is not square")
+        _check_sizes(len(b), self.M)
         b.flags.writeable = False
         object.__setattr__(self, "block", b)
+
+    @property
+    def n(self) -> int:
+        return len(self.block)
 
     @property
     def entries(self) -> np.ndarray:
@@ -71,25 +117,6 @@ class LaxMatrix:
         e = np.diag(np.arange(self.M, dtype=np.complex128))
         e[: self.n, : self.n] = self.block
         return e
-
-    @property
-    def cache_key(self):
-        return (self.equation, self.sign, self.n, self.M, self.data_digest)
-
-
-@dataclass(frozen=True)
-class FreeResolvent:
-    """Diagonal resolvent R0(kappa) = (L0 + kappa)^{-1} on [0, M)."""
-
-    kappa: float
-    M: int
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-
-    def diagonal(self) -> np.ndarray:
-        return 1.0 / (np.arange(self.M) + self.kappa)
 
 
 def _check_sizes(n: int, M: int) -> None:
@@ -99,16 +126,23 @@ def _check_sizes(n: int, M: int) -> None:
         raise ValueError(f"truncation parameter n={n} outside [0, M={M}]")
 
 
+def mult_matrix(u0, n: int) -> np.ndarray:
+    """Multiplication by u0 compressed to [0, n): the Toeplitz U[j, l] = u0hat(j - l).
+
+    For a real field u0hat(-l) = conj(u0hat(l)), exact by symmetry; for
+    Hardy data U is lower triangular.
+    """
+    real = isinstance(u0, RealSpectrum)
+    col = HardyVector(u0.hardy_part() if real else u0.coeffs).padded(n)
+    return scipy.linalg.toeplitz(col, np.conj(col) if real else np.zeros_like(col))
+
+
 def build_bo_lax(u0: RealSpectrum, n: int, M: int) -> LaxMatrix:
     """BO Lax matrix diag(0..M-1) minus the n x n Toeplitz block of u0."""
     _check_sizes(n, M)
     u0.check_symmetry()
-    block = np.diag(np.arange(n, dtype=np.complex128))
-    if n > 0:
-        col = np.array([u0.coeff(j) for j in range(n)])
-        # row entries are u0hat(-l) = conj(u0hat(l)), exact by symmetry
-        block -= scipy.linalg.toeplitz(col, np.conj(col))
-    return LaxMatrix(block, "BO", n, M, data_digest(u0))
+    block = np.diag(np.arange(n, dtype=np.complex128)) - mult_matrix(u0, n)
+    return LaxMatrix(block, EQUATIONS["BO"], M)
 
 
 def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
@@ -116,26 +150,13 @@ def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
     _check_sizes(n, M)
     if sign not in ("focusing", "defocusing"):
         raise ValueError("sign must be 'focusing' or 'defocusing'")
+    a = mult_matrix(u0, n)
+    gram = a @ a.conj().T
+    # re-symmetrize so the Hermitian invariant holds bit-exactly
+    gram = 0.5 * (gram + gram.conj().T)
     block = np.diag(np.arange(n, dtype=np.complex128))
-    if n > 0:
-        col = u0.padded(n)
-        a = scipy.linalg.toeplitz(col, np.zeros(n, dtype=np.complex128))
-        gram = a @ a.conj().T
-        # re-symmetrize so the Hermitian invariant holds bit-exactly
-        gram = 0.5 * (gram + gram.conj().T)
-        if sign == "focusing":
-            block -= gram
-        else:
-            block += gram
-    return LaxMatrix(block, "CCM", n, M, data_digest(u0), sign=sign)
-
-
-def apply_free_resolvent(r: FreeResolvent, v) -> np.ndarray:
-    """Apply R0(kappa): divide mode k by (k + kappa)."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape[0] != r.M:
-        raise ValueError(f"vector length {v.shape[0]} != ambient size {r.M}")
-    return (v.T * r.diagonal()).T
+    block = block - gram if sign == "focusing" else block + gram
+    return LaxMatrix(block, EQUATIONS["CCM-" + sign], M)
 
 
 def hermitian_defect(m: LaxMatrix) -> float:
@@ -145,14 +166,3 @@ def hermitian_defect(m: LaxMatrix) -> float:
     """
     b = m.block
     return float(np.max(np.abs(b - b.conj().T))) if b.size else 0.0
-
-
-def dump_matrix(m: LaxMatrix, path, fmt: str = "csv") -> None:
-    """Debug dump, row-major; csv cells are "re,im" pairs."""
-    if fmt == "npy":
-        np.save(path, m.entries)
-        return
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in m.entries:
-            w.writerow([f"{z.real:.17g},{z.imag:.17g}" for z in row])

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from .lax import LaxMatrix, hermitian_defect
+from .lax import LaxMatrix, hermitian_defect, mult_matrix
 from .spectral import HardyVector, RealSpectrum, l2_norm
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "PropagatorCache",
     "KappaZero",
     "eig_hermitian",
-    "apply_group",
     "apply_group_many",
     "advance",
     "find_kappa_zero",
@@ -50,7 +48,6 @@ class HermitianEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: Tuple  # (equation, sign, n, M, data_digest)
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=np.float64)
@@ -90,7 +87,7 @@ def eig_hermitian(m: LaxMatrix) -> HermitianEig:
         lam, q = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"eigensolver failed for {m.equation} Lax matrix "
+            f"eigensolver failed for {m.equation.name} Lax matrix "
             f"(n={m.n}, M={m.M})"
         ) from exc
 
@@ -107,31 +104,23 @@ def eig_hermitian(m: LaxMatrix) -> HermitianEig:
     recon = (q * lam) @ q.conj().T
     if np.max(np.abs(recon - block), initial=0.0) > _RECON_TOL * scale:
         raise RuntimeError(
-            f"eigendecomposition residual too large for {m.equation} "
+            f"eigendecomposition residual too large for {m.equation.name} "
             f"(n={m.n}, M={m.M})"
         )
     ortho = q.conj().T @ q - np.eye(m.n)
     if np.max(np.abs(ortho), initial=0.0) > _RECON_TOL:
         raise RuntimeError(
-            f"eigenvectors lost orthonormality for {m.equation} "
+            f"eigenvectors lost orthonormality for {m.equation.name} "
             f"(n={m.n}, M={m.M})"
         )
-    return HermitianEig(np.concatenate([lam, tail]), q, m.cache_key)
-
-
-def apply_group(e: HermitianEig, t: float, alpha: int, v) -> np.ndarray:
-    """Apply e^{i alpha t (I + 2 L)} to a coefficient vector.
-
-    alpha = +1 for the BO scheme, -1 for CCM.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (e.M,):
-        raise ValueError(f"vector length {v.shape} incompatible with M={e.M}")
-    return apply_group_many(e, [t], alpha, v[:, None])[:, 0]
+    return HermitianEig(np.concatenate([lam, tail]), q)
 
 
 def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
-    """Apply the group at several times at once; column j of V evolves by ts[j]."""
+    """Apply e^{i alpha t (I + 2 L)} at several times; column j of V evolves by ts[j].
+
+    alpha = +1 for the BO scheme, -1 for CCM.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     V = np.asarray(V, dtype=np.complex128)
     if V.shape != (e.M, len(ts)):
@@ -209,7 +198,7 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
 
 @dataclass
 class PropagatorCache:
-    """At-most-once eigendecomposition per (equation, sign, n, M, digest)."""
+    """At-most-once eigendecomposition per (equation, n, M, digest)."""
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -257,15 +246,6 @@ class KappaZero:
 _CCM_GRID_MAX_EXP = 20
 
 
-def _ccm_gram_blocks(u0: HardyVector, ns) -> list:
-    """The n x n Gram blocks A_n A_n^H, A_n lower-triangular Toeplitz of u0."""
-    blocks = []
-    for n in ns:
-        an = scipy.linalg.toeplitz(u0.padded(n), np.zeros(n, dtype=np.complex128))
-        blocks.append(an @ an.conj().T)
-    return blocks
-
-
 def _ccm_perturbation_norm(blocks, kappa: float) -> float:
     """Largest singular value of G_n R0(kappa) over the Gram blocks.
 
@@ -299,8 +279,9 @@ def find_kappa_zero(u0, equation: str, M: int) -> KappaZero:
         raise ValueError("equation must be 'BO' or 'CCM'")
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
-    # the Gram blocks do not depend on kappa: build them once
-    blocks = _ccm_gram_blocks(u0, (1, M // 2, M))
+    # the Gram blocks A_n A_n^H do not depend on kappa: build them once
+    factors = [mult_matrix(u0, n) for n in (1, M // 2, M)]
+    blocks = [a @ a.conj().T for a in factors]
     for e in range(_CCM_GRID_MAX_EXP + 1):
         kappa = float(2**e)
         if _ccm_perturbation_norm(blocks, kappa) <= 0.5:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import spectral
-from .lax import build_bo_lax, build_ccm_lax, data_digest
+from .lax import Equation, data_digest
 from .propagator import PropagatorCache, advance
 from .spectral import (
     HardyVector,
@@ -122,9 +122,10 @@ class SchemeConfig:
     override_focusing_threshold: bool = False
 
     def __post_init__(self):
-        if self.equation not in ("BO", "CCM-focusing", "CCM-defocusing"):
-            raise ValueError(f"unknown equation {self.equation!r}")
+        Equation.named(self.equation)
         t = np.array(self.times, dtype=np.float64)
+        if t.size == 0:
+            raise ValueError("times must not be empty")
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         # outputs are looked up by exact time, so each time must name one column
@@ -165,23 +166,20 @@ class SchemeOutput:
         return RealSpectrum.from_hardy_part(self.coeffs[self.time_index(t)], self.schedule.K)
 
 
-def _resolve_data(cfg: SchemeConfig):
-    """Materialize initial data; returns (hardy seed source, lax data, digest)."""
+def _resolve_data(cfg: SchemeConfig, eq: Equation):
+    """Materialize initial data; returns (hardy seed source, lax data)."""
     K = cfg.schedule.K
-    is_bo = cfg.equation == "BO"
     u0 = cfg.u0
     if isinstance(u0, InitialProfile):
-        u0 = spectral.analyze_profile(u0, K, hardy=not is_bo)
-    if is_bo:
-        if isinstance(u0, HardyVector):
-            u0 = spectral.hermitian_symmetrize(u0, K)
-        u0.check_symmetry()
-        hardy0 = project_hardy(u0)
-    else:
+        u0 = spectral.analyze_profile(u0, K, hardy=eq.hardy)
+    if eq.hardy:
         if isinstance(u0, RealSpectrum):
             raise TypeError("CCM data must live in the Hardy space")
-        hardy0 = truncate(u0, K)
-    return hardy0, u0
+        return truncate(u0, K), u0
+    if isinstance(u0, HardyVector):
+        u0 = spectral.hermitian_symmetrize(u0, K)
+    u0.check_symmetry()
+    return project_hardy(u0), u0
 
 
 def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> SchemeOutput:
@@ -198,12 +196,10 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     """
     sched = cfg.schedule
     K = sched.K
-    hardy0, u0 = _resolve_data(cfg)
-    is_bo = cfg.equation == "BO"
-    alpha = 1 if is_bo else -1
-    sign = None if is_bo else cfg.equation.split("-", 1)[1]
+    eq = Equation.named(cfg.equation)
+    hardy0, u0 = _resolve_data(cfg, eq)
 
-    if cfg.equation == "CCM-focusing" and not cfg.override_focusing_threshold:
+    if eq.sign == "focusing" and not cfg.override_focusing_threshold:
         if l2_norm(u0) >= 1.0 - FOCUSING_MARGIN:
             raise ValueError(
                 "focusing CCM requires ||u0|| < 1 (got %.6f); pass "
@@ -224,16 +220,11 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     V = np.tile(seed.padded(M)[:, None], (1, T))
     coeffs[:, 0] = V[0, :]
 
-    def factory_for(n):
-        if is_bo:
-            return lambda: build_bo_lax(u0, n, M)
-        return lambda: build_ccm_lax(u0, n, M, sign)
-
     k = 1
     for n, run in itertools.groupby(sched.values[1:].tolist()):
         steps = len(list(run))
-        eig = cache.get_or_build((cfg.equation, sign, n, M, digest), factory_for(n))
-        coeffs[:, k : k + steps], V = advance(eig, cfg.times, alpha, V, steps)
+        eig = cache.get_or_build((eq.name, n, M, digest), lambda: eq.build_lax(u0, n, M))
+        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, V, steps)
         k += steps
 
     # one more shift yields u^K up to a unitary factor; its norm and support
@@ -241,7 +232,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     V[:-1, :] = V[1:, :]
     V[-1, :] = 0.0
 
-    if is_bo:
+    if not eq.hardy:
         # mass is conserved exactly real; scrub the residual rounding phase
         bad = np.abs(coeffs[:, 0].imag) > 1e-10
         if np.any(bad):

@@ -26,14 +26,10 @@ import numpy as np
 __all__ = [
     "HardyVector",
     "RealSpectrum",
-    "NormSpec",
     "InitialProfile",
     "project_hardy",
     "truncate",
-    "shift_left",
-    "inner_with_one",
     "l2_norm",
-    "hs_kappa_norm",
     "synthesize",
     "sample_grid",
     "analyze_profile",
@@ -137,18 +133,6 @@ class RealSpectrum:
             raise ValueError("zero mode is not real")
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Sobolev order s and resolvent shift kappa >= 1 for the weighted norm."""
-
-    s: float
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-
-
 #: decay-exponent safety margin for random Sobolev profiles
 _SOBOLEV_EPS = 0.01
 
@@ -217,16 +201,6 @@ def truncate(h: HardyVector, j: int) -> HardyVector:
     return HardyVector(h.coeffs[: min(len(h), j)])
 
 
-def shift_left(h: HardyVector) -> HardyVector:
-    """Left shift S*: (S*h)(k) = h(k+1)."""
-    return HardyVector(h.coeffs[1:])
-
-
-def inner_with_one(h: HardyVector) -> complex:
-    """<h, 1>, i.e. the zero-frequency coefficient."""
-    return complex(h.coeffs[0]) if len(h) else 0.0 + 0.0j
-
-
 def _modes(f: Field) -> np.ndarray:
     if isinstance(f, RealSpectrum):
         return np.arange(-f.K + 1, f.K)
@@ -236,12 +210,6 @@ def _modes(f: Field) -> np.ndarray:
 def l2_norm(f: Field) -> float:
     """Plancherel L2 norm: sqrt of the sum of |c(k)|^2 over stored modes."""
     return float(np.linalg.norm(f.coeffs))
-
-
-def hs_kappa_norm(h: Field, spec: NormSpec) -> float:
-    """Weighted Sobolev norm sqrt(sum (|k| + kappa)^{2s} |c(k)|^2)."""
-    w = (np.abs(_modes(h)) + spec.kappa) ** spec.s
-    return float(np.linalg.norm(w * h.coeffs))
 
 
 def synthesize(f: Field, points) -> np.ndarray:

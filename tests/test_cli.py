@@ -1,14 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laxflow
 from laxflow.cli import (
     ConfigError,
     main,
@@ -232,12 +235,46 @@ class TestEvolve:
         write_coefficients(tmp_path / "b.csv", times, coeffs)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_empty_time_grid_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--grid-points", "0", "--out", str(out)]) == 2
+        assert "empty" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("cmd", ["evolve", "talbot"])
     def test_duplicate_times_write_nothing(self, tmp_path, capsys, cmd):
         out = tmp_path / "x"
         assert main([cmd, "--K", "8", "--times", "pi/2;1;2*pi/4", "--out", str(out)]) == 2
         assert "distinct" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+# (command, flag, config-file key, value): flags a command does not read
+REMOVED_FLAGS = [
+    ("evolve", "--seed", "seed", "1"),
+    ("talbot", "--seed", "seed", "1"),
+    ("talbot", "--T", "T", "2"),
+    ("talbot", "--grid-points", "grid_points", "3"),
+    ("convergence", "--seed", "seed", "1"),
+    ("convergence", "--K", "K", "999"),
+    ("convergence", "--times", "times", "pi"),
+    ("diagnostics", "--K", "K", "999"),
+    ("diagnostics", "--times", "times", "pi"),
+    ("diagnostics", "--grid-points", "grid_points", "3"),
+]
+
+
+@pytest.mark.parametrize("cmd,flag,key,value", REMOVED_FLAGS)
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, cmd, flag, key, value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config field" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTalbot:
@@ -313,10 +350,13 @@ class TestDiagnostics:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "run"
+        # the child imports the package these tests import, installed or not
+        src = str(Path(laxflow.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "laxflow.cli", "evolve", "--K", "8",
              "--times", "0", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()

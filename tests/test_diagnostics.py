@@ -72,6 +72,24 @@ class TestBoundSuite:
             run_bound_suite(bo_data(8), "BO", 8, kappas=[0.5], ns=[1])
 
 
+# each public entry point, called with an equation name on valid data
+ENTRY_POINTS = {
+    "bound-suite": lambda eq: run_bound_suite(ccm_data(32), eq, 32, kappas=[1.0], ns=[1]),
+    "resolvent": lambda eq: run_resolvent_convergence(ccm_data(32), eq, 32),
+    "convergence-study": lambda eq: run_convergence_study(
+        InitialProfile("square-wave"), eq, Ks=[8], schedule_kind="constant", T=0.5,
+        grid_points=11, K_ref=32),
+    "propagator-sweep": lambda eq: run_propagator_sweep(ccm_data(64), eq, 64, T=1.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("name", ["KdV", "CCM", "ccm-focusing"])
+def test_unknown_equation_rejected(entry, name):
+    with pytest.raises(ValueError, match="unknown equation"):
+        ENTRY_POINTS[entry](name)
+
+
 def dense_mult_matrix(u0, M):
     """U[j, l] = u0hat(j - l) on [0, M); coeff() is zero off the stored modes."""
     return scipy.linalg.toeplitz([u0.coeff(j) for j in range(M)],

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from laxflow.lax import (
-    FreeResolvent,
+    EQUATIONS,
+    Equation,
     LaxMatrix,
-    apply_free_resolvent,
     build_bo_lax,
     build_ccm_lax,
     data_digest,
     hermitian_defect,
+    mult_matrix,
 )
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 from oracles import bo_lax_by_convolution, ccm_gram_block, ccm_lax_by_gram
@@ -105,30 +108,6 @@ class TestCcmLax:
             build_ccm_lax(HardyVector([0.1]), 1, 1, "neutral")
 
 
-class TestFreeResolvent:
-    def test_diagonal(self):
-        r = FreeResolvent(kappa=2.0, M=3)
-        np.testing.assert_allclose(r.diagonal(), [1 / 2, 1 / 3, 1 / 4])
-
-    def test_apply(self):
-        r = FreeResolvent(kappa=1.0, M=3)
-        out = apply_free_resolvent(r, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, [1.0, 1.0, 1.0])
-
-    def test_apply_matrix_columns(self):
-        r = FreeResolvent(kappa=1.0, M=2)
-        V = np.array([[2.0, 4.0], [2.0, 4.0]])
-        np.testing.assert_allclose(apply_free_resolvent(r, V), [[2.0, 4.0], [1.0, 2.0]])
-
-    def test_rejects_kappa_below_one(self):
-        with pytest.raises(ValueError):
-            FreeResolvent(kappa=0.25, M=4)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            apply_free_resolvent(FreeResolvent(1.0, 4), np.ones(3))
-
-
 class TestBookkeeping:
     def test_digest_distinguishes_data(self):
         a = random_real_spectrum(8, 0)
@@ -141,19 +120,18 @@ class TestBookkeeping:
         s = RealSpectrum.from_hardy_part([1.0], K=1)
         assert data_digest(h) != data_digest(s)
 
-    def test_cache_key_fields(self):
-        m = build_ccm_lax(HardyVector([0.1]), 1, 2, "focusing")
-        assert m.cache_key == ("CCM", "focusing", 1, 2, m.data_digest)
-
     def test_defect_detects_corruption(self):
         e = np.diag(np.arange(3.0)).astype(complex)
         e[0, 1] = 1j
-        m = LaxMatrix(e[:2, :2], "BO", 2, 3, "deadbeef")
+        m = LaxMatrix(e[:2, :2], EQUATIONS["BO"], 3)
+        assert m.n == 2
         assert hermitian_defect(m) == pytest.approx(1.0)
 
     def test_rejects_block_of_wrong_shape(self):
         with pytest.raises(ValueError):
-            LaxMatrix(np.eye(3), "BO", 2, 3, "deadbeef")
+            LaxMatrix(np.ones((2, 3)), EQUATIONS["BO"], 3)
+        with pytest.raises(ValueError):
+            LaxMatrix(np.eye(4), EQUATIONS["BO"], 3)
 
     def test_dense_view_has_diagonal_tail(self):
         m = build_bo_lax(random_real_spectrum(8, 2), 3, 8)
@@ -162,17 +140,53 @@ class TestBookkeeping:
         np.testing.assert_array_equal(e[3:, 3:], np.diag(np.arange(3.0, 8.0)))
         assert not e[:3, 3:].any() and not e[3:, :3].any()
 
-    def test_dump_matrix_roundtrip(self, tmp_path):
-        m = build_bo_lax(random_real_spectrum(4, 5), 4, 4)
-        path = tmp_path / "m.csv"
-        from laxflow.lax import dump_matrix
 
-        dump_matrix(m, path)
-        import csv
+class TestEquations:
+    def test_table(self):
+        got = {name: (e.family, e.sign, e.alpha, e.hardy) for name, e in EQUATIONS.items()}
+        assert got == {
+            "BO": ("BO", None, 1, False),
+            "CCM-focusing": ("CCM", "focusing", -1, True),
+            "CCM-defocusing": ("CCM", "defocusing", -1, True),
+        }
+        for name, e in EQUATIONS.items():
+            assert e.name == name
+            assert Equation.named(name) is e
 
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        got = np.array(
-            [[complex(*map(float, cell.split(","))) for cell in r] for r in rows]
-        )
-        np.testing.assert_allclose(got, m.entries, atol=0)
+    @pytest.mark.parametrize("name", ["KdV", "CCM", "ccm-focusing", "bo", "", None, ["BO"]])
+    def test_unknown_names_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown equation"):
+            Equation.named(name)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_build_lax_is_the_builder(self, n):
+        bo, hardy = random_real_spectrum(12, 4), random_hardy(12, 4)
+        cases = [("BO", build_bo_lax(bo, n, 12), bo)]
+        cases += [(f"CCM-{sign}", build_ccm_lax(hardy, n, 12, sign), hardy)
+                  for sign in ("focusing", "defocusing")]
+        for name, want, u0 in cases:
+            got = EQUATIONS[name].build_lax(u0, n, 12)
+            assert got.equation is EQUATIONS[name]
+            assert got.M == 12 and got.n == n
+            np.testing.assert_array_equal(got.block, want.block)
+
+
+class TestMultMatrix:
+    """U[j, l] = u0hat(j - l), read off coeff() independently of the helper."""
+
+    @staticmethod
+    def by_coeff(u0, n):
+        return scipy.linalg.toeplitz([u0.coeff(j) for j in range(n)],
+                                     [u0.coeff(-l) for l in range(n)])
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 16, 20])
+    def test_real_field(self, n):
+        u0 = random_real_spectrum(16, 8)
+        np.testing.assert_array_equal(mult_matrix(u0, n), self.by_coeff(u0, n).reshape(n, n))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 16, 20])
+    def test_hardy_data_is_lower_triangular(self, n):
+        u0 = random_hardy(16, 8)
+        U = mult_matrix(u0, n)
+        np.testing.assert_array_equal(U, self.by_coeff(u0, n).reshape(n, n))
+        np.testing.assert_array_equal(U, np.tril(U))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from laxflow.lax import LaxMatrix, build_bo_lax, build_ccm_lax
+from laxflow.lax import EQUATIONS, LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
     _RECON_TOL,
     KappaZero,
     PropagatorCache,
     advance,
-    apply_group,
     apply_group_many,
     eig_hermitian,
     find_kappa_zero,
@@ -22,6 +21,11 @@ def random_spectrum(K, seed, norm=0.5):
     return analyze_profile(p, K)
 
 
+def group_on_vector(e, t, alpha, v):
+    """The group at one time on one vector: a one-column apply_group_many."""
+    return apply_group_many(e, [t], alpha, np.asarray(v)[:, None])[:, 0]
+
+
 class TestEig:
     def test_free_operator(self):
         # n = 0: an empty block, so every eigenvector is a unit vector of the tail
@@ -33,7 +37,7 @@ class TestEig:
     def test_two_by_two_golden(self):
         # [[1, 1], [1, 0]] has eigenvalues (1 +- sqrt 5) / 2
         ent = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)
-        e = eig_hermitian(LaxMatrix(ent, "BO", 2, 2, "x"))
+        e = eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"], 2))
         golden = np.array([(1 - np.sqrt(5)) / 2, (1 + np.sqrt(5)) / 2])
         np.testing.assert_allclose(e.eigenvalues, golden, atol=1e-14)
 
@@ -54,7 +58,7 @@ class TestEig:
     def test_rejects_non_hermitian(self):
         ent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            eig_hermitian(LaxMatrix(ent, "BO", 2, 2, "x"))
+            eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"], 2))
 
 
 class TestApplyGroup:
@@ -65,20 +69,20 @@ class TestApplyGroup:
         v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         for t, alpha in ((0.3, 1), (-1.7, -1), (2.0, 1)):
             expect = taylor_expm(1j * alpha * t * (np.eye(10) + 2 * m.entries)) @ v
-            np.testing.assert_allclose(apply_group(e, t, alpha, v), expect, atol=1e-10)
+            np.testing.assert_allclose(group_on_vector(e, t, alpha, v), expect, atol=1e-10)
 
     def test_identity_at_time_zero(self):
         m = build_ccm_lax(HardyVector([0.1, 0.2j]), 4, 4, "focusing")
         e = eig_hermitian(m)
         v = np.arange(4.0) + 0j
-        np.testing.assert_allclose(apply_group(e, 0.0, -1, v), v, atol=1e-14)
+        np.testing.assert_allclose(group_on_vector(e, 0.0, -1, v), v, atol=1e-14)
 
     def test_group_law(self):
         m = build_bo_lax(random_spectrum(8, 4), 8, 8)
         e = eig_hermitian(m)
         v = np.exp(1j * np.arange(8.0))
-        ab = apply_group(e, 0.7, 1, apply_group(e, 1.9, 1, v))
-        np.testing.assert_allclose(ab, apply_group(e, 2.6, 1, v), atol=1e-11)
+        ab = group_on_vector(e, 0.7, 1, group_on_vector(e, 1.9, 1, v))
+        np.testing.assert_allclose(ab, group_on_vector(e, 2.6, 1, v), atol=1e-11)
 
     def test_unitary(self):
         m = build_ccm_lax(
@@ -89,7 +93,7 @@ class TestApplyGroup:
         rng = np.random.default_rng(1)
         for t in (1e-3, 1.0, 1e3):
             v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            out = apply_group(e, t, -1, v)
+            out = group_on_vector(e, t, -1, v)
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     def test_many_matches_single(self):
@@ -100,7 +104,7 @@ class TestApplyGroup:
         V = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         out = apply_group_many(e, ts, 1, V)
         for j, t in enumerate(ts):
-            np.testing.assert_allclose(out[:, j], apply_group(e, t, 1, V[:, j]), atol=1e-13)
+            np.testing.assert_allclose(out[:, j], group_on_vector(e, t, 1, V[:, j]), atol=1e-13)
 
     # M = 6: the eigenbasis body runs iff T * (steps - 2) > 6
     @pytest.mark.parametrize("steps,T", [(1, 4), (6, 1), (3, 7), (6, 4)])
@@ -121,10 +125,8 @@ M_BLOCK = 8
 
 def block_lax(family, n):
     p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 11, "norm": 0.5})
-    if family == "BO":
-        return build_bo_lax(analyze_profile(p, M_BLOCK), n, M_BLOCK), 1
-    u0 = analyze_profile(p, M_BLOCK, hardy=True)
-    return build_ccm_lax(u0, n, M_BLOCK, family.split("-")[1]), -1
+    eq = EQUATIONS[family]
+    return eq.build_lax(analyze_profile(p, M_BLOCK, hardy=eq.hardy), n, M_BLOCK), eq.alpha
 
 
 @pytest.mark.parametrize("n", [0, 1, M_BLOCK // 2, M_BLOCK - 1, M_BLOCK])

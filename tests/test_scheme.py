@@ -120,8 +120,14 @@ class TestSchemeBasics:
         assert np.all(np.isfinite(out.coeffs))
 
     def test_unknown_equation(self):
-        with pytest.raises(ValueError):
-            SchemeConfig("KdV", make_schedule("constant", 2), np.array([0.0]), HardyVector([1.0]))
+        for name in ("KdV", "CCM", "ccm-focusing"):
+            with pytest.raises(ValueError, match="unknown equation"):
+                SchemeConfig(name, make_schedule("constant", 2), np.array([0.0]),
+                             HardyVector([1.0]))
+
+    def test_empty_times_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            SchemeConfig("BO", make_schedule("constant", 2), np.array([]), bo_profile(0))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_times_rejected(self, bad):

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from laxflow.spectral import (
     HardyVector,
     InitialProfile,
-    NormSpec,
     RealSpectrum,
     analyze_profile,
     hermitian_symmetrize,
-    hs_kappa_norm,
-    inner_with_one,
     l2_norm,
     project_hardy,
     sample_grid,
-    shift_left,
     synthesize,
     truncate,
 )
@@ -70,27 +66,6 @@ class TestTruncateShift:
         np.testing.assert_array_equal(truncate(once, j).coeffs, once.coeffs)
         assert l2_norm(once) <= l2_norm(h) + 1e-12
 
-    def test_shift_examples(self):
-        np.testing.assert_array_equal(
-            shift_left(HardyVector([1.0, 2.0, 3.0])).coeffs, [2.0, 3.0]
-        )
-        assert len(shift_left(HardyVector([]))) == 0
-        mode5 = HardyVector([0, 0, 0, 0, 0, 1.0])
-        assert shift_left(mode5).coeff(4) == 1.0
-
-    @given(hardy_vectors)
-    @settings(max_examples=200)
-    def test_shift_energy_law(self, h):
-        lhs = l2_norm(shift_left(h)) ** 2 + abs(inner_with_one(h)) ** 2
-        assert lhs == pytest.approx(l2_norm(h) ** 2, abs=1e-12 * (1 + l2_norm(h) ** 2))
-
-
-class TestInnerWithOne:
-    def test_examples(self):
-        assert inner_with_one(HardyVector([3 + 1j, 7.0])) == 3 + 1j
-        assert inner_with_one(HardyVector([])) == 0
-        assert inner_with_one(project_hardy(square_wave(16))) == 0
-
 
 class TestNorms:
     def test_single_mode(self):
@@ -106,20 +81,6 @@ class TestNorms:
         partial = np.sqrt(2 * sum(4.0 / (np.pi**2 * k**2) for k in range(1, K) if k % 2))
         assert l2_norm(spec) == pytest.approx(partial, rel=1e-13)
         assert l2_norm(spec) < 1.0  # ||sgn|| = 1
-
-    def test_hs_kappa_examples(self):
-        assert hs_kappa_norm(HardyVector([0, 1.0]), NormSpec(1.0, 2.0)) == pytest.approx(3.0)
-        assert hs_kappa_norm(HardyVector([1.0, 1.0]), NormSpec(-1.0, 1.0)) == pytest.approx(
-            np.sqrt(1.25)
-        )
-
-    @given(hardy_vectors, st.floats(1.0, 50.0))
-    def test_hs_kappa_s0_equals_l2(self, h, kappa):
-        assert hs_kappa_norm(h, NormSpec(0.0, kappa)) == l2_norm(h)
-
-    def test_rejects_small_kappa(self):
-        with pytest.raises(ValueError):
-            NormSpec(1.0, 0.5)
 
 
 class TestSampleGrid:
