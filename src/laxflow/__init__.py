@@ -11,7 +11,6 @@ from .spectral import (  # noqa: F401
     project_hardy,
     truncate,
     l2_norm,
-    synthesize,
     sample_grid,
     analyze_profile,
     hermitian_symmetrize,

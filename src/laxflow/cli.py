@@ -267,8 +267,8 @@ def cmd_convergence(args) -> int:
     out = _outdir(args)
 
     write_csv(out / "table.csv",
-              ("K", "schedule", "error", "norm_diff", "wall_time_s", "decompositions"),
-              [(r.K, r.kind, r.error, r.norm_diff, r.wall_time, r.decompositions)
+              ("K", "schedule", "error", "norm_diff", "decompositions"),
+              [(r.K, r.kind, r.error, r.norm_diff, r.decompositions)
                for r in table.rows])
     monotone = all(b.error <= a.error + 1e-12 for a, b in zip(table.rows, table.rows[1:]))
     norm_bounded = all(r.norm_diff <= r.error + 1e-12 for r in table.rows)
@@ -353,6 +353,8 @@ def _apply_config_file(args, argv) -> None:
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
     if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
     passed = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
@@ -362,6 +364,9 @@ def _apply_config_file(args, argv) -> None:
             continue
         if not hasattr(args, key):
             raise ConfigError(f"unknown config field {key!r}")
+        # the list flags are separated strings in a file as on the command line
+        if key in ("times", "Ks", "kappas") and not isinstance(val, str):
+            raise ConfigError(f"config field {key!r} must be a string, got {val!r}")
         # explicit CLI flags win over the config file
         if key not in passed:
             setattr(args, key, val)

@@ -9,7 +9,6 @@ remain valid assertions for the measured values.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -236,7 +235,6 @@ class ConvergenceRow:
     kind: str
     error: float
     norm_diff: float
-    wall_time: float
     decompositions: int
 
 
@@ -303,13 +301,11 @@ def run_convergence_study(
     rows = []
     for K in Ks:
         cfg = SchemeConfig(equation, make_schedule(schedule_kind, K), times, u0)
-        t0 = time.perf_counter()
         out = run_scheme(cfg)
-        wall = time.perf_counter() - t0
         err, nd = _per_time_errors(out, ref)
         rows.append(
             ConvergenceRow(K, schedule_kind, float(np.max(err)), float(np.max(nd)),
-                           wall, out.decompositions)
+                           out.decompositions)
         )
     if check:
         for a, b in zip(rows, rows[1:]):

@@ -13,8 +13,9 @@ exact.  The potential blocks are
   the n x n block, and the operator is diag(0..M-1) -/+ G for the
   focusing/defocusing sign.
 
-Both Toeplitz matrices come from `mult_matrix`.  `EQUATIONS` maps each
-equation name to its `Equation` record.
+Both Toeplitz matrices come from `mult_matrix`, which copies the data's
+coefficients out of a strided numpy view; no entry is computed.
+`EQUATIONS` maps each equation name to its `Equation` record.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import HardyVector, RealSpectrum
 
@@ -130,11 +131,16 @@ def mult_matrix(u0, n: int) -> np.ndarray:
     """Multiplication by u0 compressed to [0, n): the Toeplitz U[j, l] = u0hat(j - l).
 
     For a real field u0hat(-l) = conj(u0hat(l)), exact by symmetry; for
-    Hardy data U is lower triangular.
+    Hardy data U is lower triangular.  With vals[k + n - 1] = u0hat(k) for
+    |k| < n, U[j, l] = vals[n - 1 + j - l]: the rows of U are the reversed
+    length-n windows of vals, copied, so no entry is computed.
     """
     real = isinstance(u0, RealSpectrum)
     col = HardyVector(u0.hardy_part() if real else u0.coeffs).padded(n)
-    return scipy.linalg.toeplitz(col, np.conj(col) if real else np.zeros_like(col))
+    row = np.conj(col) if real else np.zeros_like(col)
+    vals = np.concatenate([row[:0:-1], col])
+    # [:n]: at n = 0 there is one empty window, and the block must be 0 x 0
+    return sliding_window_view(vals, n)[:n, ::-1].copy()
 
 
 def build_bo_lax(u0: RealSpectrum, n: int, M: int) -> LaxMatrix:

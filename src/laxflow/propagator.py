@@ -11,11 +11,14 @@ eigenbasis, or, for short runs, two such products per step in the standard
 basis; the tail is shifted and phased elementwise either way.  All
 eigenvalues are real, so |phase| = 1 for every t and the evolution is
 unconditionally stable in time.
+
+A `PropagatorCache` is a plain dict from key to decomposition with no
+lock: laxflow code runs on one thread, and the BLAS behind numpy already
+uses every core.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
@@ -201,33 +204,22 @@ class PropagatorCache:
     """At-most-once eigendecomposition per (equation, n, M, digest)."""
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     decompositions: int = 0
     hits: int = 0
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the cached decompositions: 16 n^2 + 8 M each."""
-        with self._lock:
-            entries = list(self._store.values())
-        return sum(e.eigenvalues.nbytes + e.eigenvectors.nbytes for e in entries)
+        return sum(e.eigenvalues.nbytes + e.eigenvectors.nbytes for e in self._store.values())
 
     def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix]) -> HermitianEig:
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        # build outside the lock; duplicate builds are deterministic, so
-        # whichever result lands first may be kept
-        built = eig_hermitian(factory())
-        with self._lock:
-            existing = self._store.setdefault(key, built)
-            if existing is built:
-                self.decompositions += 1
-            else:
-                self.hits += 1
-            return existing
+        cached = self._store.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        built = self._store[key] = eig_hermitian(factory())
+        self.decompositions += 1
+        return built
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "project_hardy",
     "truncate",
     "l2_norm",
-    "synthesize",
     "sample_grid",
     "analyze_profile",
     "hermitian_symmetrize",
@@ -210,21 +209,6 @@ def _modes(f: Field) -> np.ndarray:
 def l2_norm(f: Field) -> float:
     """Plancherel L2 norm: sqrt of the sum of |c(k)|^2 over stored modes."""
     return float(np.linalg.norm(f.coeffs))
-
-
-def synthesize(f: Field, points) -> np.ndarray:
-    """Evaluate f(x_j) = sum_k c(k) e^{ik x_j} by direct summation.
-
-    Direct summation works at arbitrary points and is the reference for
-    :func:`sample_grid`.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    ks = _modes(f)
-    if len(ks) == 0:
-        return np.zeros_like(x, dtype=np.complex128)
-    # (npoints, nmodes) phase matrix; fine for the <=4096-point grids used here
-    phases = np.exp(1j * np.outer(x, ks))
-    return phases @ f.coeffs
 
 
 def sample_grid(f: Field, K: int):

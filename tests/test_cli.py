@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,22 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, cmd, flag, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd,config", [
+    ("evolve", [1, 2]),
+    ("evolve", {"times": 5}),
+    ("convergence", {"Ks": 8}),
+    ("diagnostics", {"kappas": 10}),
+])
+def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestTalbot:
     def test_time_zero_linear_equals_nonlinear(self, tmp_path):
         out = tmp_path / "run"
@@ -319,7 +336,16 @@ class TestConvergence:
         assert summary["norm_diff_bounded_by_error"] is True
         assert summary["slope"] < 0
         header = (out / "table.csv").read_text().splitlines()[0]
-        assert header == "K,schedule,error,norm_diff,wall_time_s,decompositions"
+        assert header == "K,schedule,error,norm_diff,decompositions"
+
+    def test_repeat_runs_byte_identical(self, tmp_path):
+        argv = ["convergence", "--Ks", "8,16,32,64", "--kref", "256",
+                "--T", "0.5", "--grid-points", "11"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        for name in ("table.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_bad_kref_is_config_error(self, tmp_path):
         assert main(["convergence", "--Ks", "8,64", "--kref", "128",
@@ -347,16 +373,37 @@ class TestDiagnostics:
         assert rc == 1
 
 
+def run_child(*args):
+    """Run python with args in a child that imports the package these tests import."""
+    src = str(Path(laxflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "run"
-        # the child imports the package these tests import, installed or not
-        src = str(Path(laxflow.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "laxflow.cli", "evolve", "--K", "8",
-             "--times", "0", "--out", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "laxflow.cli", "evolve", "--K", "8",
+                         "--times", "0", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only; None in sys.modules makes its import fail
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            import laxflow.cli
+            loaded = [m for m, mod in sys.modules.items()
+                      if m.partition(".")[0] == "scipy" and mod is not None]
+            assert not loaded, loaded
+            out = sys.argv[1]
+            assert laxflow.cli.main(["talbot", "--K", "16", "--out", out + "/t"]) == 0
+            assert laxflow.cli.main(["evolve", "--equation", "CCM-defocusing",
+                                     "--K", "16", "--out", out + "/e"]) == 0
+        """)
+        proc = run_child("-c", script, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "t" / "manifest.json").exists()
+        assert (tmp_path / "e" / "manifest.json").exists()

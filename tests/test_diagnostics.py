@@ -229,7 +229,7 @@ class TestConvergenceStudy:
 
 class TestFitRate:
     def _table(self, errors, Ks=(8, 16, 32, 64)):
-        rows = [ConvergenceRow(K, "constant", e, 0.0, 0.0, 1) for K, e in zip(Ks, errors)]
+        rows = [ConvergenceRow(K, "constant", e, 0.0, 1) for K, e in zip(Ks, errors)]
         return ConvergenceTable(rows, 1024, 1.0, "BO")
 
     def test_synthetic_slope_minus_one(self):

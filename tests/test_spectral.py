@@ -12,7 +12,6 @@ from laxflow.spectral import (
     l2_norm,
     project_hardy,
     sample_grid,
-    synthesize,
     truncate,
 )
 from oracles import dft_analyze, dft_synthesize, square_wave_coeff_quadrature
@@ -83,6 +82,12 @@ class TestNorms:
         assert l2_norm(spec) < 1.0  # ||sgn|| = 1
 
 
+def direct_sum(f, xs):
+    """dft_synthesize over the stored modes of f."""
+    ks = range(-f.K + 1, f.K) if isinstance(f, RealSpectrum) else range(len(f))
+    return dft_synthesize(f.coeffs, ks, xs)
+
+
 class TestSampleGrid:
     """The FFT grid sampler against direct summation."""
 
@@ -96,22 +101,46 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("kind", ["real", "hardy"])
     @pytest.mark.parametrize("K", [1, 2, 7, 64])
-    def test_matches_synthesize(self, kind, K):
+    def test_matches_direct_sum(self, kind, K):
         f = self.field(kind, K, np.random.default_rng(K))
         xs, vals = sample_grid(f, K)
         np.testing.assert_array_equal(xs, -np.pi + np.pi * np.arange(2 * K) / K)
-        np.testing.assert_allclose(vals, synthesize(f, xs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vals, direct_sum(f, xs), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["real", "hardy"])
     def test_modes_beyond_the_grid_fold_exactly(self, kind):
         # 2 * 9 - 1 = 17 modes on a 6-point grid
         f = self.field(kind, 9, np.random.default_rng(3))
         xs, vals = sample_grid(f, 3)
-        np.testing.assert_allclose(vals, synthesize(f, xs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vals, direct_sum(f, xs), rtol=0, atol=1e-12)
 
     def test_empty_field(self):
         xs, vals = sample_grid(HardyVector([]), 4)
         assert len(xs) == 8 and np.all(vals == 0)
+
+    def test_constant(self):
+        spec = RealSpectrum.from_hardy_part([2.5], K=3)
+        np.testing.assert_allclose(sample_grid(spec, 3)[1], 2.5)
+
+    def test_cosine(self):
+        spec = RealSpectrum.from_hardy_part([0.0, 0.5], K=2)
+        xs, vals = sample_grid(spec, 8)
+        np.testing.assert_allclose(vals, np.cos(xs), atol=1e-14)
+
+    def test_real_spectrum_samples_are_real(self):
+        _, vals = sample_grid(square_wave(64), 64)
+        assert np.max(np.abs(vals.imag)) <= 1e-12
+
+    def test_matches_dft_oracle_and_roundtrip(self):
+        rng = np.random.default_rng(11)
+        m = 17
+        h = HardyVector(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        xs, vals = sample_grid(h, m)
+        np.testing.assert_array_equal(xs, -np.pi + 2 * np.pi * np.arange(2 * m) / (2 * m))
+        oracle = dft_synthesize(h.coeffs, range(m), xs)
+        np.testing.assert_allclose(vals, oracle, atol=1e-12)
+        recovered = dft_analyze(vals, xs, range(m))
+        np.testing.assert_allclose(recovered, h.coeffs, atol=1e-12)
 
 
 class TestProfileParameters:
@@ -134,33 +163,6 @@ class TestProfileParameters:
         InitialProfile("single-mode", {"k0": np.int64(2)})
         InitialProfile("random-sobolev", {"s": 1})
         InitialProfile("square-wave")
-
-
-class TestSynthesize:
-    def test_constant(self):
-        spec = RealSpectrum.from_hardy_part([2.5], K=3)
-        np.testing.assert_allclose(synthesize(spec, [0.0, 1.0, -2.0]), 2.5)
-
-    def test_cosine(self):
-        spec = RealSpectrum.from_hardy_part([0.0, 0.5], K=2)
-        xs = np.linspace(-np.pi, np.pi, 9, endpoint=False)
-        np.testing.assert_allclose(synthesize(spec, xs), np.cos(xs), atol=1e-14)
-
-    def test_real_spectrum_samples_are_real(self):
-        spec = square_wave(64)
-        xs = np.linspace(-np.pi, np.pi, 128, endpoint=False)
-        assert np.max(np.abs(synthesize(spec, xs).imag)) <= 1e-12
-
-    def test_matches_dft_oracle_and_roundtrip(self):
-        rng = np.random.default_rng(11)
-        m = 17
-        h = HardyVector(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        xs = -np.pi + 2 * np.pi * np.arange(2 * m) / (2 * m)
-        vals = synthesize(h, xs)
-        oracle = dft_synthesize(h.coeffs, range(m), xs)
-        np.testing.assert_allclose(vals, oracle, atol=1e-12)
-        recovered = dft_analyze(vals, xs, range(m))
-        np.testing.assert_allclose(recovered, h.coeffs, atol=1e-12)
 
 
 class TestAnalyzeProfile:
