@@ -101,7 +101,7 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("kind", ["real", "hardy"])
     @pytest.mark.parametrize("K", [1, 2, 7, 64])
-    def test_matches_direct_sum(self, kind, K):
+    def test_matches_synthesize(self, kind, K):
         f = self.field(kind, K, np.random.default_rng(K))
         xs, vals = sample_grid(f, K)
         np.testing.assert_array_equal(xs, -np.pi + np.pi * np.arange(2 * K) / K)
@@ -117,6 +117,10 @@ class TestSampleGrid:
     def test_empty_field(self):
         xs, vals = sample_grid(HardyVector([]), 4)
         assert len(xs) == 8 and np.all(vals == 0)
+
+
+class TestSynthesize:
+    """Grid synthesis by sample_grid of fields with known samples."""
 
     def test_constant(self):
         spec = RealSpectrum.from_hardy_part([2.5], K=3)
