@@ -13,7 +13,6 @@ from .spectral import (  # noqa: F401
     l2_norm,
     sample_grid,
     analyze_profile,
-    hermitian_symmetrize,
 )
 from .lax import (  # noqa: F401
     EQUATIONS,

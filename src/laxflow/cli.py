@@ -317,7 +317,7 @@ def cmd_diagnostics(args) -> int:
     write_csv(out / "propagator_sweep.csv", ("n", "sup_error"),
               [(n, e) for n, e in sweep_rows])
 
-    kz = find_kappa_zero(u0, eq.family, M)
+    kz = find_kappa_zero(u0, eq, M)
     all_pass = (all(r.passed for r in reports)
                 and all(r.passed for r in res_rows)
                 and not sweep_failed)
@@ -346,6 +346,11 @@ def _config_echo(args, **overrides) -> dict:
     return echo
 
 
+# the JSON types a config file must use where the command line fixes one
+_INT_FIELDS = ("K", "M", "seed", "kref", "grid_points")
+_BOOL_FIELDS = ("override_focusing_threshold", "corrupt_bounds")
+
+
 def _apply_config_file(args, argv) -> None:
     if not args.config:
         return
@@ -357,16 +362,27 @@ def _apply_config_file(args, argv) -> None:
         raise ConfigError(f"config {args.config} must hold a JSON object")
     if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
+    if data.get("command", args.command) != args.command:
+        raise ConfigError(f"config is for command {data['command']!r}, not {args.command!r}")
     passed = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
               for a in argv if a.startswith("--")}
+    # the command's flags; func, config and command are not settable
+    fields = set(vars(args)) - {"func", "config", "command"}
     for key, val in data.items():
         if key in ("schema_version", "command"):
             continue
-        if not hasattr(args, key):
+        if key not in fields:
             raise ConfigError(f"unknown config field {key!r}")
+        # a manifest echoes talbot's times as a list of strings
+        if key == "times" and isinstance(val, list) and all(isinstance(t, str) for t in val):
+            val = ";".join(val)
         # the list flags are separated strings in a file as on the command line
         if key in ("times", "Ks", "kappas") and not isinstance(val, str):
             raise ConfigError(f"config field {key!r} must be a string, got {val!r}")
+        if key in _INT_FIELDS and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ConfigError(f"config field {key!r} must be an integer, got {val!r}")
+        if key in _BOOL_FIELDS and not isinstance(val, bool):
+            raise ConfigError(f"config field {key!r} must be true or false, got {val!r}")
         # explicit CLI flags win over the config file
         if key not in passed:
             setattr(args, key, val)

@@ -8,7 +8,8 @@ group is the elementwise phase e^{i alpha t (1 + 2j)}.  A run of r scheme
 steps sharing one decomposition then costs, for an M x T block of iterates,
 one product W = Q^H S* Q plus one n x n by n x T product per step in the
 eigenbasis, or, for short runs, two such products per step in the standard
-basis; the tail is shifted and phased elementwise either way.  All
+basis; the tail is shifted and phased elementwise either way, and a zero
+guard row below the iterate gives n < M and n = M one step body.  All
 eigenvalues are real, so |phase| = 1 for every t and the evolution is
 unconditionally stable in time.
 
@@ -24,7 +25,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .lax import LaxMatrix, hermitian_defect, mult_matrix
+from .lax import Equation, LaxMatrix, hermitian_defect, mult_matrix
 from .spectral import HardyVector, RealSpectrum, l2_norm
 
 __all__ = [
@@ -135,27 +136,21 @@ def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
     return out
 
 
-def _shift_tail(blk: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
-    """[blk; X[n+1:]; 0]: new block rows, then the tail rows of S* X (n < M)."""
-    out = np.empty_like(X)
-    out[:n] = blk
-    out[n:-1] = X[n + 1 :]
-    out[-1] = 0.0
-    return out
-
-
 def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     """Take `steps` scheme steps V <- e^{i alpha t (I + 2 L)} S* V on one decomposition.
 
     Column j of V evolves by ts[j].  Returns (rows, V): rows[:, s] is the
     zero mode of the iterate after step s + 1, shape (len(ts), steps), and V
-    is the last iterate in the standard basis.
+    is the last iterate in the standard basis; the caller's V is not changed.
 
-    The tail rows n..M-1 are shifted and phased elementwise.  On the block
-    the standard basis costs 16 n^2 T flops a step; the eigenbasis, where the
-    block rows hold w = Q^H V[:n] and a step is w <- phases * (W w + c v_n)
-    with W = Q^H S* Q and c = Q^H e_{n-1} taking in the first tail row v_n,
-    costs 8 n^3 + 8 n^2 T (steps + 2) in all.  The cheaper one is taken: the
+    The iterate carries one zero guard row below row M - 1, which S* shifts
+    into row M - 1, so the block always reads rows 1..n (0..n in the
+    eigenbasis) and the tail rows n..M-1 are shifted in place and phased
+    elementwise, with or without a tail.  On the block the standard basis
+    costs 16 n^2 T flops a step; the eigenbasis, where the block rows hold
+    w = Q^H V[:n] and a step is w <- phases * (W w + c v_n) with
+    W = Q^H S* Q and c = Q^H e_{n-1} taking in row n, costs
+    8 n^3 + 8 n^2 T (steps + 2) in all.  The cheaper one is taken: the
     eigenbasis iff T (steps - 2) > n.  With n = 0 a step is pure phases.
     """
     ts = np.asarray(ts, dtype=np.float64)
@@ -165,38 +160,27 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     phases = e.phases(ts, alpha)
     q = e.eigenvectors
     qh = q.conj().T
-    # rows of V that feed the block through S*: 1..n, or 1..M-1 if there is no tail
-    b = min(n + 1, M)
     rows = np.empty((T, steps), dtype=np.complex128)
+    guard = np.zeros((1, T))
     if n and T * (steps - 2) > n:
         # S* Q is Q shifted up one row with a zero last row, so Q^H S* Q
-        # needs no shifted copy
-        w_op = qh[:, :-1] @ q[1:]
-        if n < M:
-            # the first tail row shifts into block row n - 1: column Q^H e_{n-1}
-            w_op = np.hstack([w_op, qh[:, -1:]])
-            X = np.concatenate([qh @ V[:n], V[n:]])
-        else:
-            X = qh @ V
+        # needs no shifted copy; row n shifts into block row n - 1
+        w_op = np.hstack([qh[:, :-1] @ q[1:], qh[:, -1:]])
+        X = np.concatenate([qh @ V[:n], V[n:], guard])
         for s in range(steps):
-            blk = w_op @ X[:b]
-            X = blk if n == M else _shift_tail(blk, X, n)
-            X *= phases
+            X[:n] = w_op @ X[: n + 1]
+            X[n:-1] = X[n + 1 :]
+            X[:-1] *= phases
             rows[:, s] = q[0] @ X[:n]
-        if n == M:
-            return rows, q @ X
         X[:n] = q @ X[:n]
-        return rows, X
+        return rows, X[:-1]
+    X = np.concatenate([V, guard])
     pb, pt = phases[:n], phases[n:]
     for s in range(steps):
-        blk = q @ (pb * (qh[:, : b - 1] @ V[1:b]))
-        if n == M:
-            V = blk
-        else:
-            V = _shift_tail(blk, V, n)
-            V[n:] *= pt
-        rows[:, s] = V[0]
-    return rows, V
+        X[:n] = q @ (pb * (qh @ X[1 : n + 1]))
+        X[n:-1] = X[n + 1 :] * pt
+        rows[:, s] = X[0]
+    return rows, X[:-1]
 
 
 @dataclass
@@ -226,7 +210,6 @@ class PropagatorCache:
 class KappaZero:
     """Resolvent shift beyond which the Lax perturbation is dominated."""
 
-    equation: str
     value: float
     method: str  # "formula" (BO) or "search" (CCM)
 
@@ -251,24 +234,22 @@ def _ccm_perturbation_norm(blocks, kappa: float) -> float:
     return worst
 
 
-def find_kappa_zero(u0, equation: str, M: int) -> KappaZero:
+def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
     """Determine the shift kappa0 making (L_n + kappa) uniformly invertible.
 
-    BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form;
-    the smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
+    BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form
+    and does not depend on the sign, since only the Gram block enters: the
+    smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
     the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 at n in
     {1, M/2, M} is used.  Each n x n Gram block G_n is built once and
     each norm is an n x n SVD.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
-    if equation == "BO":
+    if eq.family == "BO":
         if not isinstance(u0, RealSpectrum):
             raise TypeError("BO data must be a RealSpectrum")
-        value = max(12.0 * l2_norm(u0) ** 2, 1.0)
-        return KappaZero("BO", value, "formula")
-    if equation != "CCM":
-        raise ValueError("equation must be 'BO' or 'CCM'")
+        return KappaZero(max(12.0 * l2_norm(u0) ** 2, 1.0), "formula")
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
     # the Gram blocks A_n A_n^H do not depend on kappa: build them once
@@ -277,7 +258,7 @@ def find_kappa_zero(u0, equation: str, M: int) -> KappaZero:
     for e in range(_CCM_GRID_MAX_EXP + 1):
         kappa = float(2**e)
         if _ccm_perturbation_norm(blocks, kappa) <= 0.5:
-            return KappaZero("CCM", kappa, "search")
+            return KappaZero(kappa, "search")
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "
         "near or above the focusing threshold -- reduce ||u0||"

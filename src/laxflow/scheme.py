@@ -177,7 +177,7 @@ def _resolve_data(cfg: SchemeConfig, eq: Equation):
             raise TypeError("CCM data must live in the Hardy space")
         return truncate(u0, K), u0
     if isinstance(u0, HardyVector):
-        u0 = spectral.hermitian_symmetrize(u0, K)
+        u0 = RealSpectrum.from_hardy_part(u0.coeffs, K)
     u0.check_symmetry()
     return project_hardy(u0), u0
 

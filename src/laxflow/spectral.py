@@ -32,7 +32,6 @@ __all__ = [
     "l2_norm",
     "sample_grid",
     "analyze_profile",
-    "hermitian_symmetrize",
 ]
 
 
@@ -318,13 +317,6 @@ def analyze_profile(p: InitialProfile, bandwidth: int, hardy: bool = False) -> F
     if len(c) > bandwidth:
         raise ValueError("explicit coefficients exceed bandwidth")
     return RealSpectrum.from_hardy_part(c, bandwidth)
-
-
-def hermitian_symmetrize(h: HardyVector, K: int) -> RealSpectrum:
-    """Reflect Hardy coefficients into a real-field spectrum of bandwidth K."""
-    if len(h) > K:
-        raise ValueError("Hardy vector longer than bandwidth K")
-    return RealSpectrum.from_hardy_part(h.coeffs, K)
 
 
 def warn_zero_seed_truncation(n0: int) -> None:

@@ -186,10 +186,18 @@ class TestEvolve:
         assert echo["K"] == 12  # explicit flag wins
         assert echo["profile"] == "single-mode:k0=1"  # config fills the rest
 
-    def test_config_file_unknown_field(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"flux_capacitor": 1}))
-        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    def test_config_file_unknown_field(self, tmp_path, capsys):
+        # func and config are parser internals, not flags; command must be this one
+        for i, config in enumerate([{"flux_capacitor": 1}, {"func": "x"},
+                                    {"config": "other.json"}, {"command": "talbot"}]):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"x{i}"
+            assert main(["evolve", "--config", str(cfg), "--K", "8", "--times", "0",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_exit_code_2_on_bad_input(self, tmp_path):
         assert main(["evolve", "--profile", "soliton", "--out", str(tmp_path / "x")]) == 2
@@ -283,6 +291,16 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, cmd, flag, key
     ("evolve", {"times": 5}),
     ("convergence", {"Ks": 8}),
     ("diagnostics", {"kappas": 10}),
+    ("evolve", {"K": 8.7}),
+    ("evolve", {"K": True}),
+    ("evolve", {"grid_points": 11.0}),
+    ("evolve", {"times": ["0", 1]}),
+    ("talbot", {"times": [0.5]}),
+    ("convergence", {"Ks": "8,16", "kref": 64.0, "T": 0.5, "grid_points": 11}),
+    ("diagnostics", {"M": 64.9}),
+    ("diagnostics", {"seed": False}),
+    ("diagnostics", {"corrupt_bounds": 1}),
+    ("evolve", {"override_focusing_threshold": "no"}),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config):
     cfg = tmp_path / "cfg.json"
@@ -292,6 +310,28 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+REPLAYS = {
+    "evolve": ["--K", "16", "--T", "0.5", "--grid-points", "11", "--schedule", "half-staircase"],
+    "talbot": ["--K", "32"],
+    "convergence": ["--Ks", "8,16", "--kref", "64", "--T", "0.5", "--grid-points", "11"],
+    "diagnostics": ["--M", "64", "--kappas", "1,10",
+                    "--profile", "random-sobolev:s=1,seed=0,norm=0.5"],
+}
+
+
+@pytest.mark.parametrize("cmd", list(REPLAYS))
+def test_manifest_config_replays_the_run(tmp_path, cmd):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main([cmd, *REPLAYS[cmd], "--out", str(first)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(manifest_of(first)["config"]))
+    assert main([cmd, "--config", str(cfg), "--out", str(replay)]) == 0
+    names = [n for n in manifest_of(first)["files"] if n.endswith(".csv")]
+    assert names
+    for name in names:
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestTalbot:

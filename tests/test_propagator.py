@@ -193,16 +193,16 @@ class TestKappaZero:
     def test_bo_small_data(self):
         # 12 * 0.01 < 1 so the floor applies
         u0 = random_spectrum(16, 0, norm=0.1)
-        k0 = find_kappa_zero(u0, "BO", 16)
-        assert k0 == KappaZero("BO", 1.0, "formula")
+        k0 = find_kappa_zero(u0, EQUATIONS["BO"], 16)
+        assert k0 == KappaZero(1.0, "formula")
 
     def test_bo_formula(self):
         u0 = random_spectrum(16, 1, norm=np.sqrt(2.0))
-        k0 = find_kappa_zero(u0, "BO", 16)
+        k0 = find_kappa_zero(u0, EQUATIONS["BO"], 16)
         assert k0.value == pytest.approx(24.0, rel=1e-12)
 
     def test_ccm_zero_data(self):
-        k0 = find_kappa_zero(HardyVector([]), "CCM", 8)
+        k0 = find_kappa_zero(HardyVector([]), EQUATIONS["CCM-defocusing"], 8)
         assert k0.value == 1.0
         assert k0.method == "search"
 
@@ -210,17 +210,26 @@ class TestKappaZero:
         u0 = analyze_profile(
             InitialProfile("random-sobolev", {"s": 1.0, "seed": 5, "norm": 0.8}), 32, hardy=True
         )
-        k0 = find_kappa_zero(u0, "CCM", 32)
+        k0 = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
         # verify the defining property directly at the returned shift
         m = build_ccm_lax(u0, 32, 32, "focusing")
         g = np.diag(np.arange(32.0)) - m.entries
         r0 = 1.0 / (np.arange(32) + k0.value)
         assert np.linalg.norm(g * r0, ord=2) <= 0.5
 
+    @pytest.mark.parametrize("norm", [0.5, 1.0, 2.0])
+    def test_ccm_sign_does_not_matter(self, norm):
+        # the search reads only the Gram block, which both signs share
+        u0 = analyze_profile(
+            InitialProfile("random-sobolev", {"s": 1.0, "seed": 5, "norm": norm}), 32, hardy=True
+        )
+        assert (find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
+                == find_kappa_zero(u0, EQUATIONS["CCM-defocusing"], 32))
+
     def test_type_checks(self):
         with pytest.raises(TypeError):
-            find_kappa_zero(HardyVector([0.1]), "BO", 8)
+            find_kappa_zero(HardyVector([0.1]), EQUATIONS["BO"], 8)
         with pytest.raises(TypeError):
-            find_kappa_zero(random_spectrum(8, 0), "CCM", 8)
+            find_kappa_zero(random_spectrum(8, 0), EQUATIONS["CCM-focusing"], 8)
         with pytest.raises(ValueError):
-            find_kappa_zero(random_spectrum(8, 0), "KdV", 8)
+            find_kappa_zero(random_spectrum(8, 0), EQUATIONS["BO"], 3)

@@ -8,7 +8,6 @@ from laxflow.spectral import (
     InitialProfile,
     RealSpectrum,
     analyze_profile,
-    hermitian_symmetrize,
     l2_norm,
     project_hardy,
     sample_grid,
@@ -203,14 +202,16 @@ class TestAnalyzeProfile:
 
 
 class TestHermitianSymmetrize:
+    """Reflecting Hardy coefficients into a real-field spectrum."""
+
     def test_basic(self):
-        spec = hermitian_symmetrize(HardyVector([1.0, 1j]), K=2)
+        spec = RealSpectrum.from_hardy_part([1.0, 1j], K=2)
         assert spec.coeff(0) == 1.0
         assert spec.coeff(1) == 1j
         assert spec.coeff(-1) == -1j
 
     def test_empty(self):
-        spec = hermitian_symmetrize(HardyVector([]), K=3)
+        spec = RealSpectrum.from_hardy_part([], K=3)
         assert l2_norm(spec) == 0.0
 
     @given(hardy_vectors)
@@ -220,10 +221,10 @@ class TestHermitianSymmetrize:
             c[0] = c[0].real  # BO data must have real mean
         h = HardyVector(c)
         K = len(h) + 2
-        back = project_hardy(hermitian_symmetrize(h, K))
+        back = project_hardy(RealSpectrum.from_hardy_part(h.coeffs, K))
         np.testing.assert_array_equal(back.coeffs[: len(h)], h.coeffs)
         assert np.all(back.coeffs[len(h) :] == 0)
 
     def test_rejects_complex_zero_mode(self):
         with pytest.raises(ValueError):
-            hermitian_symmetrize(HardyVector([1j]), K=2)
+            RealSpectrum.from_hardy_part([1j], K=2)
