@@ -46,7 +46,12 @@ _TIME_NAMES = {"pi": math.pi, "sqrt2": math.sqrt(2.0)}
 
 
 def parse_time_expr(expr) -> float:
-    """Parse a time value; strings may use pi, sqrt2, sqrt() and arithmetic."""
+    """Parse a time value; strings may use pi, sqrt2, sqrt() and arithmetic.
+
+    Booleans are not times, though Python counts them as integers.
+    """
+    if isinstance(expr, bool):
+        raise ConfigError(f"time {expr!r} is not a number")
     if isinstance(expr, (int, float)):
         return float(expr)
     # deep nesting overflows the parser as RecursionError or MemoryError
@@ -56,7 +61,8 @@ def parse_time_expr(expr) -> float:
         raise ConfigError(f"cannot parse time {expr!r}") from exc
 
     def ev(n):
-        if isinstance(n, ast.Constant) and isinstance(n.value, (int, float)):
+        if (isinstance(n, ast.Constant) and isinstance(n.value, (int, float))
+                and not isinstance(n.value, bool)):
             return float(n.value)
         if isinstance(n, ast.Name) and n.id in _TIME_NAMES:
             return _TIME_NAMES[n.id]
@@ -205,6 +211,7 @@ def cmd_evolve(args) -> int:
     files = [out / "coefficients.csv", out / "samples.csv"]
     write_manifest(out, _config_echo(args), {
         "decompositions": result.decompositions,
+        "derived_decompositions": result.cache.derived,
         "wall_time_s": wall,
         "l2_preserving_schedule": schedule.l2_preserving,
         "n0_zero": bool(schedule.values[0] == 0),
@@ -360,8 +367,10 @@ def _apply_config_file(args, argv) -> None:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {args.config} must hold a JSON object")
-    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
+    version = data.get("schema_version", SCHEMA_VERSION)
+    # true == 1 in Python, but it is no version number
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}")
     if data.get("command", args.command) != args.command:
         raise ConfigError(f"config is for command {data['command']!r}, not {args.command!r}")
     passed = {a.split("=", 1)[0].lstrip("-").replace("-", "_")

@@ -13,6 +13,13 @@ guard row below the iterate gives n < M and n = M one step body.  All
 eigenvalues are real, so |phase| = 1 for every t and the evolution is
 unconditionally stable in time.
 
+The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
+on a staircase n -> n - 1 each decomposition follows from the one before:
+`eig_hermitian` given that parent solves a secular equation for the new
+eigenvalues and forms the eigenvectors with one real product, instead of
+a fresh O(n^3) `eigh`.  The derived pairs pass the same checks; where they
+cannot be trusted, `eigh` is taken instead.
+
 A `PropagatorCache` is a plain dict from key to decomposition with no
 lock: laxflow code runs on one thread, and the BLAS behind numpy already
 uses every core.
@@ -21,7 +28,7 @@ uses every core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +55,13 @@ class HermitianEig:
     eigenvectors is the n x n matrix Q with block = Q diag(lambda) Q^H;
     eigenvalues holds all M eigenvalues: the block's, ascending, then the
     tail's n..M-1, whose eigenvectors are the unit vectors e_n..e_{M-1}.
+    derived is True iff the block's pairs came from the decomposition at
+    n + 1 rather than from `eigh`.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    derived: bool = False
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=np.float64)
@@ -74,7 +84,13 @@ class HermitianEig:
         return np.exp(1j * alpha * np.outer(1.0 + 2.0 * self.eigenvalues, ts))
 
 
-def eig_hermitian(m: LaxMatrix) -> HermitianEig:
+def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
+    """True iff the parent is one size up: m's block may be its block less
+    the last row and column (the checks on the derived pairs confirm it)."""
+    return parent is not None and parent.n == m.n + 1 >= 2
+
+
+def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> HermitianEig:
     """Diagonalize the block of a Lax matrix, canonicalizing order and phases.
 
     Columns are sorted by ascending eigenvalue and each eigenvector is
@@ -82,42 +98,146 @@ def eig_hermitian(m: LaxMatrix) -> HermitianEig:
     result a deterministic function of the input matrix.  The tail is exact,
     so the Hermitian, reconstruction and orthonormality checks on the block
     are the checks on the whole matrix.
+
+    With `parent`, the decomposition of the same operator at n + 1, the
+    block's eigenpairs are derived from the parent's (`_delete_last`)
+    instead of by `eigh`; the result is then marked `derived`.  `eigh` is
+    the fallback when the derivation declines or its pairs fail a check.
     """
     defect = hermitian_defect(m)
     if defect != 0.0:
         raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
-    block = m.block
+    tail = np.arange(m.n, m.M, dtype=np.float64)
+    pairs = _delete_last(parent) if _derivable(m, parent) else None
+    if pairs is not None:
+        lam, q = pairs
+        q = _canonical_phases(q)
+        if _check_failure(m, lam, q) is None:
+            return HermitianEig(np.concatenate([lam, tail]), q, derived=True)
     try:
-        lam, q = np.linalg.eigh(block)
+        lam, q = np.linalg.eigh(m.block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver failed for {m.equation.name} Lax matrix "
             f"(n={m.n}, M={m.M})"
         ) from exc
+    q = _canonical_phases(q)
+    failure = _check_failure(m, lam, q)
+    if failure is not None:
+        raise RuntimeError(f"{failure} for {m.equation.name} (n={m.n}, M={m.M})")
+    return HermitianEig(np.concatenate([lam, tail]), q)
 
-    # canonical phases: largest-magnitude entry of each column real positive
-    if m.n:
-        idx = np.argmax(np.abs(q), axis=0)
-        lead = q[idx, np.arange(m.n)]
-        q = q * np.conj(lead / np.abs(lead))
 
-    tail = np.arange(m.n, m.M, dtype=np.float64)
+def _canonical_phases(q: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude entry is real positive."""
+    if not q.size:
+        return q
+    idx = np.argmax(np.abs(q), axis=0)
+    lead = q[idx, np.arange(q.shape[1])]
+    return q * np.conj(lead / np.abs(lead))
+
+
+def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Optional[str]:
+    """The first check (lam, q) fails as a decomposition of m's block, or None."""
+    block = m.block
     # the largest entry of the whole matrix, tail included
     scale = 1.0 + max(float(np.max(np.abs(block), initial=0.0)),
-                      float(np.max(tail, initial=0.0)))
-    recon = (q * lam) @ q.conj().T
+                      float(m.M - 1 if m.n < m.M else 0))
+    qh = q.conj().T
+    recon = (q * lam) @ qh
     if np.max(np.abs(recon - block), initial=0.0) > _RECON_TOL * scale:
-        raise RuntimeError(
-            f"eigendecomposition residual too large for {m.equation.name} "
-            f"(n={m.n}, M={m.M})"
-        )
-    ortho = q.conj().T @ q - np.eye(m.n)
+        return "eigendecomposition residual too large"
+    ortho = qh @ q - np.eye(m.n)
     if np.max(np.abs(ortho), initial=0.0) > _RECON_TOL:
-        raise RuntimeError(
-            f"eigenvectors lost orthonormality for {m.equation.name} "
-            f"(n={m.n}, M={m.M})"
-        )
-    return HermitianEig(np.concatenate([lam, tail]), q)
+        return "eigenvectors lost orthonormality"
+    return None
+
+
+_EPS = np.finfo(np.float64).eps
+# each root converges in about three rational steps; bisection alone needs
+# about 50, so this bound is only met by roots that cannot be separated
+_SECULAR_MAX_STEPS = 64
+
+
+def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Eigenpairs of the parent's n x n block less its last row and column.
+
+    With block = Q diag(lam) Q^H and z = Q^H e_{n-1}, the eigenvalues mu_j
+    of the leading (n-1) x (n-1) block are the roots of the secular
+    equation f(mu) = sum_i w_i / (lam_i - mu) = 0, w = |z|^2, one in each
+    gap (lam_j, lam_{j+1}) (Golub, SIAM Review 15, 1973), and the
+    eigenvectors are Q[:-1] (z / (lam - mu_j)), normalized.  Each root is
+    carried as an offset tau_j from its nearer pole, so that the
+    differences lam_i - mu_j keep their relative accuracy, and found by
+    two-pole rational steps as in LAPACK dlaed4, kept inside the bracket
+    by bisection.  |z| is then recomputed from the roots by Loewner's
+    formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), which
+    keeps the eigenvectors orthogonal; the phase of z is kept, so Q[:-1]
+    enters through one real product.  All of it is O(n^2) but that product.
+
+    Returns None when a weight or a gap is too small to separate the roots
+    (no deflation is done) or the roots do not converge.
+    """
+    n = parent.n
+    lam = parent.eigenvalues[:n]
+    last = parent.eigenvectors[-1]
+    w = np.abs(last) ** 2
+    gaps = np.diff(lam)
+    if w.min() <= _EPS**2 or gaps.min() <= _EPS * (1.0 + np.abs(lam).max()):
+        return None
+    j = np.arange(n - 1)
+    below = np.arange(n)[:, None] <= j  # the poles lam_i at or below gap j
+    w_below = w[:, None] * below
+    # f rises from -inf to +inf across each gap: its sign at the midpoint
+    # names the half that holds the root, and so the nearer pole
+    r = 1.0 / (lam[:, None] - (lam[:-1] + 0.5 * gaps))  # 1 / (lam_i - mu_j)
+    f = w @ r
+    upper = f < 0
+    origin = np.where(upper, lam[1:], lam[:-1])
+    delta0 = lam[:, None] - origin
+    lo = np.where(upper, -0.5 * gaps, 0.0)
+    hi = np.where(upper, 0.0, 0.5 * gaps)
+    tau = np.where(upper, lo, hi)
+    tol = 8 * n * _EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_STEPS):
+            # the terms below the gap are negative, those above positive
+            psi = np.einsum("ij,ij->j", w_below, r)
+            done = np.abs(f) <= tol * (f - 2.0 * psi)
+            if done.all():
+                break
+            lo = np.where(f < 0, tau, lo)
+            hi = np.where(f > 0, tau, hi)
+            # fit c + s / (dlo - eta) + S / (dhi - eta) to the value and slope
+            # of the terms below and above the gap, and step to its root
+            r2 = r * r
+            dpsi = np.einsum("ij,ij->j", w_below, r2)
+            dphi = w @ r2 - dpsi
+            dlo, dhi = delta0[j, j] - tau, delta0[j + 1, j] - tau
+            c = f - dpsi * dlo - dphi * dhi
+            a = c * (dlo + dhi) + dpsi * dlo**2 + dphi * dhi**2
+            b = dlo * dhi * f
+            disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
+            step = tau + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            tau = np.where(done, tau, step)
+            r = 1.0 / (delta0 - tau)
+            f = w @ r
+        else:
+            return None
+    # Loewner: w_i = prod_j (mu_j - lam_i) / prod_{k != i} (lam_k - lam_i),
+    # taken as n - 1 ratios in (0, 1), mu_j over lam_j below i and over
+    # lam_{j+1} above, so the product cannot overflow
+    pole = np.where(below, lam[1:], lam[:-1])
+    zhat = np.sqrt(np.prod((tau - delta0) / (pole - lam[:, None]), axis=1))
+    s = zhat[:, None] * r
+    s /= np.linalg.norm(s, axis=0)
+    # Q[:-1] diag(phase(z)) s is one real product: the transposed complex
+    # factor, viewed as reals, interleaves real and imaginary parts
+    phase = (np.conj(last) / np.abs(last))[:, None]
+    rows_t = np.multiply(parent.eigenvectors[:-1].T, phase, order="C")
+    q = (s.T @ rows_t.view(np.float64)).view(np.complex128).T
+    return origin + tau, q
 
 
 def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
@@ -185,24 +305,37 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
 
 @dataclass
 class PropagatorCache:
-    """At-most-once eigendecomposition per (equation, n, M, digest)."""
+    """At-most-once eigendecomposition per (equation, n, M, digest).
+
+    A decomposition built with a `parent` one size up is derived from it
+    when it can be (`derived`) and otherwise taken by `eigh`
+    (`fallbacks`); either way it counts as one decomposition.
+    """
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
     decompositions: int = 0
     hits: int = 0
+    derived: int = 0
+    fallbacks: int = 0
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the cached decompositions: 16 n^2 + 8 M each."""
         return sum(e.eigenvalues.nbytes + e.eigenvectors.nbytes for e in self._store.values())
 
-    def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix]) -> HermitianEig:
+    def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix],
+                     parent: Optional[HermitianEig] = None) -> HermitianEig:
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        built = self._store[key] = eig_hermitian(factory())
+        m = factory()
+        built = self._store[key] = eig_hermitian(m, parent)
         self.decompositions += 1
+        if built.derived:
+            self.derived += 1
+        elif _derivable(m, parent):
+            self.fallbacks += 1
         return built
 
 

@@ -188,7 +188,10 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     All times share one pass over k: the iterates for distinct t are columns
     of one M x T matrix.  The steps k >= 1 are taken in maximal runs of equal
     n(k), one cached decomposition each: O(n^3) for the n x n block, held
-    as n^2 complex numbers.  On the block a long run costs one product
+    as n^2 complex numbers.  A run at n one below the run before it (the
+    full staircase) derives its decomposition from that run's, at O(n^2)
+    plus one real n x n by n x 2n product (see `propagator.eig_hermitian`).
+    On the block a long run costs one product
     W = Q^H S* Q and then one n x n by n x T product per step in the
     eigenbasis; a short run takes two such products per step in the
     standard basis.  The tail rows n..M-1 take their phases elementwise
@@ -220,10 +223,13 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     V = np.tile(seed.padded(M)[:, None], (1, T))
     coeffs[:, 0] = V[0, :]
 
-    k = 1
+    k, eig = 1, None
     for n, run in itertools.groupby(sched.values[1:].tolist()):
         steps = len(list(run))
-        eig = cache.get_or_build((eq.name, n, M, digest), lambda: eq.build_lax(u0, n, M))
+        # each run's decomposition is the next run's parent: on a staircase
+        # n -> n - 1 it is derived instead of decomposed afresh
+        key = (eq.name, n, M, digest)
+        eig = cache.get_or_build(key, lambda: eq.build_lax(u0, n, M), parent=eig)
         coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, V, steps)
         k += steps
 

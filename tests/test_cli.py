@@ -66,7 +66,8 @@ class TestParsing:
         assert parse_time_expr("3") == 3.0
 
     def test_time_rejects_junk(self):
-        for bad in ("pi**2", "__import__('os')", "t", "1;2", "exp(1)"):
+        for bad in ("pi**2", "__import__('os')", "t", "1;2", "exp(1)",
+                    "True*pi", "False", True, False):
             with pytest.raises(ConfigError):
                 parse_time_expr(bad)
 
@@ -165,6 +166,18 @@ class TestEvolve:
         assert main(argv + ["--out", str(b)]) == 0
         for name in ("coefficients.csv", "samples.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_full_staircase_derived_and_byte_identical(self, tmp_path):
+        argv = ["evolve", "--K", "32", "--schedule", "full-staircase", "--T", "1",
+                "--grid-points", "5", "--equation", "CCM-defocusing",
+                "--profile", "random-sobolev:s=1,seed=3,norm=0.5"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        for name in ("coefficients.csv", "samples.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        m = manifest_of(a)
+        assert (m["decompositions"], m["derived_decompositions"]) == (31, 30)
 
     def test_time_zero_reproduces_datum(self, tmp_path):
         out = tmp_path / "run"
@@ -301,6 +314,10 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, cmd, flag, key
     ("diagnostics", {"seed": False}),
     ("diagnostics", {"corrupt_bounds": 1}),
     ("evolve", {"override_focusing_threshold": "no"}),
+    ("evolve", {"T": True}),
+    ("evolve", {"T": "True*pi"}),
+    ("evolve", {"times": "False"}),
+    ("evolve", {"schema_version": True}),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config):
     cfg = tmp_path / "cfg.json"

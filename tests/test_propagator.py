@@ -189,6 +189,83 @@ class TestCache:
         assert a is b
 
 
+K_CHAIN = 64
+
+
+def staircase_chain(family, K=K_CHAIN):
+    """(Lax matrix, decomposition) down the full staircase n = K - 1..1,
+    each decomposition built with the one before it as parent."""
+    eq = EQUATIONS[family]
+    p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 7, "norm": 0.5})
+    u0 = analyze_profile(p, K, hardy=eq.hardy)
+    parent, chain = None, []
+    for n in range(K - 1, 0, -1):
+        m = eq.build_lax(u0, n, K)
+        parent = eig_hermitian(m, parent)
+        chain.append((m, parent))
+    return chain
+
+
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+class TestDerivation:
+    """A decomposition derived from the one at n + 1 is the one eigh gives."""
+
+    def test_matches_eigh(self, family):
+        chain = staircase_chain(family)
+        assert [e.derived for _, e in chain] == [False] + [True] * (K_CHAIN - 2)
+        for m, e in chain[1:]:
+            ref = eig_hermitian(m)
+            np.testing.assert_allclose(e.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(e.eigenvectors, ref.eigenvectors, rtol=0, atol=1e-11)
+            q, lam = e.eigenvectors, e.eigenvalues[: m.n]
+            scale = 1.0 + max(np.max(np.abs(m.block)), m.M - 1)
+            assert np.max(np.abs((q * lam) @ q.conj().T - m.block)) <= _RECON_TOL * scale
+            assert np.max(np.abs(q.conj().T @ q - np.eye(m.n))) <= _RECON_TOL
+            idx = np.argmax(np.abs(q), axis=0)
+            lead = q[idx, np.arange(m.n)]
+            assert np.all(lead.imag == pytest.approx(0.0, abs=1e-15))
+            assert np.all(lead.real > 0)
+
+    def test_bit_identical_across_runs(self, family):
+        for (_, a), (_, b) in zip(staircase_chain(family), staircase_chain(family)):
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
+
+
+class TestDerivationFallback:
+    def test_diagonal_block_falls_back_to_eigh(self):
+        # only u0hat(0): the block is diagonal, its eigenvectors are unit
+        # vectors and most weights |Q[n-1, :]|^2 are zero
+        u0 = RealSpectrum.from_hardy_part([0.3], 8)
+        cache = PropagatorCache()
+        key = lambda n: ("BO", None, n, 8, "d")
+        parent = cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5, 8))
+        e = cache.get_or_build(key(4), lambda: build_bo_lax(u0, 4, 8), parent)
+        assert (cache.decompositions, cache.derived, cache.fallbacks) == (2, 0, 1)
+        ref = eig_hermitian(build_bo_lax(u0, 4, 8))
+        assert not e.derived
+        np.testing.assert_array_equal(e.eigenvalues, ref.eigenvalues)
+        np.testing.assert_array_equal(e.eigenvectors, ref.eigenvectors)
+
+    def test_parent_of_other_data_fails_the_checks(self):
+        # the parent decomposes another operator: the derived pairs do not
+        # reconstruct the block, so eigh is taken
+        m = build_bo_lax(random_spectrum(8, 1), 4, 8)
+        parent = eig_hermitian(build_bo_lax(random_spectrum(8, 2), 5, 8))
+        e = eig_hermitian(m, parent)
+        ref = eig_hermitian(m)
+        assert not e.derived
+        np.testing.assert_array_equal(e.eigenvectors, ref.eigenvectors)
+
+    def test_only_one_size_down_is_derived(self):
+        u0 = random_spectrum(8, 3)
+        parent = eig_hermitian(build_bo_lax(u0, 6, 8))
+        assert eig_hermitian(build_bo_lax(u0, 5, 8), parent).derived
+        assert not eig_hermitian(build_bo_lax(u0, 4, 8), parent).derived
+        one = eig_hermitian(build_bo_lax(u0, 1, 8))
+        assert not eig_hermitian(build_bo_lax(u0, 0, 8), one).derived
+
+
 class TestKappaZero:
     def test_bo_small_data(self):
         # 12 * 0.01 < 1 so the floor applies

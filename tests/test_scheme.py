@@ -197,6 +197,25 @@ class TestBruteForceOracle:
                                    atol=1e-12)
 
 
+class TestDerivedStaircase:
+    """On the full staircase every decomposition after the first is derived."""
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_full_staircase_matches_oracle(self, equation):
+        K = 24
+        sched = make_schedule("full-staircase", K)
+        is_bo = equation == "BO"
+        u0 = analyze_profile(bo_profile(8, norm=0.4), K, hardy=not is_bo)
+        h0 = project_hardy(u0) if is_bo else u0
+        ts = np.array([-1.3, 0.7])
+        out = run(equation, sched, ts, u0)
+        assert out.decompositions == K - 1
+        assert (out.cache.derived, out.cache.fallbacks) == (K - 2, 0)
+        for i, t in enumerate(ts):
+            oracle = scheme_by_brute_force(u0.coeff, h0.coeffs, sched.values, equation, t)
+            np.testing.assert_allclose(out.coeffs[i], oracle, rtol=0, atol=1e-9)
+
+
 class TestConservation:
     def test_mass(self):
         K = 16
