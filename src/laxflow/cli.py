@@ -455,6 +455,8 @@ def main(argv=None) -> int:
         _apply_config_file(args, argv)
         if hasattr(args, "T"):
             args.T = parse_time_expr(args.T)
+            if not math.isfinite(2.0 * args.T):
+                raise ConfigError(f"T and the width 2T of [-T, T] must be finite; got {args.T!r}")
         return args.func(args)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

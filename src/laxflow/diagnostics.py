@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .lax import Equation, mult_matrix
+from .lax import Equation, LaxMatrix, mult_matrix
 from .propagator import eig_hermitian, find_kappa_zero
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
@@ -51,8 +51,8 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, ord=2)) if a.size else 0.0
 
 
-def _resolvent_matrix(u0, eq: Equation, n: int, M: int, kappa: float) -> np.ndarray:
-    return np.linalg.inv(eq.build_lax(u0, n, M).entries + kappa * np.eye(M))
+def _resolvent_matrix(lax: LaxMatrix, kappa: float) -> np.ndarray:
+    return np.linalg.inv(lax.entries + kappa * np.eye(lax.M))
 
 
 def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
@@ -80,8 +80,8 @@ def run_bound_suite(
     eq = Equation.named(equation)
     if M < 8:
         raise ValueError("M must be >= 8")
-    if any(k < 1 for k in kappas):
-        raise ValueError("kappas must be >= 1")
+    if not all(np.isfinite(k) and k >= 1 for k in kappas):
+        raise ValueError("kappas must be finite and >= 1")
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
@@ -151,15 +151,16 @@ def run_bound_suite(
     )
 
     # norm sandwich and its dual at kappa = kappa0, then semi-boundedness:
-    # the smallest eigenvalue dominated by -kappa0; one Lax build per n
+    # the smallest eigenvalue dominated by -kappa0; each L_n is sliced from L_M
     kappa0 = find_kappa_zero(u0, eq, M).value
+    lax = eq.build_lax(u0, M, M)
     F = _random_unit_vectors(M, n_vectors, seed)
     ks = np.arange(M)
     h1 = np.linalg.norm(((ks + kappa0)[:, None]) * F, axis=0)
     hm1 = np.linalg.norm(F / (ks + kappa0)[:, None], axis=0)
     semibounds = []
     for n in sorted({1, M // 2, M}):
-        shifted = eq.build_lax(u0, n, M).entries  # L_n here, L_n + kappa0 below
+        shifted = lax.truncated(n).entries  # L_n here, L_n + kappa0 below
         lam_min = float(np.linalg.eigvalsh(shifted)[0])
         shifted += kappa0 * np.eye(M)
         lf = np.linalg.norm(shifted @ F, axis=0)
@@ -200,17 +201,18 @@ class ResolventRow:
 
 
 def run_resolvent_convergence(u0, equation: str, M: int) -> List[ResolventRow]:
-    """Measure ||R_n(kappa0) - R_M(kappa0)|| against the 1/n rate bounds."""
+    """Measure ||R_n(kappa0) - R_M(kappa0)||, L_n sliced from L_M, against 1/n bounds."""
     eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 32")
     kappa = find_kappa_zero(u0, eq, M).value
     norm_u = l2_norm(u0)
-    r_full = _resolvent_matrix(u0, eq, M, M, kappa)
+    lax = eq.build_lax(u0, M, M)
+    r_full = _resolvent_matrix(lax, kappa)
     rows = []
     n = 2
     while n <= M // 2:
-        r_n = _resolvent_matrix(u0, eq, n, M, kappa)
+        r_n = _resolvent_matrix(lax.truncated(n), kappa)
         measured = _opnorm(r_n - r_full)
         if eq.family == "BO":
             bound = 8.0 * np.sqrt(3.0) / (n * np.sqrt(kappa)) * norm_u
@@ -328,9 +330,9 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int,
     ||(e^{itL_n} - e^{itL_M}) f||, for n = 4, 8, ..., M/2.  The family is
     the first 8 unit vectors and 8 random unit vectors (seeds 0..7).
 
-    Each L_n is decomposed through `eig_hermitian` (its n x n block only,
-    with the block's Hermitian, reconstruction and orthonormality checks);
-    the tail rows n..M-1 evolve by the elementwise phases e^{itj}.
+    Each L_n, sliced from L_M, is decomposed through `eig_hermitian` (its
+    n x n block only, with that call's checks); the tail rows n..M-1 evolve
+    by the phases e^{itj}.  Raises RuntimeError unless every sup error is finite.
     """
     eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
@@ -339,11 +341,14 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int,
     rand = np.hstack([_random_unit_vectors(M, 1, s) for s in range(8)])
     F = np.hstack([basis, rand])
     tgrid = np.linspace(-T, T, 21)
+    lax = eq.build_lax(u0, M, M)
 
     def evolve_all(n):
-        e = eig_hermitian(eq.build_lax(u0, n, M))
+        e = eig_hermitian(lax.truncated(n))
         q = e.eigenvectors
-        phases = np.exp(1j * np.outer(tgrid, e.eigenvalues))[:, :, None]
+        # an overflowing t lambda gives NaN phases, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(1j * np.outer(tgrid, e.eigenvalues))[:, :, None]
         # (times, M, vectors): block rows through the eigenbasis, tail rows phased
         blk = q @ (phases[:, :n] * (q.conj().T @ F[:n]))
         return np.concatenate([blk, phases[:, n:] * F[n:]], axis=1)
@@ -356,6 +361,8 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int,
         sup = float(np.max(np.linalg.norm(diff, axis=1)))
         rows.append((n, sup))
         n *= 2
+    if not all(np.isfinite(sup) for _, sup in rows):
+        raise RuntimeError("propagator sweep error is not finite")
     if rows and rows[-1][1] > rows[0][1] + 1e-12:
         raise RuntimeError("propagator error failed to decrease from n=4 to n=M/2")
     return rows

@@ -14,7 +14,9 @@ exact.  The potential blocks are
   focusing/defocusing sign.
 
 Both Toeplitz matrices come from `mult_matrix`, which copies the data's
-coefficients out of a strided numpy view; no entry is computed.
+coefficients out of a strided numpy view; no entry is computed.  A being
+lower triangular, the blocks at n are the leading blocks of those at M:
+`LaxMatrix.truncated` slices every L_n = Pi_n L_M Pi_n from one build.
 `EQUATIONS` maps each equation name to its `Equation` record.
 """
 
@@ -111,6 +113,12 @@ class LaxMatrix:
     @property
     def n(self) -> int:
         return len(self.block)
+
+    def truncated(self, n: int) -> "LaxMatrix":
+        """L_n = Pi_n L Pi_n: the leading n x n block, then diag(n..M-1)."""
+        if not 0 <= n <= self.n:
+            raise ValueError(f"truncation parameter n={n} outside [0, {self.n}]")
+        return LaxMatrix(self.block[:n, :n], self.equation, self.M)
 
     @property
     def entries(self) -> np.ndarray:

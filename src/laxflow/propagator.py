@@ -80,13 +80,18 @@ class HermitianEig:
         return len(self.eigenvectors)
 
     def phases(self, ts, alpha: int) -> np.ndarray:
-        """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts))."""
-        return np.exp(1j * alpha * np.outer(1.0 + 2.0 * self.eigenvalues, ts))
+        """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts)); ValueError on overflow."""
+        with np.errstate(over="ignore"):
+            arg = np.outer(1.0 + 2.0 * self.eigenvalues, ts)
+        if not np.all(np.isfinite(arg)):
+            raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
+        return np.exp(1j * alpha * arg)
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
     """True iff the parent is one size up: m's block may be its block less
-    the last row and column (the checks on the derived pairs confirm it)."""
+    the last row and column, as when both are `LaxMatrix.truncated` from
+    one operator (the checks on the derived pairs confirm it)."""
     return parent is not None and parent.n == m.n + 1 >= 2
 
 
@@ -354,28 +359,15 @@ class KappaZero:
 _CCM_GRID_MAX_EXP = 20
 
 
-def _ccm_perturbation_norm(blocks, kappa: float) -> float:
-    """Largest singular value of G_n R0(kappa) over the Gram blocks.
-
-    G_n R0(kappa) vanishes outside its n x n block, so the block's norm is
-    the whole operator's.
-    """
-    worst = 0.0
-    for g in blocks:
-        r0 = 1.0 / (np.arange(len(g)) + kappa)
-        worst = max(worst, float(np.linalg.norm(g * r0, ord=2)))
-    return worst
-
-
 def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
     """Determine the shift kappa0 making (L_n + kappa) uniformly invertible.
 
     BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form
     and does not depend on the sign, since only the Gram block enters: the
     smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
-    the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 at n in
-    {1, M/2, M} is used.  Each n x n Gram block G_n is built once and
-    each norm is an n x n SVD.
+    the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
+    <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
+    the norm at n = M, the largest, is taken.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
@@ -385,12 +377,11 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
         return KappaZero(max(12.0 * l2_norm(u0) ** 2, 1.0), "formula")
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
-    # the Gram blocks A_n A_n^H do not depend on kappa: build them once
-    factors = [mult_matrix(u0, n) for n in (1, M // 2, M)]
-    blocks = [a @ a.conj().T for a in factors]
+    a = mult_matrix(u0, M)
+    gram = a @ a.conj().T
     for e in range(_CCM_GRID_MAX_EXP + 1):
         kappa = float(2**e)
-        if _ccm_perturbation_norm(blocks, kappa) <= 0.5:
+        if np.linalg.norm(gram * (1.0 / (np.arange(M) + kappa)), ord=2) <= 0.5:
             return KappaZero(kappa, "search")
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "

@@ -233,6 +233,14 @@ class TestEvolve:
         assert main(["evolve", "--K", "8", "--times", times, "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    def test_overflowing_phase_writes_nothing(self, tmp_path, capsys):
+        # a finite time whose phase t (1 + 2 lambda) overflows wrote NaN coefficients
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "64", "--times", "1e307", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--times", "sqrt()"],
         ["--times", "0", "--profile", "random-sobolev"],
@@ -338,6 +346,17 @@ REPLAYS = {
 }
 
 
+@pytest.mark.parametrize("cmd", ["evolve", "convergence", "diagnostics"])
+@pytest.mark.parametrize("T", ["1e400", "-1e400", "1e308"])
+def test_time_grid_must_be_finite(tmp_path, capsys, cmd, T):
+    # 1e308 is finite, but the grid width 2T is not
+    out = tmp_path / "x"
+    assert main([cmd, f"--T={T}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "2T of [-T, T] must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", list(REPLAYS))
 def test_manifest_config_replays_the_run(tmp_path, cmd):
     first, replay = tmp_path / "first", tmp_path / "replay"
@@ -422,6 +441,22 @@ class TestDiagnostics:
         assert (out / "bounds.csv").exists()
         assert (out / "resolvent.csv").exists()
         assert (out / "propagator_sweep.csv").exists()
+
+    def test_overflowing_sweep_fails(self, tmp_path):
+        # t lambda overflows: every sweep row was NaN and the sweep passed
+        out = tmp_path / "run"
+        rc = main(["diagnostics", "--M", "64", "--T", "1e307", "--out", str(out)])
+        assert rc == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["propagator_sweep_pass"] is False
+        assert (out / "propagator_sweep.csv").read_text() == "n,sup_error\n"
+
+    @pytest.mark.parametrize("kappas", ["inf", "1,nan", "-inf"])
+    def test_non_finite_kappa_writes_nothing(self, tmp_path, capsys, kappas):
+        out = tmp_path / "x"
+        assert main(["diagnostics", "--M", "64", f"--kappas={kappas}", "--out", str(out)]) == 2
+        assert "finite and >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_bounds_self_test(self, tmp_path):
         rc = main(["diagnostics", "--M", "64", "--kappas", "1", "--corrupt-bounds",

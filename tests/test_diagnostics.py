@@ -69,20 +69,48 @@ class TestBoundSuite:
         assert r.measured == 0.0
 
     def test_one_lax_build_per_n(self, monkeypatch):
-        # the sandwich and semibound rows share the builds at n = 1, M/2, M
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return build_ccm_lax(*args)
-
-        monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+        # the sandwich and semibound rows at n = 1, M/2, M slice one build at M
+        calls = count_builds(monkeypatch)
         run_bound_suite(ccm_data(32), "CCM-defocusing", 32, kappas=[1.0], ns=[1])
-        assert sorted(calls) == [1, 16, 32]
+        assert calls == [32]
 
     def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError):
             run_bound_suite(bo_data(8), "BO", 8, kappas=[0.5], ns=[1])
+
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        # at kappa = inf every bound held vacuously; nan reached the SVD
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            run_bound_suite(bo_data(8), "BO", 8, kappas=[1.0, kappa], ns=[1])
+
+
+def count_builds(monkeypatch):
+    """Record the n of every Lax build, of either family, from here on."""
+    calls = []
+
+    def counting(builder):
+        def build(*args):
+            calls.append(args[1])
+            return builder(*args)
+        return build
+
+    monkeypatch.setattr(laxflow.lax, "build_bo_lax", counting(build_bo_lax))
+    monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting(build_ccm_lax))
+    return calls
+
+
+@pytest.mark.parametrize("equation", ["BO", "CCM-focusing"])
+@pytest.mark.parametrize("suite", [
+    lambda u0, eq, M: run_resolvent_convergence(u0, eq, M),
+    lambda u0, eq, M: run_propagator_sweep(u0, eq, M, T=1.0),
+], ids=["resolvent", "propagator-sweep"])
+def test_each_suite_builds_the_lax_operator_once(monkeypatch, suite, equation):
+    M = 64
+    u0 = bo_data(M) if equation == "BO" else ccm_data(M)
+    calls = count_builds(monkeypatch)
+    suite(u0, equation, M)
+    assert calls == [M]
 
 
 # each public entry point, called with an equation name on valid data
@@ -165,6 +193,16 @@ class TestKappaZeroBlocks:
         u0 = ccm_data(M, seed=5, norm=norm)
         kz = find_kappa_zero(u0, EQUATIONS["CCM-defocusing"], M)
         assert kz.value == dense_kappa_zero(u0, M) == expected
+
+    @pytest.mark.parametrize("M", [16, 64])
+    @pytest.mark.parametrize("norm", [0.1, 0.5, 0.9, 1.5, 3.0, 8.0])
+    def test_norm_at_full_window_is_the_maximum(self, M, norm):
+        # G_n R0 is a compression of G_M R0, so the search at n = M alone
+        # finds the kappa0 of the maximum over n in {1, M/2, M}
+        for seed in range(4):
+            u0 = ccm_data(M, seed=seed, norm=norm)
+            kz = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], M)
+            assert kz.value == dense_kappa_zero(u0, M)
 
 
 class TestSweepAgainstDenseEigh:
@@ -275,6 +313,13 @@ class TestPropagatorSweep:
         u0 = RealSpectrum.from_hardy_part([], K=64)
         rows = run_propagator_sweep(u0, "BO", 64, T=1.0)
         assert all(err <= 1e-10 for _, err in rows)
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing"])
+    def test_overflowing_phases_fail(self, equation):
+        # t lambda overflows: the sups were NaN and the sweep passed
+        u0 = bo_data(64) if equation == "BO" else ccm_data(64)
+        with pytest.raises(RuntimeError, match="not finite"):
+            run_propagator_sweep(u0, equation, 64, T=1e307)
 
     def test_requires_large_power_of_two(self):
         with pytest.raises(ValueError):

@@ -190,3 +190,36 @@ class TestMultMatrix:
         U = mult_matrix(u0, n)
         np.testing.assert_array_equal(U, self.by_coeff(u0, n).reshape(n, n))
         np.testing.assert_array_equal(U, np.tril(U))
+
+
+class TestTruncated:
+    """L_n = Pi_n L_M Pi_n: each slice of one build is the fresh build at n."""
+
+    @pytest.mark.parametrize("name", list(EQUATIONS))
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_every_slice_matches_a_fresh_build(self, name, M):
+        eq = EQUATIONS[name]
+        u0 = random_hardy(M, 3) if eq.hardy else random_real_spectrum(M, 3)
+        full = eq.build_lax(u0, M, M)
+        scale = 1.0 + np.max(np.abs(full.block))
+        for n in range(M + 1):
+            got, want = full.truncated(n), eq.build_lax(u0, n, M)
+            assert (got.n, got.M, got.equation) == (n, M, eq)
+            assert hermitian_defect(got) == 0.0
+            if eq.family == "BO":
+                np.testing.assert_array_equal(got.block, want.block)
+            else:
+                # the Gram products at n and at M sum their terms in another order
+                np.testing.assert_allclose(got.block, want.block, rtol=0, atol=1e-13 * scale)
+
+    def test_slice_of_a_slice(self):
+        u0 = random_hardy(16, 5)
+        m = build_ccm_lax(u0, 16, 16, "focusing")
+        np.testing.assert_array_equal(m.truncated(9).truncated(4).block, m.truncated(4).block)
+        np.testing.assert_array_equal(m.truncated(16).block, m.block)
+
+    @pytest.mark.parametrize("n", [-1, 6, 8, 9])
+    def test_rejects_n_outside_the_block(self, n):
+        m = build_bo_lax(random_real_spectrum(8, 1), 5, 8)
+        with pytest.raises(ValueError, match="outside"):
+            m.truncated(n)

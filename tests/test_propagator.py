@@ -5,6 +5,7 @@ import scipy.linalg
 from laxflow.lax import EQUATIONS, LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
     _RECON_TOL,
+    HermitianEig,
     KappaZero,
     PropagatorCache,
     advance,
@@ -59,6 +60,21 @@ class TestEig:
         ent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"], 2))
+
+
+class TestPhases:
+    def test_values(self):
+        e = HermitianEig([-0.5, 1.0, 2.0], np.eye(1))
+        got = e.phases([0.0, 0.25], -1)
+        np.testing.assert_array_equal(got[:, 0], np.ones(3))
+        np.testing.assert_allclose(got[:, 1], np.exp(-0.25j * np.array([0.0, 3.0, 5.0])))
+
+    @pytest.mark.parametrize("ts", [[1e307], [0.0, -1e308], [1e300, 2.0]])
+    def test_overflowing_argument_raises(self, ts):
+        # the eigenvalue 1e10 takes 1e300 past the largest double too
+        e = HermitianEig([0.0, 5.0, 1e10], np.eye(2))
+        with pytest.raises(ValueError, match="overflows"):
+            e.phases(ts, 1)
 
 
 class TestApplyGroup:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import laxflow.lax
+from laxflow.lax import build_ccm_lax
 from laxflow.propagator import PropagatorCache
 from laxflow.scheme import (
     Schedule,
@@ -135,6 +137,10 @@ class TestSchemeBasics:
             SchemeConfig("BO", make_schedule("constant", 2), np.array([0.0, bad]),
                          bo_profile(0))
 
+    def test_overflowing_phase_rejected(self):
+        # |t (1 + 2 lambda)| overflows: the coefficients came out NaN
+        with pytest.raises(ValueError, match="overflows"):
+            run("BO", make_schedule("constant", 64), [1e307], bo_profile(0))
 
     def test_duplicate_times_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -214,6 +220,21 @@ class TestDerivedStaircase:
         for i, t in enumerate(ts):
             oracle = scheme_by_brute_force(u0.coeff, h0.coeffs, sched.values, equation, t)
             np.testing.assert_allclose(out.coeffs[i], oracle, rtol=0, atol=1e-9)
+
+    def test_one_lax_build_for_the_whole_staircase(self, monkeypatch):
+        # every L_n, n = K-1..1, is sliced from the one build at n = K - 1
+        K, calls = 32, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return build_ccm_lax(*args)
+
+        monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+        u0 = analyze_profile(bo_profile(3, norm=0.4), K, hardy=True)
+        out = run("CCM-defocusing", make_schedule("full-staircase", K), [0.5, 2.0], u0)
+        assert calls == [K - 1]
+        assert out.decompositions == K - 1
+        assert (out.cache.derived, out.cache.fallbacks) == (K - 2, 0)
 
 
 class TestConservation:
