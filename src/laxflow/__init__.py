@@ -25,7 +25,6 @@ from .lax import (  # noqa: F401
 from .propagator import (  # noqa: F401
     HermitianEig,
     PropagatorCache,
-    KappaZero,
     eig_hermitian,
     find_kappa_zero,
 )

@@ -9,6 +9,7 @@ remain valid assertions for the measured values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,14 @@ def _resolvent_matrix(lax: LaxMatrix, kappa: float) -> np.ndarray:
     return np.linalg.inv(lax.entries + kappa * np.eye(lax.M))
 
 
+def _time_grid(T: float, points: int) -> np.ndarray:
+    """points equispaced times on [-T, T]; ValueError unless 2T is finite."""
+    # a Python float: 2 * np.float64(1e308) would overflow with a warning
+    if not math.isfinite(2.0 * float(T)):
+        raise ValueError(f"T and the width 2T of [-T, T] must be finite; got {T!r}")
+    return np.linspace(-T, T, points)
+
+
 def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((M, count)) + 1j * rng.standard_normal((M, count))
@@ -85,6 +94,10 @@ def run_bound_suite(
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
+    def report(name, measured, bound, **params):
+        params.update(M=M, equation=equation)
+        reports.append(BoundReport(name, params, measured, bound))
+
     U = mult_matrix(u0, M)
     hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
 
@@ -92,101 +105,52 @@ def run_bound_suite(
         r0 = 1.0 / (np.arange(M) + kappa)
         for n in ns:
             # multiplication composed with truncation and the free resolvent
-            measured = _opnorm(U[:, :n] * r0[:n])
-            reports.append(
-                BoundReport(
-                    "mult-resolvent",
-                    {"n": n, "kappa": kappa, "M": M, "equation": equation},
-                    measured,
-                    np.sqrt(3.0) / np.sqrt(kappa) * norm_u,
-                )
-            )
+            report("mult-resolvent", _opnorm(U[:, :n] * r0[:n]),
+                   np.sqrt(3.0) / np.sqrt(kappa) * norm_u, n=n, kappa=kappa)
             if eq.family == "CCM":
                 # for Hardy data the multiplication matrix is the lower-
                 # triangular Toeplitz factor A itself: (A Pi_n A^H Pi_n) R0
                 prod = (U[:, :n] @ U[:n, :n].conj().T) * r0[:n]
-                reports.append(
-                    BoundReport(
-                        "gram-resolvent",
-                        {"n": n, "kappa": kappa, "M": M, "equation": equation},
-                        _opnorm(prod),
-                        2.0 * norm_u**2,
-                    )
-                )
+                report("gram-resolvent", _opnorm(prod), 2.0 * norm_u**2, n=n, kappa=kappa)
             if n >= 1:
                 # projection bound: the diagonal maximum is exact; it is
                 # zero once the truncation covers the whole window
-                measured21 = 1.0 / (n + kappa) if n < M else 0.0
-                reports.append(
-                    BoundReport(
-                        "projection",
-                        {"n": n, "kappa": kappa, "M": M, "equation": equation},
-                        measured21,
-                        1.0 / n,
-                    )
-                )
+                report("projection", 1.0 / (n + kappa) if n < M else 0.0, 1.0 / n,
+                       n=n, kappa=kappa)
 
     if eq.family == "CCM":
         # decay of the Gram-resolvent operator norm as kappa grows (to 10^4)
         big_kappa = 1.0e4
         prod = (U @ U.conj().T) * (1.0 / (np.arange(M) + big_kappa))
-        reports.append(
-            BoundReport(
-                "gram-resolvent-decay",
-                {"n": M, "kappa": big_kappa, "M": M, "equation": equation},
-                _opnorm(prod),
-                0.1 * 2.0 * norm_u**2,
-            )
-        )
+        report("gram-resolvent-decay", _opnorm(prod), 0.1 * 2.0 * norm_u**2,
+               n=M, kappa=big_kappa)
 
     # Hardy-inequality check on the nonnegative modes
     cum = np.cumsum(np.abs(hardy_coeffs)) / (np.arange(len(hardy_coeffs)) + 1.0)
-    reports.append(
-        BoundReport(
-            "hardy",
-            {"M": M, "equation": equation},
-            float(np.linalg.norm(cum)),
-            2.0 * norm_u,
-        )
-    )
+    report("hardy", float(np.linalg.norm(cum)), 2.0 * norm_u)
 
     # norm sandwich and its dual at kappa = kappa0, then semi-boundedness:
     # the smallest eigenvalue dominated by -kappa0; each L_n is sliced from L_M
-    kappa0 = find_kappa_zero(u0, eq, M).value
+    kappa0 = find_kappa_zero(u0, eq, M)
     lax = eq.build_lax(u0, M, M)
     F = _random_unit_vectors(M, n_vectors, seed)
     ks = np.arange(M)
     h1 = np.linalg.norm(((ks + kappa0)[:, None]) * F, axis=0)
     hm1 = np.linalg.norm(F / (ks + kappa0)[:, None], axis=0)
-    semibounds = []
+    lam_mins = {}
     for n in sorted({1, M // 2, M}):
         shifted = lax.truncated(n).entries  # L_n here, L_n + kappa0 below
-        lam_min = float(np.linalg.eigvalsh(shifted)[0])
+        lam_mins[n] = float(np.linalg.eigvalsh(shifted)[0])
         shifted += kappa0 * np.eye(M)
         lf = np.linalg.norm(shifted @ F, axis=0)
         rf = np.linalg.norm(np.linalg.solve(shifted, F), axis=0)
-        params = {"n": n, "kappa": kappa0, "M": M, "equation": equation}
-        reports.append(
-            BoundReport("sandwich-upper", params, float(np.max(lf / h1)), 1.5)
-        )
-        reports.append(
-            BoundReport("sandwich-lower", params, float(np.max(h1 / lf)), 2.0)
-        )
-        reports.append(
-            BoundReport("dual-sandwich-upper", params, float(np.max(rf / hm1)), 2.0)
-        )
-        reports.append(
-            BoundReport("dual-sandwich-lower", params, float(np.max(hm1 / rf)), 1.5)
-        )
-        semibounds.append(
-            BoundReport(
-                "semibound",
-                {"n": n, "M": M, "equation": equation},
-                -lam_min,
-                kappa0,
-            )
-        )
-    return reports + semibounds
+        report("sandwich-upper", float(np.max(lf / h1)), 1.5, n=n, kappa=kappa0)
+        report("sandwich-lower", float(np.max(h1 / lf)), 2.0, n=n, kappa=kappa0)
+        report("dual-sandwich-upper", float(np.max(rf / hm1)), 2.0, n=n, kappa=kappa0)
+        report("dual-sandwich-lower", float(np.max(hm1 / rf)), 1.5, n=n, kappa=kappa0)
+    for n, lam_min in lam_mins.items():
+        report("semibound", -lam_min, kappa0, n=n)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -205,7 +169,7 @@ def run_resolvent_convergence(u0, equation: str, M: int) -> List[ResolventRow]:
     eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 32")
-    kappa = find_kappa_zero(u0, eq, M).value
+    kappa = find_kappa_zero(u0, eq, M)
     norm_u = l2_norm(u0)
     lax = eq.build_lax(u0, M, M)
     r_full = _resolvent_matrix(lax, kappa)
@@ -283,9 +247,9 @@ def run_convergence_study(
         raise ValueError("K_ref must be >= 4 * max(Ks)")
     if grid_points < 11:
         raise ValueError("grid_points must be >= 11")
+    times = _time_grid(T, grid_points)
     if isinstance(u0, InitialProfile):
         u0 = analyze_profile(u0, K_ref, hardy=eq.hardy)
-    times = np.linspace(-T, T, grid_points)
 
     ref_cfg = SchemeConfig(equation, make_schedule("constant", K_ref), times, u0)
     try:
@@ -337,10 +301,10 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int,
     eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 64")
+    tgrid = _time_grid(T, 21)
     basis = np.eye(M, 8, dtype=np.complex128)
     rand = np.hstack([_random_unit_vectors(M, 1, s) for s in range(8)])
     F = np.hstack([basis, rand])
-    tgrid = np.linspace(-T, T, 21)
     lax = eq.build_lax(u0, M, M)
 
     def evolve_all(n):

@@ -38,7 +38,6 @@ from .spectral import HardyVector, RealSpectrum, l2_norm
 __all__ = [
     "HermitianEig",
     "PropagatorCache",
-    "KappaZero",
     "eig_hermitian",
     "apply_group_many",
     "advance",
@@ -344,22 +343,10 @@ class PropagatorCache:
         return built
 
 
-@dataclass(frozen=True)
-class KappaZero:
-    """Resolvent shift beyond which the Lax perturbation is dominated."""
-
-    value: float
-    method: str  # "formula" (BO) or "search" (CCM)
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError("kappa0 must be >= 1")
-
-
 _CCM_GRID_MAX_EXP = 20
 
 
-def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
+def find_kappa_zero(u0, eq: Equation, M: int) -> float:
     """Determine the shift kappa0 making (L_n + kappa) uniformly invertible.
 
     BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form
@@ -367,14 +354,14 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
     smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
     the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
     <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
-    the norm at n = M, the largest, is taken.
+    the norm at n = M, the largest, is taken.  Either way kappa0 >= 1.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
     if eq.family == "BO":
         if not isinstance(u0, RealSpectrum):
             raise TypeError("BO data must be a RealSpectrum")
-        return KappaZero(max(12.0 * l2_norm(u0) ** 2, 1.0), "formula")
+        return max(12.0 * l2_norm(u0) ** 2, 1.0)
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
     a = mult_matrix(u0, M)
@@ -382,7 +369,7 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> KappaZero:
     for e in range(_CCM_GRID_MAX_EXP + 1):
         kappa = float(2**e)
         if np.linalg.norm(gram * (1.0 / (np.arange(M) + kappa)), ord=2) <= 0.5:
-            return KappaZero(kappa, "search")
+            return kappa
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "
         "near or above the focusing threshold -- reduce ||u0||"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laxflow
+from laxflow import diagnostics as diag
 from laxflow.cli import (
     ConfigError,
     main,
@@ -22,6 +23,7 @@ from laxflow.cli import (
     write_coefficients,
     write_csv,
 )
+from laxflow.propagator import find_kappa_zero
 
 # Each parser is fuzzed with arbitrary text and with text from its own
 # grammar, which gets past the first syntax check and into the evaluation.
@@ -442,11 +444,12 @@ class TestDiagnostics:
         assert (out / "resolvent.csv").exists()
         assert (out / "propagator_sweep.csv").exists()
 
-    def test_overflowing_sweep_fails(self, tmp_path):
+    def test_overflowing_sweep_fails(self, tmp_path, capsys):
         # t lambda overflows: every sweep row was NaN and the sweep passed
         out = tmp_path / "run"
         rc = main(["diagnostics", "--M", "64", "--T", "1e307", "--out", str(out)])
         assert rc == 1
+        assert "check failure: propagator sweep error is not finite" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["propagator_sweep_pass"] is False
         assert (out / "propagator_sweep.csv").read_text() == "n,sup_error\n"
@@ -464,12 +467,68 @@ class TestDiagnostics:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt-bounds"])
+    @pytest.mark.parametrize("equation, method", [("BO", "formula"),
+                                                  ("CCM-defocusing", "search")])
+    def test_summary_kappa0_is_the_suites(self, tmp_path, equation, method, corrupt):
+        M, profile = 64, "random-sobolev:s=1,seed=3,norm=1"
+        out = tmp_path / "run"
+        rc = main(["diagnostics", "--M", str(M), "--equation", equation, "--profile", profile,
+                   "--out", str(out)] + ["--corrupt-bounds"] * corrupt)
+        assert rc == (1 if corrupt else 0)
+        summary = json.loads((out / "summary.json").read_text())
+        eq = laxflow.EQUATIONS[equation]
+        u0 = laxflow.analyze_profile(parse_profile(profile), M, hardy=eq.hardy)
+        assert summary["kappa0"] == find_kappa_zero(u0, eq, M)
+        assert summary["kappa0_method"] == method
+
+    def test_kappa0_searched_once_per_suite(self, tmp_path, monkeypatch):
+        # the bound and resolvent suites search; the summary reads the bound suite's
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return find_kappa_zero(*args)
+
+        for mod in (laxflow, laxflow.propagator, diag, laxflow.cli):
+            if hasattr(mod, "find_kappa_zero"):
+                monkeypatch.setattr(mod, "find_kappa_zero", counting)
+        rc = main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert calls == [64, 64]
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing"])
+    def test_bounds_csv_rows_are_the_suites_reports(self, tmp_path, equation):
+        M, profile = 64, "random-sobolev:s=1,seed=2,norm=0.5"
+        out = tmp_path / "run"
+        assert main(["diagnostics", "--M", str(M), "--equation", equation, "--profile", profile,
+                     "--kappas", "1,7.5", "--seed", "4", "--out", str(out)]) == 0
+        eq = laxflow.EQUATIONS[equation]
+        u0 = laxflow.analyze_profile(parse_profile(profile), M, hardy=eq.hardy)
+        reports = diag.run_bound_suite(u0, equation, M, [1.0, 7.5],
+                                       [2**e for e in range(7)], seed=4)
+        lines = (out / "bounds.csv").read_text().splitlines()
+        assert lines[0] == "name,n,kappa,measured,bound,pass"
+        assert len(lines) == len(reports) + 1
+        for line, r in zip(lines[1:], reports):
+            name, n, kappa, measured, bound, passed = line.split(",")
+            assert (name, n, passed) == (r.name, str(r.params.get("n", "")), str(r.passed))
+            assert (float(kappa) if kappa else None) == r.params.get("kappa")
+            assert (float(measured), float(bound)) == (r.measured, r.bound)
+
 
 def run_child(*args):
-    """Run python with args in a child that imports the package these tests import."""
+    """Run python with args in a child that imports the package these tests import.
+
+    The child turns a RuntimeWarning into an error, as the filterwarnings
+    setting in pyproject.toml does for the test process; that setting does
+    not reach child processes.
+    """
     src = str(Path(laxflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
 

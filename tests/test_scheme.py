@@ -223,18 +223,40 @@ class TestDerivedStaircase:
 
     def test_one_lax_build_for_the_whole_staircase(self, monkeypatch):
         # every L_n, n = K-1..1, is sliced from the one build at n = K - 1
-        K, calls = 32, []
-
-        def counting(*args):
-            calls.append(args[1])
-            return build_ccm_lax(*args)
-
-        monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+        K = 32
+        calls = count_ccm_builds(monkeypatch)
         u0 = analyze_profile(bo_profile(3, norm=0.4), K, hardy=True)
         out = run("CCM-defocusing", make_schedule("full-staircase", K), [0.5, 2.0], u0)
         assert calls == [K - 1]
         assert out.decompositions == K - 1
         assert (out.cache.derived, out.cache.fallbacks) == (K - 2, 0)
+
+    def test_rerun_on_a_shared_cache_builds_nothing(self, monkeypatch):
+        # L is built on the first miss, and a rerun whose runs all hit has none
+        K = 64
+        calls = count_ccm_builds(monkeypatch)
+        u0 = analyze_profile(bo_profile(3, norm=0.4), K, hardy=True)
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
+                           np.array([0.5, 2.0]), u0)
+        cache = PropagatorCache()
+        first = run_scheme(cfg, cache=cache)
+        assert calls == [K - 1]
+        again = run_scheme(cfg, cache=cache)
+        assert calls == [K - 1]
+        assert (again.decompositions, cache.hits) == (0, K - 1)
+        np.testing.assert_array_equal(first.coeffs, again.coeffs)
+
+
+def count_ccm_builds(monkeypatch):
+    """Record the n of every CCM Lax build from here on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return build_ccm_lax(*args)
+
+    monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+    return calls
 
 
 class TestConservation:
