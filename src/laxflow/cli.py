@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import time
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,6 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class CheckFailure(RuntimeError):
     pass
 
 
@@ -132,16 +130,16 @@ def parse_schedule(spec, K: int):
 
 # ---------------------------------------------------------------- output
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: Path, header, rows) -> None:
+    """Floats as {:.17g}, other cells as str(); one line template per row of cell
+    types, picked without a Python loop, and one format call per file."""
+    rows = list(rows)
+    kinds = list(map(tuple, map(partial(map, type), rows)))
+    lines = {k: ",".join("{:.17g}" if issubclass(c, float) else "{}" for c in k) + "\n"
+             for k in set(kinds)}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.write("".join(map(lines.__getitem__, kinds)).format(*chain.from_iterable(rows)))
 
 
 def write_coefficients(path: Path, times, coeffs) -> None:
@@ -321,14 +319,10 @@ def cmd_diagnostics(args) -> int:
                 r.measured, r.bound, r.passed) for r in reports])
     write_csv(out / "resolvent.csv", ("n", "measured", "bound", "pass"),
               [(r.n, r.measured, r.bound, r.passed) for r in res_rows])
-    write_csv(out / "propagator_sweep.csv", ("n", "sup_error"),
-              [(n, e) for n, e in sweep_rows])
+    write_csv(out / "propagator_sweep.csv", ("n", "sup_error"), sweep_rows)
 
     # the shift the suite checked the norm sandwich at; --corrupt-bounds keeps params
     kappa0 = next(r.params["kappa"] for r in reports if r.name == "sandwich-upper")
-    all_pass = (all(r.passed for r in reports)
-                and all(r.passed for r in res_rows)
-                and not sweep_failed)
     summary = {
         "bounds_pass": all(r.passed for r in reports),
         "resolvent_pass": all(r.passed for r in res_rows),
@@ -341,7 +335,7 @@ def cmd_diagnostics(args) -> int:
     files = [out / "bounds.csv", out / "resolvent.csv",
              out / "propagator_sweep.csv", out / "summary.json"]
     write_manifest(out, _config_echo(args), {"wall_time_s": wall, "checks": summary}, files)
-    return 0 if all_pass else 1
+    return 0 if summary["bounds_pass"] and summary["resolvent_pass"] and not sweep_failed else 1
 
 
 # ---------------------------------------------------------------- wiring
@@ -462,9 +456,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

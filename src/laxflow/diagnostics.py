@@ -5,6 +5,10 @@ Operator norms are evaluated at the Galerkin level: multiplication by the
 data is embedded as a finite matrix on the frequency window [0, M).  The
 restriction can only shrink an operator norm, so the continuum upper bounds
 remain valid assertions for the measured values.
+
+No norm takes an SVD: an operator norm is sqrt(lambda_max) of the smaller
+Gram matrix, by `eigvalsh`.  No dense M x M Lax matrix is formed: each L_n
+acts as its n x n block and, elementwise, its diagonal tail diag(n..M-1).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .lax import Equation, LaxMatrix, mult_matrix
-from .propagator import eig_hermitian, find_kappa_zero
+from .lax import Equation, mult_matrix
+from .propagator import _scaled_norm, apply_group_many, eig_hermitian, find_kappa_zero
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
 
@@ -47,13 +51,11 @@ class BoundReport:
         return self.measured <= self.bound + _PASS_TOL * (1.0 + self.bound)
 
 
-def _opnorm(a: np.ndarray) -> float:
-    """Spectral norm; 0 for a matrix with no columns."""
-    return float(np.linalg.norm(a, ord=2)) if a.size else 0.0
-
-
-def _resolvent_matrix(lax: LaxMatrix, kappa: float) -> np.ndarray:
-    return np.linalg.inv(lax.entries + kappa * np.eye(lax.M))
+def _shifted(block: np.ndarray, kappa: float) -> np.ndarray:
+    """block + kappa I, a new array."""
+    out = block.copy()
+    out.flat[:: len(block) + 1] += kappa
+    return out
 
 
 def _time_grid(T: float, points: int) -> np.ndarray:
@@ -83,14 +85,17 @@ def run_bound_suite(
 
     Emits one report per (bound, n, kappa) cell; failures are reported with
     passed = False, never raised.  The perturbation operators are truncated
-    by Pi_n on the right, so only their first n columns are nonzero and
-    each norm is taken of that M x n matrix.
+    by Pi_n on the right, so only their first n columns are nonzero, and a
+    norm of X R0 is taken from the n x n Gram of those columns scaled by R0:
+    G[:n, :n] of G = U^H U, or for CCM the kappa-free A_n G[:n, :n] A_n^H.
     """
     eq = Equation.named(equation)
     if M < 8:
         raise ValueError("M must be >= 8")
     if not all(np.isfinite(k) and k >= 1 for k in kappas):
         raise ValueError("kappas must be finite and >= 1")
+    if not all(0 <= n <= M for n in ns):
+        raise ValueError(f"every n must lie in [0, M={M}]")
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
@@ -99,19 +104,22 @@ def run_bound_suite(
         reports.append(BoundReport(name, params, measured, bound))
 
     U = mult_matrix(u0, M)
+    G = U.conj().T @ U
+    # for Hardy data the multiplication matrix is the lower-triangular
+    # Toeplitz factor A itself; A Pi_n A^H Pi_n has the Gram A_n G_n A_n^H
+    cores = ({n: U[:n, :n] @ G[:n, :n] @ U[:n, :n].conj().T for n in {*ns, M}}
+             if eq.family == "CCM" else {})
     hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
 
     for kappa in kappas:
         r0 = 1.0 / (np.arange(M) + kappa)
         for n in ns:
             # multiplication composed with truncation and the free resolvent
-            report("mult-resolvent", _opnorm(U[:, :n] * r0[:n]),
+            report("mult-resolvent", _scaled_norm(G[:n, :n], r0[:n]),
                    np.sqrt(3.0) / np.sqrt(kappa) * norm_u, n=n, kappa=kappa)
             if eq.family == "CCM":
-                # for Hardy data the multiplication matrix is the lower-
-                # triangular Toeplitz factor A itself: (A Pi_n A^H Pi_n) R0
-                prod = (U[:, :n] @ U[:n, :n].conj().T) * r0[:n]
-                report("gram-resolvent", _opnorm(prod), 2.0 * norm_u**2, n=n, kappa=kappa)
+                report("gram-resolvent", _scaled_norm(cores[n], r0[:n]), 2.0 * norm_u**2,
+                       n=n, kappa=kappa)
             if n >= 1:
                 # projection bound: the diagonal maximum is exact; it is
                 # zero once the truncation covers the whole window
@@ -121,29 +129,30 @@ def run_bound_suite(
     if eq.family == "CCM":
         # decay of the Gram-resolvent operator norm as kappa grows (to 10^4)
         big_kappa = 1.0e4
-        prod = (U @ U.conj().T) * (1.0 / (np.arange(M) + big_kappa))
-        report("gram-resolvent-decay", _opnorm(prod), 0.1 * 2.0 * norm_u**2,
-               n=M, kappa=big_kappa)
+        report("gram-resolvent-decay", _scaled_norm(cores[M], 1.0 / (np.arange(M) + big_kappa)),
+               0.1 * 2.0 * norm_u**2, n=M, kappa=big_kappa)
+    del U, G, cores  # freed before the kappa0 search and the Lax build
 
     # Hardy-inequality check on the nonnegative modes
     cum = np.cumsum(np.abs(hardy_coeffs)) / (np.arange(len(hardy_coeffs)) + 1.0)
     report("hardy", float(np.linalg.norm(cum)), 2.0 * norm_u)
 
     # norm sandwich and its dual at kappa = kappa0, then semi-boundedness:
-    # the smallest eigenvalue dominated by -kappa0; each L_n is sliced from L_M
+    # the smallest eigenvalue dominated by -kappa0.  L_n + kappa0 is the
+    # block B_n + kappa0 (B_n sliced from L_M's) and the tail diag(j + kappa0)
     kappa0 = find_kappa_zero(u0, eq, M)
-    lax = eq.build_lax(u0, M, M)
+    block = eq.build_lax(u0, M, M).block
     F = _random_unit_vectors(M, n_vectors, seed)
-    ks = np.arange(M)
-    h1 = np.linalg.norm(((ks + kappa0)[:, None]) * F, axis=0)
-    hm1 = np.linalg.norm(F / (ks + kappa0)[:, None], axis=0)
+    d1 = (np.arange(M) + kappa0)[:, None]
+    h1, hm1 = np.linalg.norm(d1 * F, axis=0), np.linalg.norm(F / d1, axis=0)
     lam_mins = {}
     for n in sorted({1, M // 2, M}):
-        shifted = lax.truncated(n).entries  # L_n here, L_n + kappa0 below
-        lam_mins[n] = float(np.linalg.eigvalsh(shifted)[0])
-        shifted += kappa0 * np.eye(M)
-        lf = np.linalg.norm(shifted @ F, axis=0)
-        rf = np.linalg.norm(np.linalg.solve(shifted, F), axis=0)
+        # the tail diag(n..M-1) holds the eigenvalue n
+        lam_mins[n] = float(min(np.linalg.eigvalsh(block[:n, :n])[0], n if n < M else np.inf))
+        shifted = _shifted(block[:n, :n], kappa0)
+        lf = np.linalg.norm(np.concatenate([shifted @ F[:n], d1[n:] * F[n:]]), axis=0)
+        rf = np.linalg.norm(np.concatenate([np.linalg.solve(shifted, F[:n]), F[n:] / d1[n:]]),
+                            axis=0)
         report("sandwich-upper", float(np.max(lf / h1)), 1.5, n=n, kappa=kappa0)
         report("sandwich-lower", float(np.max(h1 / lf)), 2.0, n=n, kappa=kappa0)
         report("dual-sandwich-upper", float(np.max(rf / hm1)), 2.0, n=n, kappa=kappa0)
@@ -159,32 +168,35 @@ class ResolventRow:
     measured: float
     bound: float
 
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.bound + _PASS_TOL * (1.0 + self.bound)
+    passed = BoundReport.passed
 
 
 def run_resolvent_convergence(u0, equation: str, M: int) -> List[ResolventRow]:
-    """Measure ||R_n(kappa0) - R_M(kappa0)||, L_n sliced from L_M, against 1/n bounds."""
+    """Measure ||R_n(kappa0) - R_M(kappa0)||, L_n sliced from L_M, against 1/n bounds.
+
+    R_n = inv(block + kappa) plus diag(1/(j + kappa)) on the tail; R_n - R_M
+    is Hermitian, so its norm is max |eigvalsh|.
+    """
     eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 32")
     kappa = find_kappa_zero(u0, eq, M)
     norm_u = l2_norm(u0)
-    lax = eq.build_lax(u0, M, M)
-    r_full = _resolvent_matrix(lax, kappa)
+    block = eq.build_lax(u0, M, M).block
+    r_full = np.linalg.inv(_shifted(block, kappa))
+    r_tail = 1.0 / (np.arange(M) + kappa)
     rows = []
-    n = 2
-    while n <= M // 2:
-        r_n = _resolvent_matrix(lax.truncated(n), kappa)
-        measured = _opnorm(r_n - r_full)
+    for n in [2**e for e in range(1, int(math.log2(M)))]:  # 2, 4, ..., M/2
+        diff = -r_full
+        diff[:n, :n] += np.linalg.inv(_shifted(block[:n, :n], kappa))
+        diff.flat[n * (M + 1) :: M + 1] += r_tail[n:]
+        measured = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
         if eq.family == "BO":
             bound = 8.0 * np.sqrt(3.0) / (n * np.sqrt(kappa)) * norm_u
         else:
             # chained from the CCM resolvent-identity proof constants
             bound = 16.0 * norm_u**2 / n
         rows.append(ResolventRow(n, measured, bound))
-        n *= 2
     return rows
 
 
@@ -295,38 +307,33 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int,
     the first 8 unit vectors and 8 random unit vectors (seeds 0..7).
 
     Each L_n, sliced from L_M, is decomposed through `eig_hermitian` (its
-    n x n block only, with that call's checks); the tail rows n..M-1 evolve
-    by the phases e^{itj}.  Raises RuntimeError unless every sup error is finite.
+    n x n block only, with that call's checks) and applied by
+    `apply_group_many` at t/2 with alpha = 1, one column per (time, vector):
+    e^{i (t/2)(I + 2 L_n)} = e^{it/2} e^{itL_n}, and the global phase cancels
+    in the difference.  Raises RuntimeError when a phase t lambda overflows.
     """
     eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 64")
     tgrid = _time_grid(T, 21)
-    basis = np.eye(M, 8, dtype=np.complex128)
-    rand = np.hstack([_random_unit_vectors(M, 1, s) for s in range(8)])
-    F = np.hstack([basis, rand])
+    F = np.hstack([np.eye(M, 8, dtype=np.complex128)]
+                  + [_random_unit_vectors(M, 1, s) for s in range(8)])
     lax = eq.build_lax(u0, M, M)
 
-    def evolve_all(n):
+    def evolve(n):
         e = eig_hermitian(lax.truncated(n))
-        q = e.eigenvectors
-        # an overflowing t lambda gives NaN phases, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            phases = np.exp(1j * np.outer(tgrid, e.eigenvalues))[:, :, None]
-        # (times, M, vectors): block rows through the eigenbasis, tail rows phased
-        blk = q @ (phases[:, :n] * (q.conj().T @ F[:n]))
-        return np.concatenate([blk, phases[:, n:] * F[n:]], axis=1)
+        try:
+            # 3 calls of 7 times: a third of the memory of 1 call, a seventh of the calls of 21
+            return [apply_group_many(e, np.repeat(ts / 2, F.shape[1]), 1, np.tile(F, len(ts)))
+                    for ts in np.array_split(tgrid, 3)]
+        except ValueError as exc:
+            raise RuntimeError("propagator sweep error is not finite") from exc
 
-    ref = evolve_all(M)
+    ref = evolve(M)
     rows = []
-    n = 4
-    while n <= M // 2:
-        diff = evolve_all(n) - ref
-        sup = float(np.max(np.linalg.norm(diff, axis=1)))
-        rows.append((n, sup))
-        n *= 2
-    if not all(np.isfinite(sup) for _, sup in rows):
-        raise RuntimeError("propagator sweep error is not finite")
+    for n in [2**e for e in range(2, int(math.log2(M)))]:  # 4, 8, ..., M/2
+        sup = max(np.max(np.linalg.norm(a - b, axis=0)) for a, b in zip(evolve(n), ref))
+        rows.append((n, float(sup)))
     if rows and rows[-1][1] > rows[0][1] + 1e-12:
         raise RuntimeError("propagator error failed to decrease from n=4 to n=M/2")
     return rows

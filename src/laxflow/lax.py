@@ -120,13 +120,6 @@ class LaxMatrix:
             raise ValueError(f"truncation parameter n={n} outside [0, {self.n}]")
         return LaxMatrix(self.block[:n, :n], self.equation, self.M)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense M x M matrix, built on each access."""
-        e = np.diag(np.arange(self.M, dtype=np.complex128))
-        e[: self.n, : self.n] = self.block
-        return e
-
 
 def _check_sizes(n: int, M: int) -> None:
     if M < 1:

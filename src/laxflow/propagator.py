@@ -247,7 +247,7 @@ def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]
 def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
     """Apply e^{i alpha t (I + 2 L)} at several times; column j of V evolves by ts[j].
 
-    alpha = +1 for the BO scheme, -1 for CCM.
+    alpha = +1 for the BO scheme, -1 for CCM.  ValueError when a phase overflows.
     """
     ts = np.asarray(ts, dtype=np.float64)
     V = np.asarray(V, dtype=np.complex128)
@@ -343,6 +343,13 @@ class PropagatorCache:
         return built
 
 
+def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:
+    """||X diag(r)|| from the Gram matrix X^H X: sqrt(lambda_max(R gram R)); 0 if empty."""
+    if not gram.size:
+        return 0.0
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram * np.outer(r, r))[-1])))
+
+
 _CCM_GRID_MAX_EXP = 20
 
 
@@ -354,7 +361,8 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> float:
     smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
     the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
     <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
-    the norm at n = M, the largest, is taken.  Either way kappa0 >= 1.
+    the norm at n = M, the largest, is taken, as sqrt(lambda_max(R0 G^2 R0))
+    by `eigvalsh`, with G^2 formed once.  Either way kappa0 >= 1.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
@@ -365,11 +373,11 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> float:
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
     a = mult_matrix(u0, M)
-    gram = a @ a.conj().T
+    gram2 = np.linalg.matrix_power(a @ a.conj().T, 2)  # G = A A^H is Hermitian: G^2 = G^H G
+    del a  # only G^2 is needed below
     for e in range(_CCM_GRID_MAX_EXP + 1):
-        kappa = float(2**e)
-        if np.linalg.norm(gram * (1.0 / (np.arange(M) + kappa)), ord=2) <= 0.5:
-            return kappa
+        if _scaled_norm(gram2, 1.0 / (np.arange(M) + 2.0**e)) <= 0.5:
+            return float(2**e)
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "
         "near or above the focusing threshold -- reduce ||u0||"

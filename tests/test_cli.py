@@ -267,6 +267,39 @@ class TestEvolve:
         write_coefficients(tmp_path / "b.csv", times, coeffs)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_write_csv_bytes_match_per_cell_formatting(self, tmp_path):
+        # the former writer: "%.17g" for each float cell, str() for the rest
+        def per_cell(header, rows):
+            lines = [",".join(header)]
+            lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                      for row in rows]
+            return "".join(line + "\n" for line in lines).encode()
+
+        rows = [
+            ("mult-resolvent", 4, 1.0, -0.0, 1e300, True),
+            ("hardy", "", "", 0.1 + 0.2, 2.0, False),
+            ("semibound", 128, "", np.float64(-1.5e-300), np.float64(3.0), np.bool_(True)),
+            ("x", -7, 2**70, float("inf"), float("-inf"), np.bool_(False)),
+            ("{}", np.int64(3), 5e-324, float("nan"), 1.0 / 3.0, "{0:.3g}"),
+        ]
+        header = ("name", "n", "kappa", "measured", "bound", "pass")
+        write_csv(tmp_path / "a.csv", header, rows)
+        assert (tmp_path / "a.csv").read_bytes() == per_cell(header, rows)
+        write_csv(tmp_path / "b.csv", header, iter([]))
+        assert (tmp_path / "b.csv").read_bytes() == per_cell(header, [])
+        # a real bounds.csv: n and kappa cells are empty on some rows
+        out = tmp_path / "run"
+        assert main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
+                     "--out", str(out)]) == 0
+        u0 = laxflow.analyze_profile(parse_profile("random-sobolev:s=1,seed=0,norm=1"), 64,
+                                     hardy=True)
+        reports = diag.run_bound_suite(u0, "CCM-defocusing", 64, [1.0, 10.0, 100.0],
+                                       [2**e for e in range(7)])
+        bounds = [(r.name, r.params.get("n", ""), r.params.get("kappa", ""), r.measured,
+                   r.bound, r.passed) for r in reports]
+        assert any(n == "" for _, n, *_ in bounds) and any(k == "" for _, _, k, *_ in bounds)
+        assert (out / "bounds.csv").read_bytes() == per_cell(header, bounds)
+
     def test_empty_time_grid_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["evolve", "--K", "8", "--grid-points", "0", "--out", str(out)]) == 2
@@ -453,6 +486,21 @@ class TestDiagnostics:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["propagator_sweep_pass"] is False
         assert (out / "propagator_sweep.csv").read_text() == "n,sup_error\n"
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_no_svd_is_taken(self, tmp_path, monkeypatch, equation):
+        # every norm comes from eigvalsh; np.linalg.norm(ord=2) reaches svd
+        # through the module that defines it, so both names are replaced
+        def no_svd(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+        with pytest.raises(AssertionError):
+            np.linalg.norm(np.eye(3), ord=2)
+        profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
+        assert main(["diagnostics", "--M", "64", "--equation", equation, "--profile", profile,
+                     "--out", str(tmp_path / "run")]) == 0
 
     @pytest.mark.parametrize("kappas", ["inf", "1,nan", "-inf"])
     def test_non_finite_kappa_writes_nothing(self, tmp_path, capsys, kappas):

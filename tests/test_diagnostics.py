@@ -15,7 +15,8 @@ from laxflow.diagnostics import (
 import laxflow.lax
 from laxflow.lax import EQUATIONS, build_bo_lax, build_ccm_lax
 from laxflow.propagator import find_kappa_zero
-from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
+from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
+from dense import dense_matrix
 
 
 def bo_data(K=32, seed=0, norm=0.5):
@@ -68,11 +69,28 @@ class TestBoundSuite:
         (r,) = [r for r in reports if r.name == "projection"]
         assert r.measured == 0.0
 
+    def test_semibound_reaches_the_tail(self):
+        # u0 = 2: L_n = diag(0..n-1) + 4 on the block, so the block's least
+        # eigenvalue is 4 and at n = 1 the tail's entry 1 is smaller
+        reports = run_bound_suite(HardyVector([2.0]), "CCM-defocusing", 8,
+                                  kappas=[1.0], ns=[1], n_vectors=10)
+        got = {r.params["n"]: r.measured for r in reports if r.name == "semibound"}
+        assert got == {1: -1.0, 4: -4.0, 8: -4.0}
+
     def test_one_lax_build_per_n(self, monkeypatch):
         # the sandwich and semibound rows at n = 1, M/2, M slice one build at M
         calls = count_builds(monkeypatch)
         run_bound_suite(ccm_data(32), "CCM-defocusing", 32, kappas=[1.0], ns=[1])
         assert calls == [32]
+
+    @pytest.mark.parametrize("ns", [[-1], [100], [4, 17], [0, 16, -16]])
+    def test_rejects_n_outside_the_window(self, monkeypatch, ns):
+        # n = -1 measured 15 columns under the label n = -1; n = 100 passed
+        # a projection of 0.0
+        calls = count_builds(monkeypatch)
+        with pytest.raises(ValueError, match=r"every n must lie in \[0, M=16\]"):
+            run_bound_suite(bo_data(16), "BO", 16, kappas=[1.0], ns=ns)
+        assert calls == []
 
     def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError):
@@ -139,8 +157,8 @@ def dense_mult_matrix(u0, M):
 
 def dense_lax(u0, equation, n, M):
     if equation == "BO":
-        return build_bo_lax(u0, n, M).entries
-    return build_ccm_lax(u0, n, M, equation.split("-", 1)[1]).entries
+        return dense_matrix(build_bo_lax(u0, n, M))
+    return dense_matrix(build_ccm_lax(u0, n, M, equation.split("-", 1)[1]))
 
 
 class TestNonzeroColumnNorms:
@@ -198,11 +216,19 @@ class TestKappaZeroBlocks:
     @pytest.mark.parametrize("norm", [0.1, 0.5, 0.9, 1.5, 3.0, 8.0])
     def test_norm_at_full_window_is_the_maximum(self, M, norm):
         # G_n R0 is a compression of G_M R0, so the search at n = M alone
-        # finds the kappa0 of the maximum over n in {1, M/2, M}
-        for seed in range(4):
+        # finds the kappa0 of the maximum over n in {1, M/2, M}, and its
+        # eigvalsh norms pick the kappa0 of the SVD norms
+        for seed in range(10):
             u0 = ccm_data(M, seed=seed, norm=norm)
             kz = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], M)
             assert kz == dense_kappa_zero(u0, M)
+
+
+def unit_vectors(M, count, seed):
+    """The suites' random unit vectors: complex Gaussian columns from Philox(seed), normalised."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.standard_normal((M, count)) + 1j * rng.standard_normal((M, count))
+    return z / np.linalg.norm(z, axis=0)
 
 
 class TestSweepAgainstDenseEigh:
@@ -212,9 +238,7 @@ class TestSweepAgainstDenseEigh:
         u0 = bo_data(M) if equation == "BO" else ccm_data(M)
         rows = run_propagator_sweep(u0, equation, M, T=T)
         basis = np.eye(M, 8, dtype=np.complex128)
-        rng = [np.random.Generator(np.random.Philox(key=s)) for s in range(8)]
-        z = np.hstack([r.standard_normal((M, 1)) + 1j * r.standard_normal((M, 1)) for r in rng])
-        F = np.hstack([basis, z / np.linalg.norm(z, axis=0)])
+        F = np.hstack([basis] + [unit_vectors(M, 1, s) for s in range(8)])
         tgrid = np.linspace(-T, T, 21)
 
         def evolve(n):
@@ -227,7 +251,83 @@ class TestSweepAgainstDenseEigh:
                     for n in (4, 8, 16, 32)]
         assert [n for n, _ in rows] == [n for n, _ in expected]
         for (_, got), (_, want) in zip(rows, expected):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def dense_bound_suite(u0, equation, M, kappas, ns, n_vectors, seed, kappa0):
+    """Every measured value of `run_bound_suite`, keyed (name, n, kappa), from
+    dense M x M matrices, SVD norms (ord=2), products and solves."""
+    U = dense_mult_matrix(u0, M)
+    ks = np.arange(M)
+    out = {}
+    for kappa in kappas:
+        r0 = 1.0 / (ks + kappa)
+        for n in ns:
+            pn = (ks < n).astype(float)
+            out["mult-resolvent", n, kappa] = np.linalg.norm((U * pn) * r0, ord=2)
+            if equation != "BO":
+                gram = (((U * pn) @ U.conj().T) * pn) * r0
+                out["gram-resolvent", n, kappa] = np.linalg.norm(gram, ord=2)
+            if n >= 1:
+                out["projection", n, kappa] = np.max((1.0 - pn) / (ks + kappa))
+    if equation != "BO":
+        out["gram-resolvent-decay", M, 1e4] = np.linalg.norm((U @ U.conj().T) / (ks + 1e4), ord=2)
+    F = unit_vectors(M, n_vectors, seed)
+    d1 = np.diag(ks + kappa0)
+    h1, hm1 = np.linalg.norm(d1 @ F, axis=0), np.linalg.norm(np.linalg.solve(d1, F), axis=0)
+    for n in sorted({1, M // 2, M}):
+        lax = dense_lax(u0, equation, n, M)
+        lf = np.linalg.norm((lax + kappa0 * np.eye(M)) @ F, axis=0)
+        rf = np.linalg.norm(np.linalg.solve(lax + kappa0 * np.eye(M), F), axis=0)
+        out["sandwich-upper", n, kappa0] = np.max(lf / h1)
+        out["sandwich-lower", n, kappa0] = np.max(h1 / lf)
+        out["dual-sandwich-upper", n, kappa0] = np.max(rf / hm1)
+        out["dual-sandwich-lower", n, kappa0] = np.max(hm1 / rf)
+        out["semibound", n, None] = -np.linalg.eigvalsh(lax)[0]
+    return out
+
+
+class TestDenseEquivalence:
+    """Every measured value against dense M x M references, to 1e-12 relative."""
+
+    M = 64
+    NAMES = ["BO", "CCM-focusing", "CCM-defocusing"]
+
+    def data(self, equation):
+        return bo_data(self.M, seed=3, norm=1.0) if equation == "BO" else ccm_data(
+            self.M, seed=3, norm=0.5 if equation == "CCM-focusing" else 1.0)
+
+    @pytest.mark.parametrize("equation", NAMES)
+    def test_bound_suite(self, equation):
+        M, u0 = self.M, self.data(equation)
+        kappas, ns = [1.0, 10.0, 100.0], [0, 1, 2, 4, 8, 16, 32, 64]
+        reports = run_bound_suite(u0, equation, M, kappas, ns, n_vectors=50, seed=7)
+        kappa0 = reports[-1].bound  # the semibound's bound
+        if equation == "BO":
+            assert kappa0 == max(12.0 * l2_norm(u0) ** 2, 1.0)
+        else:
+            assert kappa0 == dense_kappa_zero(u0, M)
+        dense = dense_bound_suite(u0, equation, M, kappas, ns, 50, 7, kappa0)
+        checked = set()
+        for r in reports:
+            if r.name == "hardy":
+                continue
+            key = (r.name, r.params.get("n"), r.params.get("kappa"))
+            assert r.measured == pytest.approx(dense[key], rel=1e-12, abs=0.0), key
+            checked.add(key)
+        assert checked == set(dense)
+
+    @pytest.mark.parametrize("equation", NAMES)
+    def test_resolvent(self, equation):
+        M, u0 = self.M, self.data(equation)
+        kappa = find_kappa_zero(u0, EQUATIONS[equation], M)
+        rows = run_resolvent_convergence(u0, equation, M)
+        r_full = np.linalg.inv(dense_lax(u0, equation, M, M) + kappa * np.eye(M))
+        assert [r.n for r in rows] == [2, 4, 8, 16, 32]
+        for r in rows:
+            r_n = np.linalg.inv(dense_lax(u0, equation, r.n, M) + kappa * np.eye(M))
+            want = np.linalg.norm(r_n - r_full, ord=2)
+            assert r.measured == pytest.approx(want, rel=1e-12, abs=0.0), r.n
 
 
 class TestResolventConvergence:

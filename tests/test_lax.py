@@ -15,6 +15,7 @@ from laxflow.lax import (
 )
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 from oracles import bo_lax_by_convolution, ccm_gram_block, ccm_lax_by_gram
+from dense import dense_matrix
 
 
 def random_real_spectrum(K, seed, norm=0.5):
@@ -30,7 +31,7 @@ def random_hardy(K, seed, norm=0.5):
 class TestBoLax:
     def test_free_operator(self):
         m = build_bo_lax(random_real_spectrum(8, 0), 0, 8)
-        np.testing.assert_array_equal(m.entries, np.diag(np.arange(8.0)))
+        np.testing.assert_array_equal(dense_matrix(m), np.diag(np.arange(8.0)))
 
     def test_single_mode_block(self):
         # u0 = 2 cos(x): uhat(1) = uhat(-1) = 1
@@ -38,14 +39,14 @@ class TestBoLax:
         m = build_bo_lax(u0, 3, 4)
         expect = np.diag(np.arange(4.0)).astype(complex)
         expect[:3, :3] -= np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        np.testing.assert_array_equal(m.entries, expect)
+        np.testing.assert_array_equal(dense_matrix(m), expect)
 
     def test_matches_convolution_oracle(self):
         u0 = random_real_spectrum(16, 3)
         for n in (0, 1, 5, 16):
             m = build_bo_lax(u0, n, 16)
             oracle = bo_lax_by_convolution(u0.coeff, n, 16)
-            np.testing.assert_allclose(m.entries, oracle, atol=1e-13)
+            np.testing.assert_allclose(dense_matrix(m), oracle, atol=1e-13)
 
     def test_exactly_hermitian(self):
         for seed in range(4):
@@ -54,7 +55,7 @@ class TestBoLax:
 
     def test_diagonal_untouched_outside_block(self):
         m = build_bo_lax(random_real_spectrum(8, 1), 3, 8)
-        e = m.entries
+        e = dense_matrix(m)
         for j in range(3, 8):
             assert e[j, j] == j
             assert np.all(e[j, :j] == 0) and np.all(e[:j, j][3:] == 0)
@@ -73,14 +74,14 @@ class TestCcmLax:
         u0 = HardyVector([0.0, 1.0])
         m = build_ccm_lax(u0, 4, 4, "defocusing")
         expect = np.diag(np.arange(4.0)) + np.diag([0.0, 1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(m.entries, expect)
+        np.testing.assert_array_equal(dense_matrix(m), expect)
 
     def test_focusing_sign(self):
         u0 = HardyVector([0.5])
         mf = build_ccm_lax(u0, 2, 2, "focusing")
         md = build_ccm_lax(u0, 2, 2, "defocusing")
-        np.testing.assert_array_equal(mf.entries[:2, :2] - np.diag([0.0, 1.0]),
-                                      -(md.entries[:2, :2] - np.diag([0.0, 1.0])))
+        np.testing.assert_array_equal(dense_matrix(mf)[:2, :2] - np.diag([0.0, 1.0]),
+                                      -(dense_matrix(md)[:2, :2] - np.diag([0.0, 1.0])))
 
     def test_matches_gram_oracle(self):
         u0 = random_hardy(12, 7)
@@ -88,12 +89,12 @@ class TestCcmLax:
             for n in (0, 1, 4, 12):
                 m = build_ccm_lax(u0, n, 12, sign)
                 oracle = ccm_lax_by_gram(u0.coeff, n, 12, sign)
-                np.testing.assert_allclose(m.entries, oracle, atol=1e-13)
+                np.testing.assert_allclose(dense_matrix(m), oracle, atol=1e-13)
 
     def test_gram_block_psd(self):
         u0 = random_hardy(16, 2)
         m = build_ccm_lax(u0, 16, 16, "defocusing")
-        g = m.entries - np.diag(np.arange(16.0))
+        g = dense_matrix(m) - np.diag(np.arange(16.0))
         lam = np.linalg.eigvalsh(g)
         assert lam.min() >= -1e-13
         np.testing.assert_allclose(g[:4, :4], ccm_gram_block(u0.coeff, 16)[:4, :4], atol=1e-12)
@@ -135,7 +136,7 @@ class TestBookkeeping:
 
     def test_dense_view_has_diagonal_tail(self):
         m = build_bo_lax(random_real_spectrum(8, 2), 3, 8)
-        e = m.entries
+        e = dense_matrix(m)
         np.testing.assert_array_equal(e[:3, :3], m.block)
         np.testing.assert_array_equal(e[3:, 3:], np.diag(np.arange(3.0, 8.0)))
         assert not e[:3, 3:].any() and not e[3:, :3].any()

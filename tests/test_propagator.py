@@ -14,6 +14,7 @@ from laxflow.propagator import (
 )
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 from oracles import taylor_expm
+from dense import dense_matrix
 
 
 def random_spectrum(K, seed, norm=0.5):
@@ -83,7 +84,7 @@ class TestApplyGroup:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         for t, alpha in ((0.3, 1), (-1.7, -1), (2.0, 1)):
-            expect = taylor_expm(1j * alpha * t * (np.eye(10) + 2 * m.entries)) @ v
+            expect = taylor_expm(1j * alpha * t * (np.eye(10) + 2 * dense_matrix(m))) @ v
             np.testing.assert_allclose(group_on_vector(e, t, alpha, v), expect, atol=1e-10)
 
     def test_identity_at_time_zero(self):
@@ -154,7 +155,7 @@ class TestBlockRepresentation:
         e = eig_hermitian(m)
         assert e.eigenvectors.shape == (n, n)
         np.testing.assert_array_equal(e.eigenvalues[n:], np.arange(n, M_BLOCK))
-        np.testing.assert_allclose(np.sort(e.eigenvalues), np.linalg.eigvalsh(m.entries),
+        np.testing.assert_allclose(np.sort(e.eigenvalues), np.linalg.eigvalsh(dense_matrix(m)),
                                    rtol=0, atol=1e-12)
 
     def test_reconstructs_dense(self, family, n):
@@ -162,7 +163,7 @@ class TestBlockRepresentation:
         e = eig_hermitian(m)
         q = scipy.linalg.block_diag(e.eigenvectors, np.eye(M_BLOCK - n))
         recon = (q * e.eigenvalues) @ q.conj().T
-        dense = m.entries
+        dense = dense_matrix(m)
         assert np.max(np.abs(recon - dense)) <= _RECON_TOL * (1.0 + np.max(np.abs(dense)))
 
     # the eigenbasis body runs iff T * (steps - 2) > n: never for (1, 3),
@@ -175,7 +176,7 @@ class TestBlockRepresentation:
         rng = np.random.default_rng(n)
         V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
         rows, out = advance(e, ts, alpha, V, steps)
-        gen = np.eye(M_BLOCK) + 2.0 * m.entries
+        gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m)
         groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
         for s in range(steps):
             shifted = np.vstack([V[1:], np.zeros((1, T))])
@@ -304,7 +305,7 @@ class TestKappaZero:
         k0 = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
         # verify the defining property directly at the returned shift
         m = build_ccm_lax(u0, 32, 32, "focusing")
-        g = np.diag(np.arange(32.0)) - m.entries
+        g = np.diag(np.arange(32.0)) - dense_matrix(m)
         r0 = 1.0 / (np.arange(32) + k0)
         assert np.linalg.norm(g * r0, ord=2) <= 0.5
 
