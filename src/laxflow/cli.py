@@ -209,6 +209,7 @@ def cmd_evolve(args) -> int:
     write_manifest(out, _config_echo(args), {
         "decompositions": result.decompositions,
         "derived_decompositions": result.cache.derived,
+        "certified_decompositions": result.cache.certified,
         "wall_time_s": wall,
         "l2_preserving_schedule": schedule.l2_preserving,
         "n0_zero": bool(schedule.values[0] == 0),
@@ -292,6 +293,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     M = int(args.M)
+    # the strictest suite's rule (the propagator sweep's), checked before any suite runs
+    if M < 64 or M & (M - 1):
+        raise ConfigError("M must be a power of two >= 64")
     eq = Equation.named(args.equation)
     profile = parse_profile(args.profile)
     u0 = analyze_profile(profile, M, hardy=eq.hardy)

@@ -103,11 +103,10 @@ class LaxMatrix:
     M: int
 
     def __post_init__(self):
-        b = np.array(self.block, dtype=np.complex128)
+        b = _read_only(self.block, np.complex128)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"block shape {b.shape} is not square")
         _check_sizes(len(b), self.M)
-        b.flags.writeable = False
         object.__setattr__(self, "block", b)
 
     @property
@@ -115,10 +114,26 @@ class LaxMatrix:
         return len(self.block)
 
     def truncated(self, n: int) -> "LaxMatrix":
-        """L_n = Pi_n L Pi_n: the leading n x n block, then diag(n..M-1)."""
+        """L_n = Pi_n L Pi_n: the leading n x n block, then diag(n..M-1).
+
+        The block is a read-only view of this one, not a copy.
+        """
         if not 0 <= n <= self.n:
             raise ValueError(f"truncation parameter n={n} outside [0, {self.n}]")
         return LaxMatrix(self.block[:n, :n], self.equation, self.M)
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """a itself if it is already a read-only array of dtype, else a read-only copy.
+
+    Views of a read-only array are read-only, so slices of one build are
+    kept as they are.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def _check_sizes(n: int, M: int) -> None:

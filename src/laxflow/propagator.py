@@ -17,8 +17,14 @@ The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
 on a staircase n -> n - 1 each decomposition follows from the one before:
 `eig_hermitian` given that parent solves a secular equation for the new
 eigenvalues and forms the eigenvectors with one real product, instead of
-a fresh O(n^3) `eigh`.  The derived pairs pass the same checks; where they
-cannot be trusted, `eigh` is taken instead.
+a fresh O(n^3) `eigh`.  An `eigh` result passes the dense reconstruction
+and orthonormality checks, two complex n x n products.  A derived one is
+accepted on a certificate instead: spectral-norm bounds on its defects,
+rounding included, carried from the parent's in O(n^2) plus one real
+n x n product, that prove the dense checks would pass with half their
+tolerance to spare.  When the bounds grow past that the dense check runs
+and restarts the chain from what it measures; where the derived pairs
+fail it, `eigh` is taken instead.
 
 A `PropagatorCache` is a plain dict from key to decomposition with no
 lock: laxflow code runs on one thread, and the BLAS behind numpy already
@@ -27,12 +33,13 @@ uses every core.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .lax import Equation, LaxMatrix, hermitian_defect, mult_matrix
+from .lax import Equation, LaxMatrix, _read_only, hermitian_defect, mult_matrix
 from .spectral import HardyVector, RealSpectrum, l2_norm
 
 __all__ = [
@@ -45,6 +52,34 @@ __all__ = [
 ]
 
 _RECON_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
+_U = _EPS / 2  # unit roundoff
+# The bounds below are themselves computed in floating point.  A new term
+# is a product of norms, each within (N + 2) u of its exact value for
+# N <= n^2 terms: _SAFETY covers that, and the second-order terms left
+# out, for n < 10^6.  A parent's bound carried into its child's goes
+# through a few roundings only, covered by _UP, so that the factor does
+# not compound down the chain.
+_SAFETY = 1.01
+_UP = 1.0 + 16 * _U
+
+
+class _Bounds(NamedTuple):
+    """Rigorous spectral-norm bounds for a decomposition Q, lambda of a block B.
+
+    ortho >= ||Q^H Q - I||, residual >= ||B Q - Q diag(lambda)||,
+    abs_q >= || |Q| || (entrywise absolute values) and norm >= ||B||, which
+    also bounds every leading block of B.
+    """
+
+    ortho: float
+    residual: float
+    abs_q: float
+    norm: float
+
+    def recon(self) -> float:
+        """>= ||Q diag(lambda) Q^H - B||, Q square: -(B Q - Q lambda) Q^H + B (Q Q^H - I)."""
+        return self.residual * np.sqrt(1.0 + self.ortho) + self.norm * self.ortho
 
 
 @dataclass(frozen=True)
@@ -55,24 +90,35 @@ class HermitianEig:
     eigenvalues holds all M eigenvalues: the block's, ascending, then the
     tail's n..M-1, whose eigenvectors are the unit vectors e_n..e_{M-1}.
     derived is True iff the block's pairs came from the decomposition at
-    n + 1 rather than from `eigh`.
+    n + 1 rather than from `eigh`, and certified iff they were accepted on
+    their certificate rather than on the dense check.  `eig_hermitian` also
+    keeps the bounds its checks proved and a weak reference to the array
+    whose leading block it decomposed, which a decomposition derived from
+    this one builds on.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     derived: bool = False
+    certified: bool = False
+    bounds: Optional[_Bounds] = field(default=None, repr=False)
+    _root: Optional[weakref.ref] = field(default=None, repr=False)
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=np.float64)
-        q = np.array(self.eigenvectors, dtype=np.complex128)
-        lam.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", q)
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues, np.float64))
+        object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors, np.complex128))
 
     @property
     def M(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def block(self) -> Optional[np.ndarray]:
+        """The read-only block decomposed, while the array it is the leading
+        block of (a whole build, for `LaxMatrix.truncated` slices) lives; a
+        cached decomposition keeps no build alive."""
+        root = self._root() if self._root is not None else None
+        return None if root is None else root[: self.n, : self.n]
 
     @property
     def n(self) -> int:
@@ -88,9 +134,8 @@ class HermitianEig:
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
-    """True iff the parent is one size up: m's block may be its block less
-    the last row and column, as when both are `LaxMatrix.truncated` from
-    one operator (the checks on the derived pairs confirm it)."""
+    """True iff the parent is one size up, so that m's block may be its
+    block less the last row and column (`eig_hermitian` checks that it is)."""
     return parent is not None and parent.n == m.n + 1 >= 2
 
 
@@ -104,20 +149,38 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
     are the checks on the whole matrix.
 
     With `parent`, the decomposition of the same operator at n + 1, the
-    block's eigenpairs are derived from the parent's (`_delete_last`)
-    instead of by `eigh`; the result is then marked `derived`.  `eigh` is
-    the fallback when the derivation declines or its pairs fail a check.
+    block's eigenpairs are derived from the parent's (`_delete_last`) and
+    marked `derived`.  When the parent's block less its last row and
+    column is bit for bit m's block (as for two slices of one `LaxMatrix`
+    build, while the build lives), m's block needs no Hermitian check,
+    since the parent's passed it, and the derived pairs are accepted on a
+    certificate (`_certify`): bounds carried down the chain from the last
+    dense check that prove, in O(n^2) plus one real n x n product, that
+    the dense reconstruction and orthonormality checks pass with half
+    their tolerance to spare.  Otherwise, or when the bounds grow past that, the
+    dense check (`_check_failure`) runs, and the chain restarts from what
+    it measures.  `eigh` is the fallback when the derivation declines or
+    its pairs fail that check.
     """
-    defect = hermitian_defect(m)
-    if defect != 0.0:
-        raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
     tail = np.arange(m.n, m.M, dtype=np.float64)
-    pairs = _delete_last(parent) if _derivable(m, parent) else None
-    if pairs is not None:
-        lam, q = pairs
-        q = _canonical_phases(q)
-        if _check_failure(m, lam, q) is None:
-            return HermitianEig(np.concatenate([lam, tail]), q, derived=True)
+    derivable = _derivable(m, parent)
+    block = parent.block if derivable and parent.bounds is not None else None
+    same = block is not None and np.array_equal(m.block, block[:-1, :-1])
+    if not same:
+        defect = hermitian_defect(m)
+        if defect != 0.0:
+            raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
+    derived = _delete_last(parent) if derivable else None
+    if derived is not None:
+        q = _canonical_phases(derived.q)
+        bounds = _certify(parent, derived, q) if same else None
+        certified = bounds is not None
+        if not certified:
+            bounds = _check_failure(m, derived.mu, q)
+        if not isinstance(bounds, str):
+            q.flags.writeable = False
+            return HermitianEig(np.concatenate([derived.mu, tail]), q, derived=True,
+                                certified=certified, bounds=bounds, _root=_root_ref(m.block))
     try:
         lam, q = np.linalg.eigh(m.block)
     except np.linalg.LinAlgError as exc:
@@ -126,10 +189,21 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
             f"(n={m.n}, M={m.M})"
         ) from exc
     q = _canonical_phases(q)
-    failure = _check_failure(m, lam, q)
-    if failure is not None:
-        raise RuntimeError(f"{failure} for {m.equation.name} (n={m.n}, M={m.M})")
-    return HermitianEig(np.concatenate([lam, tail]), q)
+    bounds = _check_failure(m, lam, q)
+    if isinstance(bounds, str):
+        raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n}, M={m.M})")
+    q.flags.writeable = False
+    return HermitianEig(np.concatenate([lam, tail]), q, bounds=bounds, _root=_root_ref(m.block))
+
+
+def _root_ref(block: np.ndarray) -> Optional[weakref.ref]:
+    """A weak reference to the array block is the leading block of: block
+    itself, or the build a `LaxMatrix.truncated` view was sliced from."""
+    root = block if block.base is None else block.base
+    if (isinstance(root, np.ndarray) and root.ndim == 2 and root.strides == block.strides
+            and root.__array_interface__["data"] == block.__array_interface__["data"]):
+        return weakref.ref(root)
+    return None
 
 
 def _canonical_phases(q: np.ndarray) -> np.ndarray:
@@ -141,29 +215,62 @@ def _canonical_phases(q: np.ndarray) -> np.ndarray:
     return q * np.conj(lead / np.abs(lead))
 
 
-def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Optional[str]:
-    """The first check (lam, q) fails as a decomposition of m's block, or None."""
-    block = m.block
+def _abs_norm(a: np.ndarray) -> float:
+    """For a = |x| entrywise, sqrt(||a||_1 ||a||_inf) >= || |x| || >= ||x||; 0 if empty."""
+    return float(np.sqrt(a.sum(axis=0).max(initial=0.0) * a.sum(axis=1).max(initial=0.0)))
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): a length-k inner product is off by at most this times
+    the one of the absolute values (Higham, Accuracy and Stability, sec. 3.1)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _Bounds]:
+    """The first check (lam, q) fails as a decomposition of m's block, or the
+    bounds that the defects it measured prove, product rounding included."""
+    block, n = m.block, m.n
     # the largest entry of the whole matrix, tail included
     scale = 1.0 + max(float(np.max(np.abs(block), initial=0.0)),
-                      float(m.M - 1 if m.n < m.M else 0))
+                      float(m.M - 1 if n < m.M else 0))
     qh = q.conj().T
-    recon = (q * lam) @ qh
-    if np.max(np.abs(recon - block), initial=0.0) > _RECON_TOL * scale:
+    recon = np.abs((q * lam) @ qh - block)
+    if np.max(recon, initial=0.0) > _RECON_TOL * scale:
         return "eigendecomposition residual too large"
-    ortho = qh @ q - np.eye(m.n)
-    if np.max(np.abs(ortho), initial=0.0) > _RECON_TOL:
+    ortho = np.abs(qh @ q - np.eye(n))
+    if np.max(ortho, initial=0.0) > _RECON_TOL:
         return "eigenvectors lost orthonormality"
-    return None
+    abs_q = _abs_norm(np.abs(q))
+    lam_max = float(np.max(np.abs(lam), initial=0.0))
+    # a product's rounding is at most gamma times |q| |lambda| |q^H|
+    rounding = _gamma(n + 2) * abs_q**2
+    e = _SAFETY * (_abs_norm(ortho) + rounding)
+    r = _SAFETY * (_abs_norm(recon) + rounding * lam_max)
+    # B Q - Q lambda = Q lambda (Q^H Q - I) - (Q lambda Q^H - B) Q
+    return _Bounds(e, _SAFETY * np.sqrt(1.0 + e) * (r + lam_max * e),
+                   _SAFETY * abs_q, _SAFETY * ((1.0 + e) * lam_max + r))
 
 
-_EPS = np.finfo(np.float64).eps
 # each root converges in about three rational steps; bisection alone needs
 # about 50, so this bound is only met by roots that cannot be separated
 _SECULAR_MAX_STEPS = 64
+# a root is taken once |f| <= _SECULAR_TOL n (f - 2 psi)
+_SECULAR_TOL = 8 * _EPS
 
 
-def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+class _Derivation(NamedTuple):
+    """`_delete_last`'s eigenpairs (mu, q) and the pieces q was formed from:
+    q = Q[:-1] diag(phase) s, s = zhat / (lam - mu) / nu column by column."""
+
+    mu: np.ndarray
+    q: np.ndarray
+    s: np.ndarray
+    zhat: np.ndarray
+    nu: np.ndarray
+    phase: np.ndarray
+
+
+def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     """Eigenpairs of the parent's n x n block less its last row and column.
 
     With block = Q diag(lam) Q^H and z = Q^H e_{n-1}, the eigenvalues mu_j
@@ -178,6 +285,8 @@ def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]
     formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), which
     keeps the eigenvectors orthogonal; the phase of z is kept, so Q[:-1]
     enters through one real product.  All of it is O(n^2) but that product.
+    The reciprocals 1 / (lam_i - mu_j) are always taken from the offsets,
+    as 1 / (delta0 - tau), which `_certify` relies on.
 
     Returns None when a weight or a gap is too small to separate the roots
     (no deflation is done) or the roots do not converge.
@@ -194,39 +303,46 @@ def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]
     w_below = w[:, None] * below
     # f rises from -inf to +inf across each gap: its sign at the midpoint
     # names the half that holds the root, and so the nearer pole
-    r = 1.0 / (lam[:, None] - (lam[:-1] + 0.5 * gaps))  # 1 / (lam_i - mu_j)
-    f = w @ r
-    upper = f < 0
+    upper = w @ (1.0 / (lam[:, None] - (lam[:-1] + 0.5 * gaps))) < 0
     origin = np.where(upper, lam[1:], lam[:-1])
     delta0 = lam[:, None] - origin
     lo = np.where(upper, -0.5 * gaps, 0.0)
     hi = np.where(upper, 0.0, 0.5 * gaps)
     tau = np.where(upper, lo, hi)
-    tol = 8 * n * _EPS
+    r = 1.0 / (delta0 - tau)  # 1 / (lam_i - mu_j)
+    f = w @ r
+    tol = _SECULAR_TOL * n
+    o = slice(None)  # the roots still iterated on: a slice keeps views, not copies
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_SECULAR_MAX_STEPS):
+            fo, to, ro = f[o], tau[o], r[:, o]
             # the terms below the gap are negative, those above positive
-            psi = np.einsum("ij,ij->j", w_below, r)
-            done = np.abs(f) <= tol * (f - 2.0 * psi)
+            psi = np.einsum("ij,ij->j", w_below[:, o], ro)
+            done = np.abs(fo) <= tol * (fo - 2.0 * psi)
             if done.all():
                 break
-            lo = np.where(f < 0, tau, lo)
-            hi = np.where(f > 0, tau, hi)
+            if 2 * np.count_nonzero(done) >= len(done):
+                # after two steps few roots are open: go on with those alone
+                o = j[o][~done]
+                continue
+            lo[o] = np.where(fo < 0, to, lo[o])
+            hi[o] = np.where(fo > 0, to, hi[o])
             # fit c + s / (dlo - eta) + S / (dhi - eta) to the value and slope
             # of the terms below and above the gap, and step to its root
-            r2 = r * r
-            dpsi = np.einsum("ij,ij->j", w_below, r2)
+            r2 = ro * ro
+            dpsi = np.einsum("ij,ij->j", w_below[:, o], r2)
             dphi = w @ r2 - dpsi
-            dlo, dhi = delta0[j, j] - tau, delta0[j + 1, j] - tau
-            c = f - dpsi * dlo - dphi * dhi
+            jo = j[o]
+            dlo, dhi = delta0[jo, jo] - to, delta0[jo + 1, jo] - to
+            c = fo - dpsi * dlo - dphi * dhi
             a = c * (dlo + dhi) + dpsi * dlo**2 + dphi * dhi**2
-            b = dlo * dhi * f
+            b = dlo * dhi * fo
             disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
-            step = tau + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
-            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-            tau = np.where(done, tau, step)
-            r = 1.0 / (delta0 - tau)
-            f = w @ r
+            step = to + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+            step = np.where((lo[o] < step) & (step < hi[o]), step, 0.5 * (lo[o] + hi[o]))
+            tau[o] = np.where(done, to, step)
+            r[:, o] = 1.0 / (delta0[:, o] - tau[o])
+            f[o] = w @ r[:, o]
         else:
             return None
     # Loewner: w_i = prod_j (mu_j - lam_i) / prod_{k != i} (lam_k - lam_i),
@@ -235,13 +351,79 @@ def _delete_last(parent: HermitianEig) -> Optional[Tuple[np.ndarray, np.ndarray]
     pole = np.where(below, lam[1:], lam[:-1])
     zhat = np.sqrt(np.prod((tau - delta0) / (pole - lam[:, None]), axis=1))
     s = zhat[:, None] * r
-    s /= np.linalg.norm(s, axis=0)
+    nu = np.linalg.norm(s, axis=0)
+    s /= nu
     # Q[:-1] diag(phase(z)) s is one real product: the transposed complex
     # factor, viewed as reals, interleaves real and imaginary parts
-    phase = (np.conj(last) / np.abs(last))[:, None]
-    rows_t = np.multiply(parent.eigenvectors[:-1].T, phase, order="C")
+    phase = np.conj(last) / np.abs(last)
+    rows_t = np.multiply(parent.eigenvectors[:-1].T, phase[:, None], order="C")
     q = (s.T @ rows_t.view(np.float64)).view(np.complex128).T
-    return origin + tau, q
+    return _Derivation(origin + tau, q, s, zhat, nu, phase)
+
+
+def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_Bounds]:
+    """Bounds for the derived pairs (d.mu, q), q = d.q with canonical phases,
+    or None unless they prove the dense checks pass with half their
+    tolerance to spare.  O(n^2) but the one real product s^T s.
+
+    With P = [I 0] dropping the last row, l = Q[-1] and D = diag(phase)
+    (|D| = I up to rounding), q is Y = P Q D s up to rounding Delta, and
+    the block is C = P B P^T, so the parent's bounds carry over:
+
+    * Y^H Y - I = (s^T s - I) - conj(g) g^T + s^T D^H (Q^H Q - I) D s, with
+      g = s^T (D l), the last row of Q D s: it vanishes when D l = |l|;
+    * column j of C Y - Y diag(mu) is P Q D r_j + (1 / nu_j + c g_j) h
+      - g_j P B (I - Q Q^H) e_{n-1} plus the parent's residual carried
+      through, where mu_j = origin_j + tau_j exactly, h = P Q Q^H
+      e_{n-1} = P Q D conj(D l) has norm <= the parent's orthonormality
+      bound, c is any shift (the Rayleigh quotient of |l| is taken) and
+      r_j = (lam - mu_j) s_j - conj(D l) / nu_j - g_j (lam - c) conj(D l).
+      (lam - mu_j) s_j is zhat / nu_j to 8 u per entry, because
+      1 / (lam_i - mu_j) was taken as 1 / (delta0 - tau) with
+      |delta0 / (delta0 - tau)| <= 2, so ||r_j|| <= (||zhat - conj(D l)||
+      + 8 u ||zhat||) / nu_j + |g_j| ||(lam - c) l||: O(1) per column
+      once g is known.
+
+    Delta covers D's rounding and Q[:-1] D (6 u |Q|: two divisions, then
+    a complex product), the real product of that with s (gamma_n |Q| |s|)
+    and the canonical phases (6 u |q|); its spectral norm is bounded
+    through || |Q| || and || |s| ||.  The stored mu is origin + tau to
+    u |mu|.  `_Bounds.recon` then bounds the reconstruction defect, and
+    the maximum entry of a matrix is at most its spectral norm.
+    """
+    Q, (e_p, rho_p, abs_q_p, b) = parent.eigenvectors, parent.bounds
+    n = parent.n
+    lam, ell, s = parent.eigenvalues[:n], Q[-1], d.s
+    gam, row = _gamma(n), np.sqrt(1.0 + e_p)  # row >= ||Q|| >= ||l||
+    s_abs, abs_ell = np.abs(s), np.abs(ell)
+    v = ell * d.phase
+    # |D l - (D l)exact| <= 6 u |l|, and the product's rounding
+    g = (np.abs(s.T @ v.real + 1j * (s.T @ v.imag))
+         + (6 * _U + gam) * (s_abs.T @ abs_ell))  # >= |g|
+    g_norm = float(np.linalg.norm(g))
+    abs_s = _abs_norm(s_abs)  # >= || |s| ||
+    sts = s.T @ s
+    sts[np.diag_indices_from(sts)] -= 1.0
+    f = _SAFETY * (_abs_norm(np.abs(sts)) + gam * abs_s**2)  # >= ||s^T s - I||
+    sig = np.sqrt(1.0 + f)  # >= ||s|| up to the roundings _UP covers
+    y = row * sig  # >= ||Y||
+    delta = abs_q_p * abs_s * (gam + 12 * _U)  # >= ||Delta||
+    ortho = _UP * sig**2 * e_p + f + _SAFETY * (g_norm**2 + 2 * y * delta + delta**2)
+    h = min(float(np.linalg.norm(Q[:-1] @ np.conj(ell))) + gam * abs_q_p * row, e_p)
+    dz = float(np.linalg.norm(d.zhat - np.conj(v))) + 6 * _U * row
+    # P Q D (c g_j conj(D l)) = c g_j h for any c, so lam may be shifted by c in r_j
+    c = float(lam @ abs_ell**2 / (abs_ell @ abs_ell))
+    r = ((dz + 8 * _U * np.linalg.norm(d.zhat)) / d.nu
+         + g * np.linalg.norm((lam - c) * abs_ell))
+    mu_max = float(np.max(np.abs(d.mu), initial=0.0))
+    residual = _UP * rho_p * (sig + row * g_norm) + _SAFETY * (
+        row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
+        + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
+    bounds = _Bounds(ortho, residual, _SAFETY * _abs_norm(np.abs(q)), b)
+    # a derived block is smaller than M, so the dense check's scale is >= M
+    if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * parent.M:
+        return bounds
+    return None
 
 
 def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
@@ -283,10 +465,10 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
         raise ValueError("V must be (M, len(ts))")
     phases = e.phases(ts, alpha)
     q = e.eigenvectors
-    qh = q.conj().T
     rows = np.empty((T, steps), dtype=np.complex128)
     guard = np.zeros((1, T))
     if n and T * (steps - 2) > n:
+        qh = q.conj().T
         # S* Q is Q shifted up one row with a zero last row, so Q^H S* Q
         # needs no shifted copy; row n shifts into block row n - 1
         w_op = np.hstack([qh[:, :-1] @ q[1:], qh[:, -1:]])
@@ -301,7 +483,8 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     X = np.concatenate([V, guard])
     pb, pt = phases[:n], phases[n:]
     for s in range(steps):
-        X[:n] = q @ (pb * (qh @ X[1 : n + 1]))
+        # Q^H x as conj(Q^T conj(x)): no conjugate copy of Q, only of the n x T x
+        X[:n] = q @ (pb * (q.T @ X[1 : n + 1].conj()).conj())
         X[n:-1] = X[n + 1 :] * pt
         rows[:, s] = X[0]
     return rows, X[:-1]
@@ -312,7 +495,8 @@ class PropagatorCache:
     """At-most-once eigendecomposition per (equation, n, M, digest).
 
     A decomposition built with a `parent` one size up is derived from it
-    when it can be (`derived`) and otherwise taken by `eigh`
+    when it can be (`derived`; `certified` of those were accepted on their
+    certificate, with no dense check) and otherwise taken by `eigh`
     (`fallbacks`); either way it counts as one decomposition.
     """
 
@@ -320,6 +504,7 @@ class PropagatorCache:
     decompositions: int = 0
     hits: int = 0
     derived: int = 0
+    certified: int = 0
     fallbacks: int = 0
 
     @property
@@ -338,6 +523,7 @@ class PropagatorCache:
         self.decompositions += 1
         if built.derived:
             self.derived += 1
+            self.certified += built.certified
         elif _derivable(m, parent):
             self.fallbacks += 1
         return built

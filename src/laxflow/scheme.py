@@ -192,8 +192,8 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     at the largest n(k) (`LaxMatrix.truncated`) on the first cache miss:
     O(n^3) for the n x n block, held as n^2 complex numbers.  A run at n one
     below the run before it (the full staircase) derives its decomposition
-    from that run's, at O(n^2) plus one real n x n by n x 2n product
-    (`propagator.eig_hermitian`).
+    from that run's, at O(n^2) plus one real n x n by n x 2n product and
+    one real n x n product for its certificate (`propagator.eig_hermitian`).
     On the block a long run costs one product W = Q^H S* Q and then one
     n x n by n x T product per step in the eigenbasis; a short run takes two
     such products per step in the standard basis.  The tail rows n..M-1

@@ -180,6 +180,8 @@ class TestEvolve:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         m = manifest_of(a)
         assert (m["decompositions"], m["derived_decompositions"]) == (31, 30)
+        # every derived decomposition was accepted on its certificate
+        assert m["certified_decompositions"] == 30
 
     def test_time_zero_reproduces_datum(self, tmp_path):
         out = tmp_path / "run"
@@ -501,6 +503,23 @@ class TestDiagnostics:
         profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
         assert main(["diagnostics", "--M", "64", "--equation", equation, "--profile", profile,
                      "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("M", [48, 32])
+    def test_bad_M_rejected_before_any_suite(self, tmp_path, capsys, monkeypatch, M):
+        # each suite checked M only when its turn came: 48 ran the bound
+        # suite first, 32 the bound and resolvent suites
+        calls, real = [], diag.run_bound_suite
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diag, "run_bound_suite", counting)
+        out = tmp_path / "x"
+        assert main(["diagnostics", "--M", str(M), "--out", str(out)]) == 2
+        assert "M must be a power of two >= 64" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("kappas", ["inf", "1,nan", "-inf"])
     def test_non_finite_kappa_writes_nothing(self, tmp_path, capsys, kappas):

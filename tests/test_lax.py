@@ -219,6 +219,15 @@ class TestTruncated:
         np.testing.assert_array_equal(m.truncated(9).truncated(4).block, m.truncated(4).block)
         np.testing.assert_array_equal(m.truncated(16).block, m.block)
 
+    def test_slices_are_read_only_views(self):
+        # a block passed in writeable is copied; a slice of a block is not
+        raw = np.diag(np.arange(4.0)).astype(complex)
+        m = LaxMatrix(raw, EQUATIONS["BO"], 4)
+        raw[0, 0] = 9.0
+        assert m.block[0, 0] == 0.0 and not m.block.flags.writeable
+        t = m.truncated(2)
+        assert np.shares_memory(t.block, m.block) and not t.block.flags.writeable
+
     @pytest.mark.parametrize("n", [-1, 6, 8, 9])
     def test_rejects_n_outside_the_block(self, n):
         m = build_bo_lax(random_real_spectrum(8, 1), 5, 8)

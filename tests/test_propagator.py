@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from laxflow import propagator
 from laxflow.lax import EQUATIONS, LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
     _RECON_TOL,
@@ -12,6 +13,7 @@ from laxflow.propagator import (
     eig_hermitian,
     find_kappa_zero,
 )
+from laxflow.scheme import SchemeConfig, make_schedule, run_scheme
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 from oracles import taylor_expm
 from dense import dense_matrix
@@ -280,6 +282,88 @@ class TestDerivationFallback:
         assert not eig_hermitian(build_bo_lax(u0, 4, 8), parent).derived
         one = eig_hermitian(build_bo_lax(u0, 1, 8))
         assert not eig_hermitian(build_bo_lax(u0, 0, 8), one).derived
+
+
+def dense_defects(m, lam, q):
+    """The dense check's measurements: max |Q diag(lam) Q^H - B| and max |Q^H Q - I|."""
+    return (np.max(np.abs((q * lam) @ q.conj().T - m.block)),
+            np.max(np.abs(q.conj().T @ q - np.eye(m.n))))
+
+
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+class TestCertificate:
+    """A derived decomposition accepted on its certificate passes the dense check."""
+
+    K = 128
+
+    def sliced_chain(self, family, seed):
+        """(L_n, parent, decomposition) down the full staircase n = K - 1..1,
+        every L_n sliced from one build, as `run_scheme` does."""
+        eq = EQUATIONS[family]
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": 0.5})
+        lax = eq.build_lax(analyze_profile(p, self.K, hardy=eq.hardy), self.K - 1, self.K)
+        parent = None
+        for n in range(self.K - 1, 0, -1):
+            m = lax.truncated(n)
+            e = eig_hermitian(m, parent)
+            yield m, parent, e
+            parent = e
+
+    def test_bounds_cover_the_dense_defects(self, family):
+        certified = 0
+        for seed in range(1000, 1010):
+            for m, _, e in self.sliced_chain(family, seed):
+                assert e.derived == (m.n < self.K - 1)
+                assert e.block.base is m.block.base  # both views of the one build
+                if not e.certified:
+                    continue
+                certified += 1
+                recon, ortho = dense_defects(m, e.eigenvalues[: m.n], e.eigenvectors)
+                assert e.bounds.ortho >= ortho
+                assert e.bounds.recon() >= recon
+                # the certificate's own criteria, half the dense check's tolerances
+                assert e.bounds.ortho <= 0.5 * _RECON_TOL
+                assert e.bounds.recon() <= 0.5 * _RECON_TOL * m.M
+        assert certified >= 0.9 * 10 * (self.K - 2)
+
+    def test_keeps_no_build_alive(self, family):
+        # a decomposition refers to its build weakly: once the build is gone,
+        # a child is derived but checked densely, and the cache holds no build
+        eq = EQUATIONS[family]
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 1000, "norm": 0.5})
+        u0 = analyze_profile(p, 16, hardy=eq.hardy)
+        parent = eig_hermitian(eq.build_lax(u0, 16, 16).truncated(9))
+        assert parent.block is None
+        child = eig_hermitian(eq.build_lax(u0, 16, 16).truncated(8), parent)
+        assert child.derived and not child.certified
+        out = run_scheme(SchemeConfig(family, make_schedule("full-staircase", 16), [1.0], u0))
+        assert out.cache.certified == 14
+        assert all(e.block is None for e in out.cache._store.values())
+
+    def test_rejects_the_mutated_derivations(self, family, monkeypatch):
+        """The pairs a derivation with the phase of z dropped, or with the
+        secular tolerance 1e-4, gives from a correct parent.  The first the
+        dense check always rejects; the second it rejects on some steps, and
+        the certificate must reject those too."""
+        rejected = {"no_phase": 0, "loose_tol": 0}
+        for seed in (1000, 1003):
+            for m, parent, _ in self.sliced_chain(family, seed):
+                if parent is None:
+                    continue
+                n, d = parent.n, propagator._delete_last(parent)
+                no_phase = d._replace(phase=np.ones(n), q=parent.eigenvectors[:-1] @ d.s)
+                monkeypatch.setattr(propagator, "_SECULAR_TOL", 1e-4 / n)
+                loose_tol = propagator._delete_last(parent)
+                monkeypatch.undo()
+                for name, mutant in (("no_phase", no_phase), ("loose_tol", loose_tol)):
+                    q = propagator._canonical_phases(mutant.q)
+                    if isinstance(propagator._check_failure(m, mutant.mu, q), str):
+                        assert propagator._certify(parent, mutant, q) is None
+                        rejected[name] += 1
+        assert rejected["no_phase"] == 2 * (self.K - 2)
+        if family == "CCM-defocusing":
+            # seed 1000 is a chain on which the loose roots often fail the dense check
+            assert rejected["loose_tol"] > self.K // 2
 
 
 class TestKappaZero:
