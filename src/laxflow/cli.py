@@ -171,7 +171,7 @@ def write_manifest(outdir: Path, config: dict, extra: dict, files) -> Path:
 
 
 def _resolve_times(args) -> np.ndarray:
-    if args.times:
+    if args.times is not None:  # "" is no time, not the --T grid
         return np.array([parse_time_expr(t) for t in args.times.split(";")])
     T = float(args.T)
     return np.linspace(-T, T, int(args.grid_points))
@@ -225,7 +225,7 @@ def cmd_talbot(args) -> int:
     if args.equation != "BO":
         raise ConfigError("the Talbot experiment is defined for the BO equation")
     K = int(args.K)
-    time_exprs = args.times.split(";") if args.times else list(TALBOT_TIMES)
+    time_exprs = args.times.split(";") if args.times is not None else list(TALBOT_TIMES)
     times = np.array([parse_time_expr(t) for t in time_exprs])
     profile = parse_profile(args.profile)
 

@@ -11,7 +11,9 @@ eigenbasis, or, for short runs, two such products per step in the standard
 basis; the tail is shifted and phased elementwise either way, and a zero
 guard row below the iterate gives n < M and n = M one step body.  All
 eigenvalues are real, so |phase| = 1 for every t and the evolution is
-unconditionally stable in time.
+unconditionally stable in time.  `advance` is the one group-application
+path; the group alone at many times, as the diagnostics propagator sweep
+needs it, is Q^H v taken once and phased per time by `HermitianEig.phases`.
 
 The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
 on a staircase n -> n - 1 each decomposition follows from the one before:
@@ -46,7 +48,6 @@ __all__ = [
     "HermitianEig",
     "PropagatorCache",
     "eig_hermitian",
-    "apply_group_many",
     "advance",
     "find_kappa_zero",
 ]
@@ -424,22 +425,6 @@ def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_B
     if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * parent.M:
         return bounds
     return None
-
-
-def apply_group_many(e: HermitianEig, ts, alpha: int, V) -> np.ndarray:
-    """Apply e^{i alpha t (I + 2 L)} at several times; column j of V evolves by ts[j].
-
-    alpha = +1 for the BO scheme, -1 for CCM.  ValueError when a phase overflows.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    V = np.asarray(V, dtype=np.complex128)
-    if V.shape != (e.M, len(ts)):
-        raise ValueError("V must be (M, len(ts))")
-    n, q = e.n, e.eigenvectors
-    phases = e.phases(ts, alpha)
-    out = phases * V
-    out[:n] = q @ (phases[:n] * (q.conj().T @ V[:n]))
-    return out
 
 
 def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):

@@ -58,7 +58,11 @@ class Schedule:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.int64)
+        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
+        # a cast would run 2.5 as 2, "3" as 3 and True as 1
+        if not all(map(spectral._is_integer, values)):
+            raise ValueError(f"truncation parameters must be integers, got {self.values!r}")
+        v = np.array(values, dtype=np.int64)
         if self.K < 1 or len(v) != self.K:
             raise ValueError("schedule needs exactly K values, K >= 1")
         if np.any(v < 0):
@@ -99,9 +103,10 @@ def make_schedule(kind: str, K: int, custom_values: Optional[Sequence[int]] = No
     else:
         if custom_values is None or len(custom_values) != K:
             raise ValueError("custom schedule needs exactly K values")
-        values = np.asarray(custom_values, dtype=np.int64)
-    spectral.warn_zero_seed_truncation(int(values[0]))
-    return Schedule(K, kind, values)
+        values = custom_values
+    schedule = Schedule(K, kind, values)
+    spectral.warn_zero_seed_truncation(int(schedule.values[0]))
+    return schedule
 
 
 def iterate_size(sched: Schedule, k: int) -> int:

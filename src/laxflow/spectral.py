@@ -148,8 +148,8 @@ class InitialProfile:
     * random-sobolev: {"s": float, "seed": int, "norm": optional target
       L2 norm to scale to}
 
-    The parameter each kind cannot do without (coeffs, k0, s) is checked on
-    construction.
+    The parameter each kind cannot do without (coeffs, k0, s), and the
+    random-sobolev seed and norm, are checked on construction.
     """
 
     kind: str
@@ -166,12 +166,25 @@ class InitialProfile:
             raise ValueError(f"profile {self.kind!r} needs the parameter {required!r}")
         if self.kind == "single-mode" and not _is_integer(self.params["k0"]):
             raise ValueError(f"single-mode k0 must be an integer, got {self.params['k0']!r}")
-        if self.kind == "random-sobolev" and not _is_finite_real(self.params["s"]):
-            raise ValueError(f"random-sobolev s must be a finite number, got {self.params['s']!r}")
+        if self.kind == "random-sobolev":
+            s, seed, norm = self.params["s"], self.params.get("seed", 0), self.params.get("norm")
+            if not _is_finite_real(s):
+                raise ValueError(f"random-sobolev s must be a finite number, got {s!r}")
+            if not _is_philox_key(seed):
+                raise ValueError(f"random-sobolev seed must be an integer in [0, 2**128), "
+                                 f"got {seed!r}")
+            # a negative target would negate every coefficient
+            if norm is not None and not (_is_finite_real(norm) and norm >= 0):
+                raise ValueError(f"random-sobolev norm must be finite and >= 0, got {norm!r}")
 
 
 def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_philox_key(v) -> bool:
+    """An integer in [0, 2**128), Philox's key range; a cast would run 2.7 as 2 and True as 1."""
+    return _is_integer(v) and 0 <= v < 2**128
 
 
 def _is_finite_real(v) -> bool:

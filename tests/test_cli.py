@@ -231,7 +231,8 @@ class TestEvolve:
         assert "config error" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("times", ["1e400", "0;-1e400"])
+    # "" ran the --T grid
+    @pytest.mark.parametrize("times", ["1e400", "0;-1e400", pytest.param("", id="empty")])
     def test_non_finite_time_writes_nothing(self, tmp_path, times):
         out = tmp_path / "x"
         assert main(["evolve", "--K", "8", "--times", times, "--out", str(out)]) == 2
@@ -250,6 +251,8 @@ class TestEvolve:
         ["--times", "0", "--profile", "random-sobolev"],
         ["--times", "0", "--profile", "single-mode"],
         ["--times", "0", "--profile", "explicit"],
+        # ran seed 2
+        ["--times", "0", "--profile", "random-sobolev:s=1,seed=2.7"],
     ])
     def test_former_crashes_are_config_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
@@ -363,6 +366,8 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, cmd, flag, key
     ("evolve", {"T": "True*pi"}),
     ("evolve", {"times": "False"}),
     ("evolve", {"schema_version": True}),
+    # ran as [2, 1, 0, 0] while the manifest echoed the floats
+    ("evolve", {"K": 4, "times": "0", "schedule": [2.5, 1.7, 0.9, 0]}),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, cmd, config):
     cfg = tmp_path / "cfg.json"
@@ -432,6 +437,17 @@ class TestTalbot:
         for i in range(4):
             assert (out / f"talbot_{i}_nonlinear.csv").exists()
             assert (out / f"talbot_{i}_linear.csv").exists()
+
+    def test_empty_times_writes_nothing(self, tmp_path, capsys):
+        # an empty --times or config "times" ran the default Talbot times
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"times": []}))
+        for i, argv in enumerate([["--times", ""], ["--config", str(cfg)]]):
+            out = tmp_path / f"x{i}"
+            assert main(["talbot", "--K", "8", "--out", str(out)] + argv) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_ccm_rejected(self, tmp_path):
         assert main(["talbot", "--equation", "CCM-defocusing",
@@ -518,6 +534,20 @@ class TestDiagnostics:
         out = tmp_path / "x"
         assert main(["diagnostics", "--M", str(M), "--out", str(out)]) == 2
         assert "M must be a power of two >= 64" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+    def test_bad_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, seed):
+        # Philox raised only after the M x M Lax build, its Gram cores and a kappa0 search
+        calls = []
+        for name in ("build_bo_lax", "build_ccm_lax"):
+            monkeypatch.setattr(laxflow.lax, name, lambda *a, _n=name: calls.append(_n))
+        monkeypatch.setattr(diag, "find_kappa_zero", lambda *a: calls.append("kappa0"))
+        out = tmp_path / "x"
+        assert main(["diagnostics", "--M", "256", "--equation", "CCM-defocusing",
+                     f"--seed={seed}", "--out", str(out)]) == 2
+        assert "seed must be an integer in [0, 2**128)" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

@@ -63,16 +63,21 @@ class TestSchedules:
     def test_custom(self):
         s = make_schedule("custom", 3, custom_values=[2, 1, 0])
         np.testing.assert_array_equal(s.values, [2, 1, 0])
-        with pytest.raises(ValueError):
-            make_schedule("custom", 3, custom_values=[1, 2])
+        # a cast ran 2.5 as 2, "3" as 3 and True as 1
+        for bad in ([1, 2], [2.5, 1.7, 0.9], ["3", 1, 0], [True, 1, 0], np.array([2.0, 1, 0])):
+            with pytest.raises(ValueError):
+                make_schedule("custom", 3, custom_values=bad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_schedule("staircase", 4)
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            Schedule(2, "custom", [1, -1])
+        for bad in ([1, -1], [1, 0.5], [1.0, 0], ["1", 0], [np.True_, 0], [1, False]):
+            with pytest.raises(ValueError):
+                Schedule(2, "custom", bad)
+        np.testing.assert_array_equal(Schedule(2, "custom", [np.int32(1), np.uint8(0)]).values,
+                                      [1, 0])
 
     def test_zero_seed_truncation_warns(self):
         with pytest.warns(UserWarning, match="n\\(0\\) = 0"):

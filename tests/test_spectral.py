@@ -156,6 +156,16 @@ class TestProfileParameters:
         ("random-sobolev", {"s": float("inf")}),
         ("random-sobolev", {"s": "1"}),
         ("random-sobolev", {"s": 10**400}),
+        # seed 2.7 ran as 2 and True as 1; norm -0.5 negated every coefficient
+        ("random-sobolev", {"s": 1, "seed": 2.7}),
+        ("random-sobolev", {"s": 1, "seed": True}),
+        ("random-sobolev", {"s": 1, "seed": -1}),
+        ("random-sobolev", {"s": 1, "seed": 2**128}),
+        ("random-sobolev", {"s": 1, "seed": None}),
+        ("random-sobolev", {"s": 1, "norm": -0.5}),
+        ("random-sobolev", {"s": 1, "norm": float("nan")}),
+        ("random-sobolev", {"s": 1, "norm": float("inf")}),
+        ("random-sobolev", {"s": 1, "norm": "1"}),
     ])
     def test_missing_or_malformed_required_parameter(self, kind, params):
         with pytest.raises(ValueError):
@@ -165,6 +175,8 @@ class TestProfileParameters:
         InitialProfile("explicit", {"coeffs": [1.0]})
         InitialProfile("single-mode", {"k0": np.int64(2)})
         InitialProfile("random-sobolev", {"s": 1})
+        InitialProfile("random-sobolev", {"s": 1, "seed": np.uint64(2**64 - 1), "norm": 0})
+        InitialProfile("random-sobolev", {"s": 1, "seed": 2**128 - 1, "norm": None})
         InitialProfile("square-wave")
 
 
