@@ -89,7 +89,12 @@ def parse_time_expr(expr) -> float:
 
 
 def parse_profile(spec) -> InitialProfile:
-    """Parse "square-wave", "single-mode:k0=3,amplitude=0.2", etc."""
+    """Parse "square-wave", "single-mode:k0=3,amplitude=0.2", etc.
+
+    The text after the colon is read as the keywords of one call, each value
+    a Python literal, so "explicit:coeffs=[0,0.1,0.2j]" works; a repeated key
+    is a config error.
+    """
     if isinstance(spec, dict):
         kind = spec.get("kind")
         params = {k: v for k, v in spec.items() if k != "kind"}
@@ -97,14 +102,21 @@ def parse_profile(spec) -> InitialProfile:
         kind, _, rest = str(spec).partition(":")
         params = {}
         if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if not val:
-                    raise ConfigError(f"bad profile parameter {item!r}")
+            # the newline ends any comment, so "s=1)#" cannot close the call early
+            try:
+                call = ast.parse(f"f({rest}\n)", mode="eval").body
+            except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
+                raise ConfigError(f"bad profile parameters {rest!r}") from exc
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and not call.args and all(kw.arg for kw in call.keywords)):
+                raise ConfigError(f"profile parameters must be key=value pairs, got {rest!r}")
+            for kw in call.keywords:
+                if kw.arg in params:
+                    raise ConfigError(f"repeated profile parameter {kw.arg!r}")
                 try:
-                    params[key.strip()] = ast.literal_eval(val)
+                    params[kw.arg] = ast.literal_eval(kw.value)
                 except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
-                    raise ConfigError(f"bad profile parameter {item!r}") from exc
+                    raise ConfigError(f"bad profile parameter {kw.arg!r}") from exc
     try:
         return InitialProfile(kind, params)
     except ValueError as exc:
@@ -260,13 +272,10 @@ def cmd_convergence(args) -> int:
     Ks = [int(k) for k in args.Ks.split(",")]
     profile = parse_profile(args.profile)
     t0 = time.perf_counter()
-    try:
-        table = diag.run_convergence_study(
-            profile, args.equation, Ks, args.schedule, float(args.T),
-            int(args.grid_points), int(args.kref), check=False,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = diag.run_convergence_study(
+        profile, args.equation, Ks, args.schedule, float(args.T),
+        int(args.grid_points), int(args.kref), check=False,
+    )
     wall = time.perf_counter() - t0
     slope = diag.fit_rate(table) if len(table.rows) >= 4 else None
     out = _outdir(args)

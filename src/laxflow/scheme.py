@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -105,7 +106,12 @@ def make_schedule(kind: str, K: int, custom_values: Optional[Sequence[int]] = No
             raise ValueError("custom schedule needs exactly K values")
         values = custom_values
     schedule = Schedule(K, kind, values)
-    spectral.warn_zero_seed_truncation(int(schedule.values[0]))
+    if schedule.values[0] == 0:
+        warnings.warn(
+            "schedule has n(0) = 0: the zero mode is truncated away and the "
+            "mean of the data is not preserved",
+            stacklevel=2,
+        )
     return schedule
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -142,25 +141,36 @@ class InitialProfile:
     kind is one of "explicit", "square-wave", "single-mode",
     "random-sobolev"; parameters live in ``params``:
 
-    * explicit: {"coeffs": one-sided sequence (Hardy) or two-sided
-      Hermitian sequence of length 2m-1 centered at 0 (real field)}
+    * explicit: {"coeffs": the coefficients at k = 0..m-1; a real field
+      takes c(-k) = conj(c(k)) and needs a real c(0)}
     * single-mode: {"k0": int, "amplitude": complex}
     * random-sobolev: {"s": float, "seed": int, "norm": optional target
       L2 norm to scale to}
 
-    The parameter each kind cannot do without (coeffs, k0, s), and the
-    random-sobolev seed and norm, are checked on construction.
+    A parameter the kind does not take, a missing one it cannot do without
+    (coeffs, k0, s), and a malformed random-sobolev seed or norm are
+    rejected on construction.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    _KINDS = ("explicit", "square-wave", "single-mode", "random-sobolev")
+    #: the parameters each kind takes; its keys are the kinds
+    _PARAMS = {
+        "explicit": ("coeffs",),
+        "square-wave": (),
+        "single-mode": ("k0", "amplitude"),
+        "random-sobolev": ("s", "seed", "norm"),
+    }
     _REQUIRED = {"explicit": "coeffs", "single-mode": "k0", "random-sobolev": "s"}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._PARAMS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        unknown = [k for k in self.params if k not in self._PARAMS[self.kind]]
+        if unknown:
+            raise ValueError(f"profile {self.kind!r} takes no parameter "
+                             f"{', '.join(map(repr, unknown))}")
         required = self._REQUIRED.get(self.kind)
         if required is not None and required not in self.params:
             raise ValueError(f"profile {self.kind!r} needs the parameter {required!r}")
@@ -247,11 +257,6 @@ def square_wave_coefficient(k: int) -> complex:
     return -1j * (1 - (-1) ** k) / (np.pi * k)
 
 
-def _square_wave_spectrum(K: int) -> RealSpectrum:
-    nonneg = np.array([square_wave_coefficient(k) for k in range(K)])
-    return RealSpectrum.from_hardy_part(nonneg, K)
-
-
 def _random_sobolev_hardy(s: float, seed: int, bandwidth: int) -> np.ndarray:
     # Philox is counter-based, so the draw is reproducible across platforms.
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -265,78 +270,46 @@ def _random_sobolev_hardy(s: float, seed: int, bandwidth: int) -> np.ndarray:
 def analyze_profile(p: InitialProfile, bandwidth: int, hardy: bool = False) -> Field:
     """Materialize an initial profile at the given bandwidth.
 
-    Returns a RealSpectrum (real field, e.g. BO data) unless ``hardy`` is
-    set, in which case the Hardy-space coefficients are returned (CCM data).
+    Each kind yields its coefficients c at k = 0..m-1, m <= bandwidth, the
+    only ones the schemes read.  Returns ``HardyVector(c)`` if ``hardy`` is
+    set (CCM data), else the real field with c(-k) = conj(c(k)) as a
+    RealSpectrum (BO data).
     """
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
 
+    def field(c) -> Field:
+        return HardyVector(c) if hardy else RealSpectrum.from_hardy_part(c, bandwidth)
+
     if p.kind == "square-wave":
-        spec = _square_wave_spectrum(bandwidth)
-        return project_hardy(spec) if hardy else spec
+        return field([square_wave_coefficient(k) for k in range(bandwidth)])
 
     if p.kind == "single-mode":
         k0 = int(p.params["k0"])
         amp = complex(p.params.get("amplitude", 1.0))
         if abs(k0) >= bandwidth:
             raise ValueError(f"single-mode frequency {k0} outside bandwidth {bandwidth}")
-        if hardy:
-            if k0 < 0:
-                raise ValueError("CCM single-mode data requires k0 >= 0")
-            c = np.zeros(k0 + 1, dtype=np.complex128)
-            c[k0] = amp
-            return HardyVector(c)
-        nonneg = np.zeros(abs(k0) + 1, dtype=np.complex128)
-        nonneg[abs(k0)] = amp if k0 >= 0 else np.conj(amp)
-        if k0 == 0 and amp.imag != 0:
+        if hardy and k0 < 0:
+            raise ValueError("CCM single-mode data requires k0 >= 0")
+        if not hardy and k0 == 0 and amp.imag != 0:
             raise ValueError("a real field needs a real zero mode")
-        return RealSpectrum.from_hardy_part(nonneg, bandwidth)
+        c = np.zeros(abs(k0) + 1, dtype=np.complex128)
+        c[-1] = amp if k0 >= 0 else np.conj(amp)
+        return field(c)
 
     if p.kind == "random-sobolev":
-        s = float(p.params["s"])
-        seed = int(p.params.get("seed", 0))
-        c = _random_sobolev_hardy(s, seed, bandwidth)
-        if hardy:
-            out: Field = HardyVector(c)
-        else:
-            out = RealSpectrum.from_hardy_part(c, bandwidth)
+        c = _random_sobolev_hardy(float(p.params["s"]), int(p.params.get("seed", 0)), bandwidth)
         target = p.params.get("norm")
         if target is not None:
-            cur = l2_norm(out)
+            # the norm of the field: two-sided for a real one
+            cur = l2_norm(field(c))
             if cur == 0.0:
                 raise ValueError("cannot rescale a zero profile")
-            scale = float(target) / cur
-            if hardy:
-                return HardyVector(out.coeffs * scale)
-            return RealSpectrum(out.coeffs * scale, bandwidth)
-        return out
+            c = c * (float(target) / cur)
+        return field(c)
 
     # explicit coefficients
     c = np.asarray(p.params["coeffs"], dtype=np.complex128)
-    if hardy:
-        if len(c) > bandwidth:
-            raise ValueError("explicit Hardy coefficients exceed bandwidth")
-        return HardyVector(c)
-    if p.params.get("two_sided", False):
-        if len(c) % 2 != 1:
-            raise ValueError("two-sided coefficients need odd length 2m-1")
-        m = (len(c) + 1) // 2
-        spec = RealSpectrum(np.pad(c, (bandwidth - m, bandwidth - m)), bandwidth) \
-            if m <= bandwidth else None
-        if spec is None:
-            raise ValueError("explicit coefficients exceed bandwidth")
-        spec.check_symmetry()
-        return spec
     if len(c) > bandwidth:
         raise ValueError("explicit coefficients exceed bandwidth")
-    return RealSpectrum.from_hardy_part(c, bandwidth)
-
-
-def warn_zero_seed_truncation(n0: int) -> None:
-    """Warn when the seed truncation drops the zero mode entirely."""
-    if n0 == 0:
-        warnings.warn(
-            "schedule has n(0) = 0: the zero mode is truncated away and the "
-            "mean of the data is not preserved",
-            stacklevel=3,
-        )
+    return field(c)

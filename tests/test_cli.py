@@ -41,7 +41,8 @@ _time_exprs = st.recursive(_atoms, lambda e: st.one_of(
 _profile_values = st.one_of(_time_exprs, st.sampled_from(["{[]: 1}", "[1, 2]", "(", ""]))
 _profiles = st.tuples(
     st.sampled_from(["explicit", "square-wave", "single-mode", "random-sobolev", "x"]),
-    st.lists(st.tuples(st.sampled_from(["k0", "s", "seed", "norm", "coeffs", "amplitude"]),
+    st.lists(st.tuples(st.sampled_from(["k0", "s", "seed", "sed", "norm", "coeffs",
+                                        "amplitude"]),
                        _profile_values).map("=".join), max_size=3).map(",".join),
 ).map(lambda t: f"{t[0]}:{t[1]}" if t[1] else t[0])
 # (spec, K); a custom list mostly has the K values it needs
@@ -85,6 +86,18 @@ class TestParsing:
         assert parse_profile("square-wave").params == {}
         q = parse_profile({"kind": "random-sobolev", "s": 1.0, "seed": 7})
         assert q.params == {"s": 1.0, "seed": 7}
+
+    def test_profile_list_values(self, tmp_path):
+        # the items were split at every comma: "bad profile parameter 'coeffs=[0'"
+        spec = "explicit:coeffs=[0,0.1,0.2j]"
+        assert parse_profile(spec).params == {"coeffs": [0, 0.1, 0.2j]}
+        assert main(["evolve", "--K", "4", "--times", "0", "--profile", spec,
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_profile_repeated_key_is_config_error(self):
+        # ran s=2
+        with pytest.raises(ConfigError, match="repeated"):
+            parse_profile("random-sobolev:s=1,s=2")
 
     def test_profile_rejects_junk(self):
         with pytest.raises(ConfigError):
@@ -253,6 +266,8 @@ class TestEvolve:
         ["--times", "0", "--profile", "explicit"],
         # ran seed 2
         ["--times", "0", "--profile", "random-sobolev:s=1,seed=2.7"],
+        # ran seed 0
+        ["--times", "0", "--profile", "random-sobolev:s=1,sed=5"],
     ])
     def test_former_crashes_are_config_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "x"

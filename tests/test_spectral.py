@@ -166,6 +166,10 @@ class TestProfileParameters:
         ("random-sobolev", {"s": 1, "norm": float("nan")}),
         ("random-sobolev", {"s": 1, "norm": float("inf")}),
         ("random-sobolev", {"s": 1, "norm": "1"}),
+        # unknown parameters were ignored: seed 0 ran, the plain square wave ran
+        ("random-sobolev", {"s": 1, "sed": 5}),
+        ("square-wave", {"amplitude": 3}),
+        ("explicit", {"coeffs": [1.0, 0.5, 1.0], "two_sided": True}),
     ])
     def test_missing_or_malformed_required_parameter(self, kind, params):
         with pytest.raises(ValueError):
