@@ -222,6 +222,8 @@ def cmd_evolve(args) -> int:
         "decompositions": result.decompositions,
         "derived_decompositions": result.cache.derived,
         "certified_decompositions": result.cache.certified,
+        "evictions": result.cache.evictions,
+        "cache_bytes": result.cache.nbytes,
         "wall_time_s": wall,
         "l2_preserving_schedule": schedule.l2_preserving,
         "n0_zero": bool(schedule.values[0] == 0),

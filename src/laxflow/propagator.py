@@ -49,6 +49,7 @@ __all__ = [
     "PropagatorCache",
     "eig_hermitian",
     "advance",
+    "free_phases",
     "find_kappa_zero",
 ]
 
@@ -127,11 +128,23 @@ class HermitianEig:
 
     def phases(self, ts, alpha: int) -> np.ndarray:
         """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts)); ValueError on overflow."""
-        with np.errstate(over="ignore"):
-            arg = np.outer(1.0 + 2.0 * self.eigenvalues, ts)
-        if not np.all(np.isfinite(arg)):
-            raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
-        return np.exp(1j * alpha * arg)
+        return _phases(self.eigenvalues, ts, alpha)
+
+
+def _phases(lam: np.ndarray, ts, alpha: int) -> np.ndarray:
+    """e^{i alpha t (1 + 2 lambda)}, shape (len(lam), len(ts)); ValueError on overflow."""
+    with np.errstate(over="ignore"):
+        arg = np.outer(1.0 + 2.0 * lam, ts)
+    if not np.all(np.isfinite(arg)):
+        raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
+    return np.exp(1j * alpha * arg)
+
+
+def free_phases(M: int, ts, alpha: int) -> np.ndarray:
+    """e^{i alpha t (1 + 2 j)}, shape (M, len(ts)): the group's phases on the
+    unit vectors e_j, the tail eigenvectors of every L_n with n <= j, so one
+    array serves every decomposition at M; ValueError on overflow."""
+    return _phases(np.arange(M, dtype=np.float64), ts, alpha)
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
@@ -427,12 +440,15 @@ def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_B
     return None
 
 
-def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
+def advance(e: HermitianEig, ts, alpha: int, free: np.ndarray, V: np.ndarray, steps: int):
     """Take `steps` scheme steps V <- e^{i alpha t (I + 2 L)} S* V on one decomposition.
 
     Column j of V evolves by ts[j].  Returns (rows, V): rows[:, s] is the
     zero mode of the iterate after step s + 1, shape (len(ts), steps), and V
     is the last iterate in the standard basis; the caller's V is not changed.
+    `free` is `free_phases(M, ts, alpha)`, taken once for every decomposition
+    at M: the tail rows n..M-1 take their phases from it, and only the
+    block's n are computed here.
 
     The iterate carries one zero guard row below row M - 1, which S* shifts
     into row M - 1, so the block always reads rows 1..n (0..n in the
@@ -446,9 +462,9 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     """
     ts = np.asarray(ts, dtype=np.float64)
     M, n, T = e.M, e.n, len(ts)
-    if V.shape != (M, T):
-        raise ValueError("V must be (M, len(ts))")
-    phases = e.phases(ts, alpha)
+    if V.shape != (M, T) or free.shape != (M, T):
+        raise ValueError("V and free must be (M, len(ts))")
+    phases = np.concatenate([_phases(e.eigenvalues[:n], ts, alpha), free[n:]])
     q = e.eigenvectors
     rows = np.empty((T, steps), dtype=np.complex128)
     guard = np.zeros((1, T))
@@ -475,6 +491,14 @@ def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     return rows, X[:-1]
 
 
+# the bytes of finished decompositions a cache keeps for a later run to hit
+_CACHE_BUDGET = 16 << 20
+
+
+def _nbytes(e: HermitianEig) -> int:
+    return e.eigenvalues.nbytes + e.eigenvectors.nbytes
+
+
 @dataclass
 class PropagatorCache:
     """At-most-once eigendecomposition per (equation, n, M, digest).
@@ -483,25 +507,35 @@ class PropagatorCache:
     when it can be (`derived`; `certified` of those were accepted on their
     certificate, with no dense check) and otherwise taken by `eigh`
     (`fallbacks`); either way it counts as one decomposition.
+
+    An entry is *live* from its build until `release(key)` marks it
+    *finished*; `run_scheme` releases each n after its last run.  A live
+    entry is never evicted.  Finished entries stay resident, for a later
+    run to hit, while they take at most `_CACHE_BUDGET` bytes in all; past
+    that the one released longest ago is *evicted*, dropped from the cache
+    (`evictions`).  A hit on a finished entry makes it live again.
     """
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
+    _finished: Dict[Tuple, int] = field(default_factory=dict)  # key -> bytes, oldest first
     decompositions: int = 0
     hits: int = 0
     derived: int = 0
     certified: int = 0
     fallbacks: int = 0
+    evictions: int = 0
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the cached decompositions: 16 n^2 + 8 M each."""
-        return sum(e.eigenvalues.nbytes + e.eigenvectors.nbytes for e in self._store.values())
+        return sum(map(_nbytes, self._store.values()))
 
     def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix],
                      parent: Optional[HermitianEig] = None) -> HermitianEig:
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1
+            self._finished.pop(key, None)
             return cached
         m = factory()
         built = self._store[key] = eig_hermitian(m, parent)
@@ -512,6 +546,16 @@ class PropagatorCache:
         elif _derivable(m, parent):
             self.fallbacks += 1
         return built
+
+    def release(self, key: Tuple) -> None:
+        """Mark the entry finished, then evict the finished entries released
+        longest ago until the rest fit the budget."""
+        self._finished.pop(key, None)
+        self._finished[key] = _nbytes(self._store[key])
+        while sum(self._finished.values()) > _CACHE_BUDGET:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest], self._store[oldest]
+            self.evictions += 1
 
 
 def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:

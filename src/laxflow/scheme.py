@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .lax import Equation, data_digest
-from .propagator import PropagatorCache, advance
+from .propagator import PropagatorCache, advance, free_phases
 from .spectral import (
     HardyVector,
     InitialProfile,
@@ -194,6 +195,11 @@ def _resolve_data(cfg: SchemeConfig, eq: Equation):
     return project_hardy(u0), u0
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> SchemeOutput:
     """Evaluate the scheme at every configured time.
 
@@ -208,10 +214,26 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     On the block a long run costs one product W = Q^H S* Q and then one
     n x n by n x T product per step in the eigenbasis; a short run takes two
     such products per step in the standard basis.  The tail rows n..M-1
-    take their phases elementwise (see `propagator.advance`).
+    take their phases elementwise from one M x T array of free phases
+    taken once per call (see `propagator.advance`).
+
+    After the last run of each n the cache is told that the entry is
+    finished (`PropagatorCache.release`), so it keeps finished entries
+    only within its byte budget: a staircase holds at most two live
+    decompositions, the one in use and its parent, plus 16 MiB of finished
+    ones.  Before any work, ValueError when the least the run must hold at
+    once, the Lax build and one decomposition at the largest n(k), the
+    iterate and the coefficients, exceeds the machine's physical memory.
     """
     sched = cfg.schedule
     K = sched.K
+    M = sched.ambient_size
+    T = len(cfg.times)
+    n_max = int(sched.values[1:].max(initial=0))
+    need, have = 16 * (2 * n_max**2 + (M + 1) * T + T * K), _physical_memory()
+    if need > have:
+        raise ValueError(f"the run needs at least {need / 2**30:.3g} GiB at once, more "
+                         f"than the {have / 2**30:.3g} GiB of physical memory")
     eq = Equation.named(cfg.equation)
     hardy0, u0 = _resolve_data(cfg, eq)
 
@@ -227,26 +249,29 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
         cache = PropagatorCache()
     decomp_before = cache.decompositions
 
-    M = sched.ambient_size
-    T = len(cfg.times)
     seed = truncate(hardy0, int(sched.values[0]))
     seed_norm = l2_norm(seed)
 
     coeffs = np.zeros((T, K), dtype=np.complex128)
     V = np.tile(seed.padded(M)[:, None], (1, T))
     coeffs[:, 0] = V[0, :]
+    free = free_phases(M, cfg.times, eq.alpha)
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
-    lax = functools.cache(lambda: eq.build_lax(u0, int(sched.values[1:].max(initial=0)), M))
+    lax = functools.cache(lambda: eq.build_lax(u0, n_max, M))
+    runs = [(n, len(list(run))) for n, run in itertools.groupby(sched.values[1:].tolist())]
+    last = {n: i for i, (n, _) in enumerate(runs)}
     k, eig = 1, None
-    for n, run in itertools.groupby(sched.values[1:].tolist()):
-        steps = len(list(run))
+    for i, (n, steps) in enumerate(runs):
         # each run's decomposition is the next run's parent: on a staircase
-        # n -> n - 1 it is derived instead of decomposed afresh
+        # n -> n - 1 it is derived instead of decomposed afresh, and eig
+        # keeps the parent alive whatever the cache evicts
         key = (eq.name, n, M, digest)
         eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
-        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, V, steps)
+        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, free, V, steps)
         k += steps
+        if last[n] == i:
+            cache.release(key)
 
     # one more shift yields u^K up to a unitary factor; its norm and support
     # are what the exact-preservation property constrains

@@ -148,7 +148,8 @@ class InitialProfile:
       L2 norm to scale to}
 
     A parameter the kind does not take, a missing one it cannot do without
-    (coeffs, k0, s), and a malformed random-sobolev seed or norm are
+    (coeffs, k0, s), explicit coeffs that are not a one-dimensional
+    sequence of numbers, and a malformed random-sobolev seed or norm are
     rejected on construction.
     """
 
@@ -174,6 +175,9 @@ class InitialProfile:
         required = self._REQUIRED.get(self.kind)
         if required is not None and required not in self.params:
             raise ValueError(f"profile {self.kind!r} needs the parameter {required!r}")
+        if self.kind == "explicit" and not _is_number_sequence(self.params["coeffs"]):
+            raise ValueError(f"explicit coeffs must be a one-dimensional sequence of "
+                             f"numbers, got {self.params['coeffs']!r}")
         if self.kind == "single-mode" and not _is_integer(self.params["k0"]):
             raise ValueError(f"single-mode k0 must be an integer, got {self.params['k0']!r}")
         if self.kind == "random-sobolev":
@@ -190,6 +194,17 @@ class InitialProfile:
 
 def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number_sequence(v) -> bool:
+    """A one-dimensional sequence of real or complex numbers, no boolean among them."""
+    try:
+        a = np.asarray(v)
+    except (ValueError, TypeError):  # a ragged nesting
+        return False
+    # a cast would run [1, True] as [1, 1]
+    return (a.ndim == 1 and a.dtype.kind in "iufc"
+            and not any(isinstance(x, (bool, np.bool_)) for x in v))
 
 
 def _is_philox_key(v) -> bool:

@@ -196,6 +196,18 @@ class TestEvolve:
         # every derived decomposition was accepted on its certificate
         assert m["certified_decompositions"] == 30
 
+    @pytest.mark.parametrize("budget, evictions", [(16 << 20, 0), (0, 15)])
+    def test_manifest_reports_cache_evictions_and_bytes(self, tmp_path, monkeypatch,
+                                                        budget, evictions):
+        # K = 16 full staircase: n = 15..1 at M = 16, each 16 n^2 + 8 M bytes
+        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", budget)
+        out = tmp_path / "run"
+        assert main(["evolve", "--K", "16", "--schedule", "full-staircase", "--times", "1",
+                     "--out", str(out)]) == 0
+        m = manifest_of(out)
+        kept = sum(16 * n * n + 8 * 16 for n in range(1, 16)) if budget else 0
+        assert (m["evictions"], m["cache_bytes"]) == (evictions, kept)
+
     def test_time_zero_reproduces_datum(self, tmp_path):
         out = tmp_path / "run"
         main(["evolve", "--K", "8", "--times", "0", "--out", str(out),
@@ -274,6 +286,24 @@ class TestEvolve:
         assert main(["evolve", "--K", "8", "--out", str(out)] + argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-defocusing"])
+    @pytest.mark.parametrize("coeffs", ["5", "[[1,2]]", "'ab'"])
+    def test_malformed_explicit_coeffs_named(self, tmp_path, capsys, equation, coeffs):
+        # said "len() of unsized object" or "The truth value of an array ..."
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--times", "0", "--equation", equation,
+                     "--profile", f"explicit:coeffs={coeffs}", "--out", str(out)]) == 2
+        assert "explicit coeffs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_beyond_physical_memory_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: 1 << 10)
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "16", "--times", "0;1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_coefficient_writer_matches_write_csv(self, tmp_path):

@@ -11,6 +11,7 @@ from laxflow.propagator import (
     advance,
     eig_hermitian,
     find_kappa_zero,
+    free_phases,
 )
 from laxflow.scheme import SchemeConfig, make_schedule, run_scheme
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
@@ -123,7 +124,7 @@ class TestApplyGroup:
         ts = np.linspace(-3.0, 3.0, T)
         rng = np.random.default_rng(3)
         V = rng.standard_normal((6, T)) + 1j * rng.standard_normal((6, T))
-        rows, out = advance(e, ts, 1, V, steps)
+        rows, out = advance(e, ts, 1, free_phases(6, ts, 1), V, steps)
         for s in range(steps):
             V = np.vstack([V[1:], np.zeros((1, T))])
             V = np.stack([group_on_vector(e, t, 1, V[:, j]) for j, t in enumerate(ts)], axis=1)
@@ -170,7 +171,7 @@ class TestBlockRepresentation:
         ts = np.linspace(-1.5, 2.0, T)
         rng = np.random.default_rng(n)
         V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
-        rows, out = advance(e, ts, alpha, V, steps)
+        rows, out = advance(e, ts, alpha, free_phases(M_BLOCK, ts, alpha), V, steps)
         gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m)
         groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
         for s in range(steps):
@@ -198,6 +199,35 @@ class TestCache:
         a = cache.get_or_build(k, lambda: build_bo_lax(u0, 2, 4))
         b = cache.get_or_build(k, lambda: build_bo_lax(u0, 2, 4))
         assert a is b
+
+    def test_evicts_finished_entries_released_longest_ago(self, monkeypatch):
+        # three entries of 16 * 3^2 + 8 * 8 = 208 bytes, a budget for two
+        u0 = random_spectrum(8, 0)
+        cache = PropagatorCache()
+        key = lambda d: ("BO", None, 3, 8, d)
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 2 * 208)
+        for d in "abc":
+            cache.get_or_build(key(d), lambda: build_bo_lax(u0, 3, 8))
+        cache.release(key("b"))
+        cache.release(key("a"))
+        cache.release(key("c"))
+        assert (list(cache._store), cache.evictions) == ([key("a"), key("c")], 1)
+        assert cache.nbytes == 2 * 208
+
+    def test_live_entries_are_never_evicted(self, monkeypatch):
+        u0 = random_spectrum(8, 0)
+        cache = PropagatorCache()
+        key = lambda n: ("BO", None, n, 8, "d")
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
+        cache.release(key(3))
+        # a hit makes a finished entry live again
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
+        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5, 8))
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 0)
+        cache.release(key(5))
+        assert (list(cache._store), cache.evictions) == ([key(3)], 1)
+        cache.release(key(3))
+        assert (cache._store, cache.evictions, cache.nbytes) == ({}, 2, 0)
 
 
 K_CHAIN = 64

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import laxflow.lax
+import laxflow.propagator
+import laxflow.scheme
 from laxflow.lax import build_ccm_lax
 from laxflow.propagator import PropagatorCache
 from laxflow.scheme import (
@@ -250,6 +254,72 @@ class TestDerivedStaircase:
         assert calls == [K - 1]
         assert (again.decompositions, cache.hits) == (0, K - 1)
         np.testing.assert_array_equal(first.coeffs, again.coeffs)
+
+
+class TestCacheLifetime:
+    """The cache keeps finished decompositions within its budget only."""
+
+    def test_full_staircase_holds_a_few_blocks(self, monkeypatch):
+        # with nothing kept after its last run, the peak is the build, the
+        # live entry and its parent and the derivation's temporaries; all
+        # K - 1 entries held would be about 44 blocks
+        K = 128
+        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
+                           np.array([0.5, 2.0]), analyze_profile(bo_profile(4), K, hardy=True))
+        tracemalloc.start()
+        try:
+            out = run_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.decompositions == K - 1
+        assert (out.cache.evictions, out.cache.nbytes) == (K - 1, 0)
+        assert peak <= 10 * 16 * K * K, peak / (16 * K * K)
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_private_cache_within_budget_and_rerun_identical(self, equation, monkeypatch):
+        K, budget = 64, 64 << 10
+        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", budget)
+        u0 = analyze_profile(bo_profile(5, norm=0.4), K, hardy=equation != "BO")
+        cfg = SchemeConfig(equation, make_schedule("full-staircase", K),
+                           np.array([-1.1, 0.5, 2.0]), u0)
+        first = run_scheme(cfg)
+        cache = first.cache
+        assert cache.nbytes <= budget
+        assert cache.evictions > 0
+        again = run_scheme(cfg, cache=cache)
+        assert cache.nbytes <= budget
+        np.testing.assert_array_equal(first.coeffs, again.coeffs)
+        np.testing.assert_array_equal(first.final_iterate, again.final_iterate)
+
+    def test_returning_schedule_decomposes_each_n_once(self, monkeypatch):
+        # 8 is needed again after 4: it stays live through the run at 4
+        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
+        sched = make_schedule("custom", 8, [8, 8, 4, 4, 8, 8, 2, 2])
+        out = run("BO", sched, [0.3, 1.7], bo_profile(6))
+        assert (out.decompositions, out.cache.hits) == (3, 1)
+        assert (out.cache.evictions, out.cache.nbytes) == (3, 0)
+
+
+class TestPreflight:
+    """A run that cannot fit in physical memory is refused before any work."""
+
+    def test_bound_is_build_decomposition_iterate_and_coefficients(self, monkeypatch):
+        K, T = 16, 3
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
+                           np.linspace(-1.0, 1.0, T), bo_profile(2))
+        calls = count_ccm_builds(monkeypatch)
+        need = 16 * (2 * 15**2 + (K + 1) * T + T * K)
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            run_scheme(cfg)
+        assert calls == []
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need)
+        assert run_scheme(cfg).decompositions == K - 1
+
+    def test_physical_memory_is_positive(self):
+        assert laxflow.scheme._physical_memory() > 0
 
 
 def count_ccm_builds(monkeypatch):

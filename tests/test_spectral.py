@@ -170,6 +170,14 @@ class TestProfileParameters:
         ("random-sobolev", {"s": 1, "sed": 5}),
         ("square-wave", {"amplitude": 3}),
         ("explicit", {"coeffs": [1.0, 0.5, 1.0], "two_sided": True}),
+        # failed later, inside analyze_profile, with messages naming no profile
+        ("explicit", {"coeffs": 5}),
+        ("explicit", {"coeffs": [[1, 2]]}),
+        ("explicit", {"coeffs": "ab"}),
+        ("explicit", {"coeffs": [1, "a"]}),
+        ("explicit", {"coeffs": [[1], [1, 2]]}),
+        ("explicit", {"coeffs": [None]}),
+        ("explicit", {"coeffs": [1, True]}),
     ])
     def test_missing_or_malformed_required_parameter(self, kind, params):
         with pytest.raises(ValueError):
