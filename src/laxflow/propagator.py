@@ -49,7 +49,6 @@ __all__ = [
     "PropagatorCache",
     "eig_hermitian",
     "advance",
-    "free_phases",
     "find_kappa_zero",
 ]
 
@@ -128,23 +127,11 @@ class HermitianEig:
 
     def phases(self, ts, alpha: int) -> np.ndarray:
         """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts)); ValueError on overflow."""
-        return _phases(self.eigenvalues, ts, alpha)
-
-
-def _phases(lam: np.ndarray, ts, alpha: int) -> np.ndarray:
-    """e^{i alpha t (1 + 2 lambda)}, shape (len(lam), len(ts)); ValueError on overflow."""
-    with np.errstate(over="ignore"):
-        arg = np.outer(1.0 + 2.0 * lam, ts)
-    if not np.all(np.isfinite(arg)):
-        raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
-    return np.exp(1j * alpha * arg)
-
-
-def free_phases(M: int, ts, alpha: int) -> np.ndarray:
-    """e^{i alpha t (1 + 2 j)}, shape (M, len(ts)): the group's phases on the
-    unit vectors e_j, the tail eigenvectors of every L_n with n <= j, so one
-    array serves every decomposition at M; ValueError on overflow."""
-    return _phases(np.arange(M, dtype=np.float64), ts, alpha)
+        with np.errstate(over="ignore"):
+            arg = np.outer(1.0 + 2.0 * self.eigenvalues, ts)
+        if not np.all(np.isfinite(arg)):
+            raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
+        return np.exp(1j * alpha * arg)
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
@@ -440,15 +427,12 @@ def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_B
     return None
 
 
-def advance(e: HermitianEig, ts, alpha: int, free: np.ndarray, V: np.ndarray, steps: int):
+def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
     """Take `steps` scheme steps V <- e^{i alpha t (I + 2 L)} S* V on one decomposition.
 
     Column j of V evolves by ts[j].  Returns (rows, V): rows[:, s] is the
     zero mode of the iterate after step s + 1, shape (len(ts), steps), and V
     is the last iterate in the standard basis; the caller's V is not changed.
-    `free` is `free_phases(M, ts, alpha)`, taken once for every decomposition
-    at M: the tail rows n..M-1 take their phases from it, and only the
-    block's n are computed here.
 
     The iterate carries one zero guard row below row M - 1, which S* shifts
     into row M - 1, so the block always reads rows 1..n (0..n in the
@@ -462,9 +446,9 @@ def advance(e: HermitianEig, ts, alpha: int, free: np.ndarray, V: np.ndarray, st
     """
     ts = np.asarray(ts, dtype=np.float64)
     M, n, T = e.M, e.n, len(ts)
-    if V.shape != (M, T) or free.shape != (M, T):
-        raise ValueError("V and free must be (M, len(ts))")
-    phases = np.concatenate([_phases(e.eigenvalues[:n], ts, alpha), free[n:]])
+    if V.shape != (M, T):
+        raise ValueError("V must be (M, len(ts))")
+    phases = e.phases(ts, alpha)
     q = e.eigenvectors
     rows = np.empty((T, steps), dtype=np.complex128)
     guard = np.zeros((1, T))
@@ -491,8 +475,10 @@ def advance(e: HermitianEig, ts, alpha: int, free: np.ndarray, V: np.ndarray, st
     return rows, X[:-1]
 
 
-# the bytes of finished decompositions a cache keeps for a later run to hit
-_CACHE_BUDGET = 16 << 20
+# the bytes of finished decompositions a cache keeps for a later run to hit:
+# room for reruns at small K on a shared cache (a full staircase at K = 64
+# leaves 1.3 MiB); no command reuses a cache across runs
+_CACHE_BUDGET = 2 << 20
 
 
 def _nbytes(e: HermitianEig) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import spectral
 from .lax import Equation, data_digest
-from .propagator import PropagatorCache, advance, free_phases
+from .propagator import PropagatorCache, advance
 from .spectral import (
     HardyVector,
     InitialProfile,
@@ -195,9 +196,44 @@ def _resolve_data(cfg: SchemeConfig, eq: Equation):
     return project_hardy(u0), u0
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _physical_memory() -> float:
+    """Bytes of memory this process may use: the machine's physical memory,
+    or its cgroup's memory limit when that is lower; inf where neither can
+    be read (no `os.sysconf`, no cgroup), so the preflight check is skipped."""
+    try:
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        phys = math.inf
+    return min(phys, _cgroup_memory_limit())
+
+
+def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The lowest memory limit set on this process's cgroup or an ancestor:
+    `memory.max` (v2, mounted at root or root/unified) or
+    `memory.limit_in_bytes` (v1, under root/memory); inf if none is read."""
+    try:
+        with open(proc) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return math.inf
+    limits = [math.inf]
+    for line in lines:
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if controllers == "":
+            files = [(root, "memory.max"), (os.path.join(root, "unified"), "memory.max")]
+        elif "memory" in controllers.split(","):
+            files = [(os.path.join(root, "memory"), "memory.limit_in_bytes")]
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for base, name in files:
+            for depth in range(len(parts) + 1):
+                try:
+                    with open(os.path.join(base, *parts[:depth], name)) as f:
+                        limits.append(int(f.read()))
+                except (OSError, ValueError):  # absent, or "max": no limit
+                    pass
+    return min(limits)
 
 
 def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> SchemeOutput:
@@ -214,16 +250,17 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     On the block a long run costs one product W = Q^H S* Q and then one
     n x n by n x T product per step in the eigenbasis; a short run takes two
     such products per step in the standard basis.  The tail rows n..M-1
-    take their phases elementwise from one M x T array of free phases
-    taken once per call (see `propagator.advance`).
+    take their phases elementwise (see `propagator.advance`).
 
     After the last run of each n the cache is told that the entry is
     finished (`PropagatorCache.release`), so it keeps finished entries
     only within its byte budget: a staircase holds at most two live
-    decompositions, the one in use and its parent, plus 16 MiB of finished
-    ones.  Before any work, ValueError when the least the run must hold at
-    once, the Lax build and one decomposition at the largest n(k), the
-    iterate and the coefficients, exceeds the machine's physical memory.
+    decompositions, the one in use and its parent, plus 2 MiB of finished
+    ones (`propagator._CACHE_BUDGET`).  Before any work, ValueError when
+    the least the run must hold at once, the Lax build and one
+    decomposition at the largest n(k), the iterate and the coefficients,
+    exceeds the memory the process may use (`_physical_memory`: physical
+    memory, or the cgroup limit when lower).
     """
     sched = cfg.schedule
     K = sched.K
@@ -233,7 +270,8 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     need, have = 16 * (2 * n_max**2 + (M + 1) * T + T * K), _physical_memory()
     if need > have:
         raise ValueError(f"the run needs at least {need / 2**30:.3g} GiB at once, more "
-                         f"than the {have / 2**30:.3g} GiB of physical memory")
+                         f"than the {have / 2**30:.3g} GiB of physical memory or "
+                         f"cgroup limit")
     eq = Equation.named(cfg.equation)
     hardy0, u0 = _resolve_data(cfg, eq)
 
@@ -255,7 +293,6 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     coeffs = np.zeros((T, K), dtype=np.complex128)
     V = np.tile(seed.padded(M)[:, None], (1, T))
     coeffs[:, 0] = V[0, :]
-    free = free_phases(M, cfg.times, eq.alpha)
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
     lax = functools.cache(lambda: eq.build_lax(u0, n_max, M))
@@ -268,7 +305,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
         # keeps the parent alive whatever the cache evicts
         key = (eq.name, n, M, digest)
         eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
-        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, free, V, steps)
+        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, V, steps)
         k += steps
         if last[n] == i:
             cache.release(key)

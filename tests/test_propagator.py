@@ -11,7 +11,6 @@ from laxflow.propagator import (
     advance,
     eig_hermitian,
     find_kappa_zero,
-    free_phases,
 )
 from laxflow.scheme import SchemeConfig, make_schedule, run_scheme
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
@@ -124,7 +123,7 @@ class TestApplyGroup:
         ts = np.linspace(-3.0, 3.0, T)
         rng = np.random.default_rng(3)
         V = rng.standard_normal((6, T)) + 1j * rng.standard_normal((6, T))
-        rows, out = advance(e, ts, 1, free_phases(6, ts, 1), V, steps)
+        rows, out = advance(e, ts, 1, V, steps)
         for s in range(steps):
             V = np.vstack([V[1:], np.zeros((1, T))])
             V = np.stack([group_on_vector(e, t, 1, V[:, j]) for j, t in enumerate(ts)], axis=1)
@@ -171,7 +170,7 @@ class TestBlockRepresentation:
         ts = np.linspace(-1.5, 2.0, T)
         rng = np.random.default_rng(n)
         V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
-        rows, out = advance(e, ts, alpha, free_phases(M_BLOCK, ts, alpha), V, steps)
+        rows, out = advance(e, ts, alpha, V, steps)
         gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m)
         groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
         for s in range(steps):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -320,6 +321,30 @@ class TestPreflight:
 
     def test_physical_memory_is_positive(self):
         assert laxflow.scheme._physical_memory() > 0
+
+    def test_check_skipped_without_sysconf_or_cgroup(self, monkeypatch):
+        monkeypatch.delattr(laxflow.scheme.os, "sysconf")
+        monkeypatch.setattr(laxflow.scheme, "_cgroup_memory_limit", lambda: math.inf)
+        assert laxflow.scheme._physical_memory() == math.inf
+        out = run("BO", make_schedule("constant", 8, 8), [0.5], bo_profile(1))
+        assert out.decompositions == 1
+
+    def test_cgroup_limit_lowest_on_the_path(self, tmp_path):
+        proc, root = tmp_path / "cgroup", tmp_path / "fs"
+        for d, name, text in [("a", "memory.max", "3000\n"), ("a/b", "memory.max", "max\n"),
+                              ("memory/x", "memory.limit_in_bytes", "2000\n"),
+                              ("memory/x/y", "memory.limit_in_bytes", "9223372036854771712\n"),
+                              ("cpu/x/y", "memory.limit_in_bytes", "5\n")]:
+            (root / d).mkdir(parents=True)
+            (root / d / name).write_text(text)
+        limit = laxflow.scheme._cgroup_memory_limit
+        proc.write_text("0::/a/b\n")
+        assert limit(str(proc), str(root)) == 3000
+        proc.write_text("4:memory:/x/y\n3:cpu:/x/y\n")
+        assert limit(str(proc), str(root)) == 2000
+        proc.write_text("0::/\n")
+        assert limit(str(proc), str(root)) == math.inf
+        assert limit(str(tmp_path / "absent"), str(root)) == math.inf
 
 
 def count_ccm_builds(monkeypatch):
