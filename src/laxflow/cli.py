@@ -195,6 +195,20 @@ def _outdir(args) -> Path:
     return out
 
 
+def _cache_counters(*results) -> dict:
+    """A manifest's decomposition and cache counters, summed over the runs."""
+    caches = [r.cache for r in results]
+    return {
+        "decompositions": sum(r.decompositions for r in results),
+        "derived_decompositions": sum(c.derived for c in caches),
+        "certified_decompositions": sum(c.certified for c in caches),
+        "fallbacks": sum(c.fallbacks for c in caches),
+        "secular_steps": sum(c.secular_steps for c in caches),
+        "evictions": sum(c.evictions for c in caches),
+        "cache_bytes": sum(c.nbytes for c in caches),
+    }
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_evolve(args) -> int:
@@ -219,11 +233,7 @@ def cmd_evolve(args) -> int:
 
     files = [out / "coefficients.csv", out / "samples.csv"]
     write_manifest(out, _config_echo(args), {
-        "decompositions": result.decompositions,
-        "derived_decompositions": result.cache.derived,
-        "certified_decompositions": result.cache.certified,
-        "evictions": result.cache.evictions,
-        "cache_bytes": result.cache.nbytes,
+        **_cache_counters(result),
         "wall_time_s": wall,
         "l2_preserving_schedule": schedule.l2_preserving,
         "n0_zero": bool(schedule.values[0] == 0),
@@ -263,7 +273,7 @@ def cmd_talbot(args) -> int:
         files.append(path)
 
     write_manifest(out, _config_echo(args, times=time_exprs), {
-        "decompositions": nonlinear.decompositions + linear.decompositions,
+        **_cache_counters(nonlinear, linear),
         "wall_time_s": wall,
         "panels": len(times),
     }, files)

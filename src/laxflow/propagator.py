@@ -19,14 +19,18 @@ The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
 on a staircase n -> n - 1 each decomposition follows from the one before:
 `eig_hermitian` given that parent solves a secular equation for the new
 eigenvalues and forms the eigenvectors with one real product, instead of
-a fresh O(n^3) `eigh`.  An `eigh` result passes the dense reconstruction
+a fresh O(n^3) `eigh`.  Each root starts at the root of a one-pole model
+about its nearer pole, where most roots already meet the stopping test,
+and the rest take about one rational step; every evaluation is a
+matrix-vector product.  An `eigh` result passes the dense reconstruction
 and orthonormality checks, two complex n x n products.  A derived one is
 accepted on a certificate instead: spectral-norm bounds on its defects,
 rounding included, carried from the parent's in O(n^2) plus one real
 n x n product, that prove the dense checks would pass with half their
 tolerance to spare.  When the bounds grow past that the dense check runs
 and restarts the chain from what it measures; where the derived pairs
-fail it, `eigh` is taken instead.
+fail it, `eigh` is taken instead.  Two slices of one read-only build need
+no block compare: their blocks are equal by construction.
 
 A `PropagatorCache` is a plain dict from key to decomposition with no
 lock: laxflow code runs on one thread, and the BLAS behind numpy already
@@ -92,7 +96,8 @@ class HermitianEig:
     tail's n..M-1, whose eigenvectors are the unit vectors e_n..e_{M-1}.
     derived is True iff the block's pairs came from the decomposition at
     n + 1 rather than from `eigh`, and certified iff they were accepted on
-    their certificate rather than on the dense check.  `eig_hermitian` also
+    their certificate rather than on the dense check; secular_steps counts
+    the rational steps the derivation's roots took.  `eig_hermitian` also
     keeps the bounds its checks proved and a weak reference to the array
     whose leading block it decomposed, which a decomposition derived from
     this one builds on.
@@ -102,6 +107,7 @@ class HermitianEig:
     eigenvectors: np.ndarray
     derived: bool = False
     certified: bool = False
+    secular_steps: int = 0
     bounds: Optional[_Bounds] = field(default=None, repr=False)
     _root: Optional[weakref.ref] = field(default=None, repr=False)
 
@@ -152,36 +158,42 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
     With `parent`, the decomposition of the same operator at n + 1, the
     block's eigenpairs are derived from the parent's (`_delete_last`) and
     marked `derived`.  When the parent's block less its last row and
-    column is bit for bit m's block (as for two slices of one `LaxMatrix`
-    build, while the build lives), m's block needs no Hermitian check,
-    since the parent's passed it, and the derived pairs are accepted on a
-    certificate (`_certify`): bounds carried down the chain from the last
-    dense check that prove, in O(n^2) plus one real n x n product, that
-    the dense reconstruction and orthonormality checks pass with half
-    their tolerance to spare.  Otherwise, or when the bounds grow past that, the
-    dense check (`_check_failure`) runs, and the chain restarts from what
-    it measures.  `eigh` is the fallback when the derivation declines or
-    its pairs fail that check.
+    column is m's block, m's block needs no Hermitian check, since the
+    parent's passed it.  Two leading blocks of one read-only array (two
+    slices of one `LaxMatrix` build, while the build lives) are that by
+    construction; other blocks are compared bit for bit.  The derived
+    pairs are then accepted on a certificate (`_certify`): bounds carried
+    down the chain from the last dense check that prove, in O(n^2) plus
+    one real n x n product, that the dense reconstruction and
+    orthonormality checks pass with half their tolerance to spare.
+    Otherwise, or when the bounds grow past that, the dense check
+    (`_check_failure`) runs, and the chain restarts from what it measures.
+    `eigh` is the fallback when the derivation declines or its pairs fail
+    that check.
     """
     tail = np.arange(m.n, m.M, dtype=np.float64)
+    root = _root_ref(m.block)
     derivable = _derivable(m, parent)
     block = parent.block if derivable and parent.bounds is not None else None
-    same = block is not None and np.array_equal(m.block, block[:-1, :-1])
+    # two leading blocks of one read-only array are equal by construction
+    shared = block is not None and root is not None and root() is parent._root()
+    same = shared or (block is not None and np.array_equal(m.block, block[:-1, :-1]))
     if not same:
         defect = hermitian_defect(m)
         if defect != 0.0:
             raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
     derived = _delete_last(parent) if derivable else None
     if derived is not None:
-        q = _canonical_phases(derived.q)
-        bounds = _certify(parent, derived, q) if same else None
+        q, abs_q = _canonical_phases(derived.q)
+        bounds = _certify(parent, derived, abs_q) if same else None
         certified = bounds is not None
         if not certified:
             bounds = _check_failure(m, derived.mu, q)
         if not isinstance(bounds, str):
             q.flags.writeable = False
             return HermitianEig(np.concatenate([derived.mu, tail]), q, derived=True,
-                                certified=certified, bounds=bounds, _root=_root_ref(m.block))
+                                certified=certified, secular_steps=derived.steps,
+                                bounds=bounds, _root=root)
     try:
         lam, q = np.linalg.eigh(m.block)
     except np.linalg.LinAlgError as exc:
@@ -189,36 +201,50 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
             f"eigensolver failed for {m.equation.name} Lax matrix "
             f"(n={m.n}, M={m.M})"
         ) from exc
-    q = _canonical_phases(q)
+    q, _ = _canonical_phases(q)
     bounds = _check_failure(m, lam, q)
     if isinstance(bounds, str):
         raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n}, M={m.M})")
     q.flags.writeable = False
-    return HermitianEig(np.concatenate([lam, tail]), q, bounds=bounds, _root=_root_ref(m.block))
+    return HermitianEig(np.concatenate([lam, tail]), q, bounds=bounds, _root=root)
 
 
 def _root_ref(block: np.ndarray) -> Optional[weakref.ref]:
     """A weak reference to the array block is the leading block of: block
-    itself, or the build a `LaxMatrix.truncated` view was sliced from."""
+    itself, or the build a `LaxMatrix.truncated` view was sliced from.
+    None unless that array is read-only, so that its leading blocks keep
+    the values they were decomposed with."""
     root = block if block.base is None else block.base
-    if (isinstance(root, np.ndarray) and root.ndim == 2 and root.strides == block.strides
+    if (isinstance(root, np.ndarray) and root.ndim == 2 and not root.flags.writeable
+            and root.strides == block.strides
             and root.__array_interface__["data"] == block.__array_interface__["data"]):
         return weakref.ref(root)
     return None
 
 
-def _canonical_phases(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+def _canonical_phases(q: np.ndarray) -> Tuple[np.ndarray, float]:
+    """q with each column rotated so its largest-magnitude entry is real
+    positive, and a bound on || |q| || for the rotated q.  The bound comes
+    from the |q| the largest entries are chosen by: the rotation, by a
+    phase within 3 u of modulus 1 in one complex product, moves no modulus
+    by more than 6 u."""
     if not q.size:
-        return q
-    idx = np.argmax(np.abs(q), axis=0)
+        return q, 0.0
+    a = np.abs(q)
+    idx = np.argmax(a, axis=0)
+    abs_q = _SAFETY * (1.0 + 6 * _U) * _abs_norm(a)
+    # dropped before the small arrays that outlive it are made: one left
+    # above it on the heap keeps its memory from the rotated copy, which
+    # raises the peak by its size (2 MiB at n = 512)
+    del a
     lead = q[idx, np.arange(q.shape[1])]
-    return q * np.conj(lead / np.abs(lead))
+    return q * np.conj(lead / np.abs(lead)), abs_q
 
 
 def _abs_norm(a: np.ndarray) -> float:
     """For a = |x| entrywise, sqrt(||a||_1 ||a||_inf) >= || |x| || >= ||x||; 0 if empty."""
-    return float(np.sqrt(a.sum(axis=0).max(initial=0.0) * a.sum(axis=1).max(initial=0.0)))
+    cols, rows = np.ones(len(a)) @ a, a @ np.ones(a.shape[1])
+    return float(np.sqrt(cols.max(initial=0.0) * rows.max(initial=0.0)))
 
 
 def _gamma(k: int) -> float:
@@ -252,23 +278,31 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _
                    _SAFETY * abs_q, _SAFETY * ((1.0 + e) * lam_max + r))
 
 
-# each root converges in about three rational steps; bisection alone needs
-# about 50, so this bound is only met by roots that cannot be separated
+# a root takes at most about two rational steps from its start; bisection
+# alone needs about 50, so this bound is only met by roots that cannot be
+# separated
 _SECULAR_MAX_STEPS = 64
-# a root is taken once |f| <= _SECULAR_TOL n (f - 2 psi)
+# a root is taken once |f| <= _SECULAR_TOL n sum_i |w_i / (lam_i - mu)|
 _SECULAR_TOL = 8 * _EPS
 
 
 class _Derivation(NamedTuple):
-    """`_delete_last`'s eigenpairs (mu, q) and the pieces q was formed from:
-    q = Q[:-1] diag(phase) s, s = zhat / (lam - mu) / nu column by column."""
+    """`_delete_last`'s eigenpairs (mu, q), mu = origin + tau, and the pieces
+    q was formed from: q = Q[:-1] diag(phase) s, s = zhat / (lam - mu) / nu
+    column by column; steps counts the rational steps the roots took."""
 
-    mu: np.ndarray
+    origin: np.ndarray
+    tau: np.ndarray
     q: np.ndarray
     s: np.ndarray
     zhat: np.ndarray
     nu: np.ndarray
     phase: np.ndarray
+    steps: int
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.origin + self.tau
 
 
 def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
@@ -278,16 +312,25 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     of the leading (n-1) x (n-1) block are the roots of the secular
     equation f(mu) = sum_i w_i / (lam_i - mu) = 0, w = |z|^2, one in each
     gap (lam_j, lam_{j+1}) (Golub, SIAM Review 15, 1973), and the
-    eigenvectors are Q[:-1] (z / (lam - mu_j)), normalized.  Each root is
-    carried as an offset tau_j from its nearer pole, so that the
-    differences lam_i - mu_j keep their relative accuracy, and found by
-    two-pole rational steps as in LAPACK dlaed4, kept inside the bracket
-    by bisection.  |z| is then recomputed from the roots by Loewner's
-    formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), which
-    keeps the eigenvectors orthogonal; the phase of z is kept, so Q[:-1]
-    enters through one real product.  All of it is O(n^2) but that product.
-    The reciprocals 1 / (lam_i - mu_j) are always taken from the offsets,
-    as 1 / (delta0 - tau), which `_certify` relies on.
+    eigenvectors are Q[:-1] (z / (lam - mu_j)), normalized.  The sign of f
+    at the gap's midpoint names the half that holds the root and so its
+    nearer pole lam_k; the root is carried as an offset tau_j from that
+    pole, so that the differences lam_i - mu_j keep their relative
+    accuracy.  It starts where the pole model w_k / (lam_k - mu) + F_k(lam_k)
+    = 0 puts it, F_k the other terms of f, as for a root within O(w_k) of
+    its pole (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978), or at
+    the midpoint when that start leaves the half; most roots meet the
+    stopping test there, and the rest take two-pole rational steps as in
+    LAPACK dlaed4, kept inside the half by bisection.  With r = 1 / (lam -
+    mu), f and the stopping test's sum_i |w_i r_i| are the products w r and
+    w |r|, and the slopes of the terms below and above the gap the half
+    difference and half sum of w r^2 and w (r |r|): matrix-vector products
+    with no mask, on the roots still open.  |z| is then recomputed from the
+    roots by Loewner's formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl.
+    16, 1995), which keeps the eigenvectors orthogonal; the phase of z is
+    kept, so Q[:-1] enters through one real product.  All of it is O(n^2)
+    but that product.  The reciprocals 1 / (lam_i - mu_j) are always taken
+    from the offsets, as 1 / (delta0 - tau), which `_certify` relies on.
 
     Returns None when a weight or a gap is too small to separate the roots
     (no deflation is done) or the roots do not converge.
@@ -299,73 +342,78 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     gaps = np.diff(lam)
     if w.min() <= _EPS**2 or gaps.min() <= _EPS * (1.0 + np.abs(lam).max()):
         return None
+    # row j of each matrix below is root j, column i pole i; diff[k, i] is
+    # lam_i - lam_k, and row k of it the offsets delta0 from origin lam_k
     j = np.arange(n - 1)
-    below = np.arange(n)[:, None] <= j  # the poles lam_i at or below gap j
-    w_below = w[:, None] * below
+    half = 0.5 * gaps
+    diff = lam - lam[:, None]
     # f rises from -inf to +inf across each gap: its sign at the midpoint
-    # names the half that holds the root, and so the nearer pole
-    upper = w @ (1.0 / (lam[:, None] - (lam[:-1] + 0.5 * gaps))) < 0
-    origin = np.where(upper, lam[1:], lam[:-1])
-    delta0 = lam[:, None] - origin
-    lo = np.where(upper, -0.5 * gaps, 0.0)
-    hi = np.where(upper, 0.0, 0.5 * gaps)
-    tau = np.where(upper, lo, hi)
-    r = 1.0 / (delta0 - tau)  # 1 / (lam_i - mu_j)
-    f = w @ r
+    # names the half that holds the root, and so the nearer pole k
+    r = diff[:-1] - half[:, None]
+    upper = np.reciprocal(r, out=r) @ w < 0
+    k = j + upper
+    lo, hi = np.where(upper, -half, 0.0), np.where(upper, 0.0, half)
     tol = _SECULAR_TOL * n
-    o = slice(None)  # the roots still iterated on: a slice keeps views, not copies
+    steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.reciprocal(diff)  # 1 / (lam_i - lam_k), inf at i = k
+        inv.flat[:: n + 1] = 0.0
+        # the pole model's root lam_k + w_k / F_k, F_k the other terms at lam_k
+        tau = w[k] / (inv @ w)[k]
+        tau = np.where((lo < tau) & (tau < hi), tau, np.where(upper, lo, hi))
+        np.reciprocal(np.subtract(diff[k], tau[:, None], out=r), out=r)
+        o, ro = j, r  # the roots still open and their rows of r
         for _ in range(_SECULAR_MAX_STEPS):
-            fo, to, ro = f[o], tau[o], r[:, o]
-            # the terms below the gap are negative, those above positive
-            psi = np.einsum("ij,ij->j", w_below[:, o], ro)
-            done = np.abs(fo) <= tol * (fo - 2.0 * psi)
+            fo, to = ro @ w, tau[o]
+            done = np.abs(fo) <= tol * (np.abs(ro) @ w)
             if done.all():
                 break
-            if 2 * np.count_nonzero(done) >= len(done):
-                # after two steps few roots are open: go on with those alone
-                o = j[o][~done]
-                continue
-            lo[o] = np.where(fo < 0, to, lo[o])
-            hi[o] = np.where(fo > 0, to, hi[o])
+            left = ~done
+            o, ro, fo, to = o[left], ro[left], fo[left], to[left]
+            steps += len(o)
+            lo[o] = lo_o = np.where(fo < 0, to, lo[o])
+            hi[o] = hi_o = np.where(fo > 0, to, hi[o])
             # fit c + s / (dlo - eta) + S / (dhi - eta) to the value and slope
-            # of the terms below and above the gap, and step to its root
-            r2 = ro * ro
-            dpsi = np.einsum("ij,ij->j", w_below[:, o], r2)
-            dphi = w @ r2 - dpsi
-            jo = j[o]
-            dlo, dhi = delta0[jo, jo] - to, delta0[jo + 1, jo] - to
-            c = fo - dpsi * dlo - dphi * dhi
-            a = c * (dlo + dhi) + dpsi * dlo**2 + dphi * dhi**2
+            # of the terms below and above the gap, and step to its root; the
+            # terms below are negative and those above positive, so their
+            # slopes are (d2 - d2s) / 2 and (d2 + d2s) / 2
+            d2, d2s = (ro * ro) @ w, (ro * np.abs(ro)) @ w
+            ko = k[o]
+            dlo, dhi = diff[ko, o] - to, diff[ko, o + 1] - to
+            c = fo - 0.5 * ((dlo + dhi) * d2 + (dhi - dlo) * d2s)
+            a = (dlo + dhi) * fo - dlo * dhi * d2
             b = dlo * dhi * fo
             disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
             step = to + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
-            step = np.where((lo[o] < step) & (step < hi[o]), step, 0.5 * (lo[o] + hi[o]))
-            tau[o] = np.where(done, to, step)
-            r[:, o] = 1.0 / (delta0[:, o] - tau[o])
-            f[o] = w @ r[:, o]
+            tau[o] = np.where((lo_o < step) & (step < hi_o), step, 0.5 * (lo_o + hi_o))
+            ro = diff[ko]
+            ro -= tau[o, None]
+            r[o] = np.reciprocal(ro, out=ro)
         else:
             return None
     # Loewner: w_i = prod_j (mu_j - lam_i) / prod_{k != i} (lam_k - lam_i),
-    # taken as n - 1 ratios in (0, 1), mu_j over lam_j below i and over
-    # lam_{j+1} above, so the product cannot overflow
-    pole = np.where(below, lam[1:], lam[:-1])
-    zhat = np.sqrt(np.prod((tau - delta0) / (pole - lam[:, None]), axis=1))
-    s = zhat[:, None] * r
-    nu = np.linalg.norm(s, axis=0)
-    s /= nu
+    # taken as n - 1 ratios in (0, 1), (lam_i - mu_j) / (lam_i - lam_k) with
+    # k = j below i and k = j + 1 above, so the product cannot overflow.
+    # Row i of inv less its diagonal holds 1 / (lam_k - lam_i) for exactly
+    # those k, in order, so off.T / r is minus the ratios
+    off = inv.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    zhat = np.sqrt(np.abs(np.prod(np.divide(off.T, r), axis=0)))
+    s = np.multiply(r, zhat, out=r)
+    nu = np.sqrt(np.einsum("ji,ji->j", s, s))
+    s /= nu[:, None]
     # Q[:-1] diag(phase(z)) s is one real product: the transposed complex
     # factor, viewed as reals, interleaves real and imaginary parts
     phase = np.conj(last) / np.abs(last)
     rows_t = np.multiply(parent.eigenvectors[:-1].T, phase[:, None], order="C")
-    q = (s.T @ rows_t.view(np.float64)).view(np.complex128).T
-    return _Derivation(origin + tau, q, s, zhat, nu, phase)
+    q = (s @ rows_t.view(np.float64)).view(np.complex128).T
+    return _Derivation(lam[k], tau, q, s.T, zhat, nu, phase, steps)
 
 
-def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_Bounds]:
-    """Bounds for the derived pairs (d.mu, q), q = d.q with canonical phases,
-    or None unless they prove the dense checks pass with half their
-    tolerance to spare.  O(n^2) but the one real product s^T s.
+def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bounds]:
+    """Bounds for the derived pairs (d.mu, q), q = d.q with canonical phases
+    and abs_q >= || |q| || as `_canonical_phases` returns them, or None
+    unless they prove the dense checks pass with half their tolerance to
+    spare.  O(n^2) but the one real product s^T s.
 
     With P = [I 0] dropping the last row, l = Q[-1] and D = diag(phase)
     (|D| = I up to rounding), q is Y = P Q D s up to rounding Delta, and
@@ -398,14 +446,15 @@ def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_B
     gam, row = _gamma(n), np.sqrt(1.0 + e_p)  # row >= ||Q|| >= ||l||
     s_abs, abs_ell = np.abs(s), np.abs(ell)
     v = ell * d.phase
-    # |D l - (D l)exact| <= 6 u |l|, and the product's rounding
-    g = (np.abs(s.T @ v.real + 1j * (s.T @ v.imag))
-         + (6 * _U + gam) * (s_abs.T @ abs_ell))  # >= |g|
+    # >= |g|: |D l - (D l)exact| <= 6 u |l|, and the product's rounding
+    g = np.hypot(s.T @ v.real, s.T @ v.imag) + (6 * _U + gam) * (s_abs.T @ abs_ell)
     g_norm = float(np.linalg.norm(g))
     abs_s = _abs_norm(s_abs)  # >= || |s| ||
     sts = s.T @ s
-    sts[np.diag_indices_from(sts)] -= 1.0
-    f = _SAFETY * (_abs_norm(np.abs(sts)) + gam * abs_s**2)  # >= ||s^T s - I||
+    sts.flat[:: len(sts) + 1] -= 1.0
+    # s^T s - I is symmetric, so its 1-norm bounds its spectral norm; the
+    # product's rounding is at most gamma |s|^T |s|, of 1-norm <= abs_s^2
+    f = _SAFETY * ((np.ones(len(sts)) @ np.abs(sts)).max(initial=0.0) + gam * abs_s**2)
     sig = np.sqrt(1.0 + f)  # >= ||s|| up to the roundings _UP covers
     y = row * sig  # >= ||Y||
     delta = abs_q_p * abs_s * (gam + 12 * _U)  # >= ||Delta||
@@ -416,11 +465,12 @@ def _certify(parent: HermitianEig, d: _Derivation, q: np.ndarray) -> Optional[_B
     c = float(lam @ abs_ell**2 / (abs_ell @ abs_ell))
     r = ((dz + 8 * _U * np.linalg.norm(d.zhat)) / d.nu
          + g * np.linalg.norm((lam - c) * abs_ell))
-    mu_max = float(np.max(np.abs(d.mu), initial=0.0))
+    mu = d.mu
+    mu_max = max(abs(mu[0]), abs(mu[-1]))  # mu ascends
     residual = _UP * rho_p * (sig + row * g_norm) + _SAFETY * (
         row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
         + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
-    bounds = _Bounds(ortho, residual, _SAFETY * _abs_norm(np.abs(q)), b)
+    bounds = _Bounds(ortho, residual, abs_q, b)
     # a derived block is smaller than M, so the dense check's scale is >= M
     if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * parent.M:
         return bounds
@@ -491,8 +541,9 @@ class PropagatorCache:
 
     A decomposition built with a `parent` one size up is derived from it
     when it can be (`derived`; `certified` of those were accepted on their
-    certificate, with no dense check) and otherwise taken by `eigh`
-    (`fallbacks`); either way it counts as one decomposition.
+    certificate, with no dense check; `secular_steps` sums the rational
+    steps their roots took) and otherwise taken by `eigh` (`fallbacks`);
+    either way it counts as one decomposition.
 
     An entry is *live* from its build until `release(key)` marks it
     *finished*; `run_scheme` releases each n after its last run.  A live
@@ -509,6 +560,7 @@ class PropagatorCache:
     derived: int = 0
     certified: int = 0
     fallbacks: int = 0
+    secular_steps: int = 0
     evictions: int = 0
 
     @property
@@ -529,6 +581,7 @@ class PropagatorCache:
         if built.derived:
             self.derived += 1
             self.certified += built.certified
+            self.secular_steps += built.secular_steps
         elif _derivable(m, parent):
             self.fallbacks += 1
         return built

@@ -24,6 +24,7 @@ from laxflow.cli import (
     write_csv,
 )
 from laxflow.propagator import find_kappa_zero
+from laxflow.scheme import SchemeConfig, make_schedule, run_scheme
 
 # Each parser is fuzzed with arbitrary text and with text from its own
 # grammar, which gets past the first syntax check and into the evaluation.
@@ -207,6 +208,22 @@ class TestEvolve:
         m = manifest_of(out)
         kept = sum(16 * n * n + 8 * 16 for n in range(1, 16)) if budget else 0
         assert (m["evictions"], m["cache_bytes"]) == (evictions, kept)
+
+    def test_manifest_reports_secular_steps_and_fallbacks(self, tmp_path):
+        # a full staircase derives every decomposition but the first; a
+        # constant datum makes every block diagonal, so each falls back to eigh
+        for argv, fallbacks in ((["--equation", "CCM-defocusing",
+                                  "--profile", "random-sobolev:s=1,seed=3,norm=0.5"], 0),
+                                (["--profile", "single-mode:k0=0,amplitude=0.3"], 14)):
+            out = tmp_path / str(fallbacks)
+            assert main(["evolve", "--K", "16", "--schedule", "full-staircase",
+                         "--times", "1", "--out", str(out)] + argv) == 0
+            m = manifest_of(out)
+            cfg = m["config"]
+            ref = run_scheme(SchemeConfig(cfg["equation"], make_schedule("full-staircase", 16),
+                                          [1.0], parse_profile(cfg["profile"]))).cache
+            assert (m["fallbacks"], m["secular_steps"]) == (fallbacks, ref.secular_steps)
+            assert (m["secular_steps"] > 0) == (fallbacks == 0)
 
     def test_time_zero_reproduces_datum(self, tmp_path):
         out = tmp_path / "run"
@@ -482,6 +499,23 @@ class TestTalbot:
         for i in range(4):
             assert (out / f"talbot_{i}_nonlinear.csv").exists()
             assert (out / f"talbot_{i}_linear.csv").exists()
+
+    def test_manifest_sums_the_cache_counters_of_both_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["talbot", "--K", "16", "--schedule", "full-staircase",
+                     "--out", str(out)]) == 0
+        m = manifest_of(out)
+        times = [parse_time_expr(t) for t in m["config"]["times"]]
+        runs = [run_scheme(SchemeConfig("BO", make_schedule(kind, 16), times,
+                                        parse_profile(m["config"]["profile"])))
+                for kind in ("full-staircase", "linear-case")]
+        counters = {"derived_decompositions": "derived", "certified_decompositions": "certified",
+                    "fallbacks": "fallbacks", "secular_steps": "secular_steps",
+                    "evictions": "evictions", "cache_bytes": "nbytes"}
+        for key, attr in counters.items():
+            assert m[key] == sum(getattr(r.cache, attr) for r in runs), key
+        assert m["decompositions"] == sum(r.decompositions for r in runs)
+        assert m["derived_decompositions"] == 14 and m["secular_steps"] > 0
 
     def test_empty_times_writes_nothing(self, tmp_path, capsys):
         # an empty --times or config "times" ran the default Talbot times

@@ -272,6 +272,26 @@ class TestDerivation:
             np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
 
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+def test_secular_roots_meet_their_stopping_test(family):
+    """Every root mu_j = origin_j + tau_j of every derivation down a K = 128
+    staircase, f re-evaluated from the parent's lam and w alone, has
+    |f(mu_j)| <= _SECULAR_TOL n sum_i |w_i / (lam_i - mu_j)|.  The
+    differences are taken as (lam_i - origin_j) - tau_j, as the solve takes
+    them: near a pole the rounding of origin_j + tau_j to a float moves f
+    by more than the test allows."""
+    roots = 0
+    for _, e in staircase_chain(family, K=128)[:-1]:
+        d = propagator._delete_last(e)
+        lam, w = e.eigenvalues[: e.n], np.abs(e.eigenvectors[-1]) ** 2
+        terms = w[:, None] / ((lam[:, None] - d.origin) - d.tau)
+        f, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(f) <= propagator._SECULAR_TOL * e.n * scale)
+        assert np.all((d.origin == lam[:-1]) | (d.origin == lam[1:]))
+        roots += e.n - 1
+    assert roots == sum(range(1, 127))
+
+
 class TestDerivationFallback:
     def test_diagonal_block_falls_back_to_eigh(self):
         # only u0hat(0): the block is diagonal, its eigenvectors are unit
@@ -364,9 +384,10 @@ class TestCertificate:
 
     def test_rejects_the_mutated_derivations(self, family, monkeypatch):
         """The pairs a derivation with the phase of z dropped, or with the
-        secular tolerance 1e-4, gives from a correct parent.  The first the
-        dense check always rejects; the second it rejects on some steps, and
-        the certificate must reject those too."""
+        secular tolerance 1e-2 / n, gives from a correct parent.  The first
+        the dense check always rejects; the second it rejects on most steps
+        (from the pole-model start a tolerance of 1e-4 / n leaves almost no
+        root wrong enough), and the certificate must reject those too."""
         rejected = {"no_phase": 0, "loose_tol": 0}
         for seed in (1000, 1003):
             for m, parent, _ in self.sliced_chain(family, seed):
@@ -374,18 +395,89 @@ class TestCertificate:
                     continue
                 n, d = parent.n, propagator._delete_last(parent)
                 no_phase = d._replace(phase=np.ones(n), q=parent.eigenvectors[:-1] @ d.s)
-                monkeypatch.setattr(propagator, "_SECULAR_TOL", 1e-4 / n)
+                monkeypatch.setattr(propagator, "_SECULAR_TOL", 1e-2 / n)
                 loose_tol = propagator._delete_last(parent)
                 monkeypatch.undo()
                 for name, mutant in (("no_phase", no_phase), ("loose_tol", loose_tol)):
-                    q = propagator._canonical_phases(mutant.q)
+                    q, abs_q = propagator._canonical_phases(mutant.q)
                     if isinstance(propagator._check_failure(m, mutant.mu, q), str):
-                        assert propagator._certify(parent, mutant, q) is None
+                        assert propagator._certify(parent, mutant, abs_q) is None
                         rejected[name] += 1
         assert rejected["no_phase"] == 2 * (self.K - 2)
         if family == "CCM-defocusing":
             # seed 1000 is a chain on which the loose roots often fail the dense check
             assert rejected["loose_tol"] > self.K // 2
+
+
+class TestSharedBuild:
+    """Two leading blocks of one read-only build are equal by construction:
+    a child of such a parent skips the bit-for-bit block compare (a check
+    change), and every other child still takes it."""
+
+    K = 24
+
+    def build(self, seed=3):
+        eq = EQUATIONS["CCM-defocusing"]
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": 0.5})
+        return eq.build_lax(analyze_profile(p, self.K, hardy=True), self.K - 1, self.K)
+
+    def counting(self, monkeypatch, names, module=propagator):
+        """The calls to module's functions of those names, in order."""
+        calls = []
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        return calls
+
+    def test_views_of_one_build_skip_the_compare(self, monkeypatch):
+        lax = self.build()
+        parent = eig_hermitian(lax.truncated(self.K - 2))
+        parent = eig_hermitian(lax.truncated(self.K - 3), parent)
+
+        def refuse(*args):
+            raise AssertionError("np.array_equal called on a shared build")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        child = eig_hermitian(lax.truncated(self.K - 4), parent)
+        assert child.derived and child.certified
+
+    def test_an_equal_copy_is_compared_and_certified(self, monkeypatch):
+        lax = self.build()
+        parent = eig_hermitian(lax.truncated(self.K - 2))
+        copy = LaxMatrix(lax.truncated(self.K - 3).block.copy(), lax.equation, lax.M)
+        calls = self.counting(monkeypatch, ["array_equal"], np)
+        child = eig_hermitian(copy, parent)
+        assert calls == ["array_equal"]
+        assert child.derived and child.certified
+
+    def test_a_copy_one_ulp_off_takes_the_checks(self, monkeypatch):
+        lax = self.build()
+        parent = eig_hermitian(lax.truncated(self.K - 2))
+        block = lax.truncated(self.K - 3).block.copy()
+        block[2, 2] = np.nextafter(block[2, 2].real, np.inf)  # still Hermitian
+        calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
+        child = eig_hermitian(LaxMatrix(block, lax.equation, lax.M), parent)
+        assert calls == ["hermitian_defect", "_check_failure"]
+        assert child.derived and not child.certified
+
+    def test_a_writeable_root_is_not_trusted(self, monkeypatch):
+        # read-only views of one writeable array, which may change between
+        # two decompositions: the parent keeps no reference to it, and the
+        # child takes the Hermitian and dense checks
+        root = np.array(self.build().block)
+        views = []
+        for n in (self.K - 2, self.K - 3):
+            view = root[:n, :n]
+            view.flags.writeable = False
+            views.append(LaxMatrix(view, EQUATIONS["CCM-defocusing"], self.K))
+        assert views[1].block.base is root and root.flags.writeable
+        parent = eig_hermitian(views[0])
+        assert parent.block is None
+        calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
+        child = eig_hermitian(views[1], parent)
+        assert calls == ["hermitian_defect", "_check_failure"]
+        assert child.derived and not child.certified
 
 
 class TestKappaZero:
