@@ -317,6 +317,7 @@ def cmd_diagnostics(args) -> int:
     # the strictest suite's rule (the propagator sweep's), checked before any suite runs
     if M < 64 or M & (M - 1):
         raise ConfigError("M must be a power of two >= 64")
+    diag._check_memory(M)
     eq = Equation.named(args.equation)
     profile = parse_profile(args.profile)
     u0 = analyze_profile(profile, M, hardy=eq.hardy)
@@ -324,12 +325,16 @@ def cmd_diagnostics(args) -> int:
     ns = [2**e for e in range(0, int(math.log2(M)) + 1)]
 
     t0 = time.perf_counter()
-    # one suite after another: BLAS already uses every core
-    reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed))
-    res_rows = diag.run_resolvent_convergence(u0, args.equation, M)
+    # one suite after another, BLAS already uses every core; all three read
+    # one spectral context, so each quantity is computed once
+    spectra = diag._Spectra(u0, eq, M)
+    reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed),
+                                   spectra=spectra)
+    res_rows = diag.run_resolvent_convergence(u0, args.equation, M, spectra=spectra)
     sweep_failed = False
     try:
-        sweep_rows = diag.run_propagator_sweep(u0, args.equation, M, float(args.T))
+        sweep_rows = diag.run_propagator_sweep(u0, args.equation, M, float(args.T),
+                                               spectra=spectra)
     except RuntimeError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         sweep_rows, sweep_failed = [], True

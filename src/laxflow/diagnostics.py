@@ -9,18 +9,30 @@ remain valid assertions for the measured values.
 No norm takes an SVD: an operator norm is sqrt(lambda_max) of the smaller
 Gram matrix, by `eigvalsh`.  No dense M x M Lax matrix is formed: each L_n
 acts as its n x n block and, elementwise, its diagonal tail diag(n..M-1).
+
+The three Lax-operator suites read one spectral context per (data,
+equation, M), `_Spectra`, which computes each quantity when a suite first
+asks for it: the build of L_M, of which every L_n is a slice; kappa0; for
+CCM, G^2 = (A A^H)^2 and the norms ||G R0(kappa)|| at n = M, which the
+kappa0 search and the bound suite share; and one decomposition of each
+L_n, which gives the semibound's smallest eigenvalue, the resolvent
+R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H and the sweep's groups.
+`laxflow diagnostics` passes one context to all three suites; called
+alone, each suite makes its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .lax import Equation, mult_matrix
-from .propagator import _scaled_norm, eig_hermitian, find_kappa_zero
+from . import scheme
+from .lax import Equation, LaxMatrix, mult_matrix
+from .propagator import (HermitianEig, _ccm_kappa_zero, _gram_squared, _scaled_norm,
+                         eig_hermitian, find_kappa_zero)
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import (
     HardyVector,
@@ -58,13 +70,6 @@ class BoundReport:
         return self.measured <= self.bound + _PASS_TOL * (1.0 + self.bound)
 
 
-def _shifted(block: np.ndarray, kappa: float) -> np.ndarray:
-    """block + kappa I, a new array."""
-    out = block.copy()
-    out.flat[:: len(block) + 1] += kappa
-    return out
-
-
 def _time_grid(T: float, points: int) -> np.ndarray:
     """points equispaced times on [-T, T]; ValueError unless 2T is finite."""
     # a Python float: 2 * np.float64(1e308) would overflow with a warning
@@ -73,10 +78,88 @@ def _time_grid(T: float, points: int) -> np.ndarray:
     return np.linspace(-T, T, points)
 
 
+# M x M complex arrays a diagnostics command holds at once, at its peak, the
+# bound suite's decomposition of L_M: L_M, q, q^H, q diag(lambda) and their
+# product (5.7 by tracemalloc at M = 512 and 1024), or L_M, q and the copy
+# and workspace of `eigh`
+_HELD_ARRAYS = 6
+
+
+def _check_memory(M: int) -> None:
+    """ValueError when the arrays a diagnostics command at M holds at once
+    exceed the memory the process may use (`scheme._physical_memory`)."""
+    need, have = 16 * _HELD_ARRAYS * M**2, scheme._physical_memory()
+    if need > have:
+        raise ValueError(f"diagnostics at M={M} needs at least {need / 2**30:.3g} GiB at once, "
+                         f"more than the {have / 2**30:.3g} GiB of physical memory or "
+                         f"cgroup limit")
+
+
 def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((M, count)) + 1j * rng.standard_normal((M, count))
     return z / np.linalg.norm(z, axis=0)
+
+
+class _Spectra:
+    """The spectral quantities of one (data, equation, M) that the suites
+    share, each computed when a suite first asks for it."""
+
+    def __init__(self, u0, eq: Equation, M: int):
+        self.u0, self.eq, self.M = u0, eq, M
+        self._lax: Optional[LaxMatrix] = None
+        self._gram2: Optional[np.ndarray] = None
+        self._gram_norms: Dict[float, float] = {}
+        self._kappa0: Optional[float] = None
+        self._eigs: Dict[int, HermitianEig] = {}
+
+    @classmethod
+    def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int) -> "_Spectra":
+        """spectra if it is the context of (u0, eq, M), a new context if None."""
+        if spectra is None:
+            return cls(u0, eq, M)
+        if spectra.u0 is not u0 or spectra.eq is not eq or spectra.M != M:
+            raise ValueError("the spectral context belongs to other data, equation or M")
+        return spectra
+
+    @property
+    def lax(self) -> LaxMatrix:
+        """L_M, read-only: every L_n is its view `truncated(n)`."""
+        if self._lax is None:
+            self._lax = self.eq.build_lax(self.u0, self.M, self.M)
+        return self._lax
+
+    def gram_norm(self, kappa: float) -> float:
+        """||G R0(kappa)|| at n = M for the CCM Gram block G, from G^2."""
+        if kappa not in self._gram_norms:
+            if self._gram2 is None:
+                self._gram2 = _gram_squared(self.u0, self.M)
+            self._gram_norms[kappa] = _scaled_norm(self._gram2,
+                                                   1.0 / (np.arange(self.M) + kappa))
+        return self._gram_norms[kappa]
+
+    @property
+    def kappa0(self) -> float:
+        if self._kappa0 is None:
+            if self.eq.family == "BO":
+                self._kappa0 = find_kappa_zero(self.u0, self.eq, self.M)
+            else:
+                self._kappa0 = _ccm_kappa_zero(self.u0, self.M, self.gram_norm)
+                # the bound suite takes its norms before it asks for kappa0
+                self._gram2 = None
+        return self._kappa0
+
+    def eig(self, n: int) -> HermitianEig:
+        """The decomposition of L_n, with the checks of `eig_hermitian`."""
+        if n not in self._eigs:
+            self._eigs[n] = eig_hermitian(self.lax.truncated(n))
+        return self._eigs[n]
+
+    def resolvent(self, n: int) -> np.ndarray:
+        """R_n(kappa0)'s block (B_n + kappa0)^-1, as Q (Lambda + kappa0)^-1 Q^H."""
+        e = self.eig(n)
+        q = e.eigenvectors
+        return (q / (e.eigenvalues[:n] + self.kappa0)) @ q.conj().T
 
 
 def run_bound_suite(
@@ -87,6 +170,8 @@ def run_bound_suite(
     ns: Sequence[int],
     n_vectors: int = 200,
     seed: int = 0,
+    *,
+    spectra: Optional[_Spectra] = None,
 ) -> List[BoundReport]:
     """Evaluate the perturbation, projection and norm-sandwich bounds.
 
@@ -94,7 +179,9 @@ def run_bound_suite(
     passed = False, never raised.  The perturbation operators are truncated
     by Pi_n on the right, so only their first n columns are nonzero, and a
     norm of X R0 is taken from the n x n Gram of those columns scaled by R0:
-    G[:n, :n] of G = U^H U, or for CCM the kappa-free A_n G[:n, :n] A_n^H.
+    G[:n, :n] of G = U^H U, or for CCM the kappa-free A_n G[:n, :n] A_n^H,
+    which at n = M is the context's G^2.  spectra is the context of a
+    `laxflow diagnostics` command; None makes one.
     """
     eq = Equation.named(equation)
     if M < 8:
@@ -105,6 +192,7 @@ def run_bound_suite(
         raise ValueError(f"every n must lie in [0, M={M}]")
     if not _is_philox_key(seed):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    spectra = _Spectra.of(spectra, u0, eq, M)
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
@@ -116,7 +204,7 @@ def run_bound_suite(
     G = U.conj().T @ U
     # for Hardy data the multiplication matrix is the lower-triangular
     # Toeplitz factor A itself; A Pi_n A^H Pi_n has the Gram A_n G_n A_n^H
-    cores = ({n: U[:n, :n] @ G[:n, :n] @ U[:n, :n].conj().T for n in {*ns, M}}
+    cores = ({n: U[:n, :n] @ G[:n, :n] @ U[:n, :n].conj().T for n in ns if n < M}
              if eq.family == "CCM" else {})
     hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
 
@@ -127,8 +215,9 @@ def run_bound_suite(
             report("mult-resolvent", _scaled_norm(G[:n, :n], r0[:n]),
                    np.sqrt(3.0) / np.sqrt(kappa) * norm_u, n=n, kappa=kappa)
             if eq.family == "CCM":
-                report("gram-resolvent", _scaled_norm(cores[n], r0[:n]), 2.0 * norm_u**2,
-                       n=n, kappa=kappa)
+                report("gram-resolvent",
+                       spectra.gram_norm(kappa) if n == M else _scaled_norm(cores[n], r0[:n]),
+                       2.0 * norm_u**2, n=n, kappa=kappa)
             if n >= 1:
                 # projection bound: the diagonal maximum is exact; it is
                 # zero once the truncation covers the whole window
@@ -138,9 +227,9 @@ def run_bound_suite(
     if eq.family == "CCM":
         # decay of the Gram-resolvent operator norm as kappa grows (to 10^4)
         big_kappa = 1.0e4
-        report("gram-resolvent-decay", _scaled_norm(cores[M], 1.0 / (np.arange(M) + big_kappa)),
-               0.1 * 2.0 * norm_u**2, n=M, kappa=big_kappa)
-    del U, G, cores  # freed before the kappa0 search and the Lax build
+        report("gram-resolvent-decay", spectra.gram_norm(big_kappa), 0.1 * 2.0 * norm_u**2,
+               n=M, kappa=big_kappa)
+    del U, G, cores  # freed before the kappa0 search and the decompositions
 
     # Hardy-inequality check on the nonnegative modes
     cum = np.cumsum(np.abs(hardy_coeffs)) / (np.arange(len(hardy_coeffs)) + 1.0)
@@ -148,19 +237,19 @@ def run_bound_suite(
 
     # norm sandwich and its dual at kappa = kappa0, then semi-boundedness:
     # the smallest eigenvalue dominated by -kappa0.  L_n + kappa0 is the
-    # block B_n + kappa0 (B_n sliced from L_M's) and the tail diag(j + kappa0)
-    kappa0 = find_kappa_zero(u0, eq, M)
-    block = eq.build_lax(u0, M, M).block
+    # block B_n + kappa0 and the tail diag(j + kappa0)
+    kappa0 = spectra.kappa0
+    block = spectra.lax.block
     F = _random_unit_vectors(M, n_vectors, seed)
     d1 = (np.arange(M) + kappa0)[:, None]
     h1, hm1 = np.linalg.norm(d1 * F, axis=0), np.linalg.norm(F / d1, axis=0)
     lam_mins = {}
     for n in sorted({1, M // 2, M}):
-        # the tail diag(n..M-1) holds the eigenvalue n
-        lam_mins[n] = float(min(np.linalg.eigvalsh(block[:n, :n])[0], n if n < M else np.inf))
-        shifted = _shifted(block[:n, :n], kappa0)
-        lf = np.linalg.norm(np.concatenate([shifted @ F[:n], d1[n:] * F[n:]]), axis=0)
-        rf = np.linalg.norm(np.concatenate([np.linalg.solve(shifted, F[:n]), F[n:] / d1[n:]]),
+        # L_n's eigenvalues: the block's, then the tail's n..M-1
+        lam_mins[n] = float(np.min(spectra.eig(n).eigenvalues))
+        lf = np.linalg.norm(np.concatenate([(block[:n, :n] + kappa0 * np.eye(n)) @ F[:n],
+                                            d1[n:] * F[n:]]), axis=0)
+        rf = np.linalg.norm(np.concatenate([spectra.resolvent(n) @ F[:n], F[n:] / d1[n:]]),
                             axis=0)
         report("sandwich-upper", float(np.max(lf / h1)), 1.5, n=n, kappa=kappa0)
         report("sandwich-lower", float(np.max(h1 / lf)), 2.0, n=n, kappa=kappa0)
@@ -180,24 +269,27 @@ class ResolventRow:
     passed = BoundReport.passed
 
 
-def run_resolvent_convergence(u0, equation: str, M: int) -> List[ResolventRow]:
+def run_resolvent_convergence(u0, equation: str, M: int, *,
+                              spectra: Optional[_Spectra] = None) -> List[ResolventRow]:
     """Measure ||R_n(kappa0) - R_M(kappa0)||, L_n sliced from L_M, against 1/n bounds.
 
-    R_n = inv(block + kappa) plus diag(1/(j + kappa)) on the tail; R_n - R_M
-    is Hermitian, so its norm is max |eigvalsh|.
+    R_n = Q (Lambda + kappa0)^-1 Q^H from L_n's decomposition on the block,
+    plus diag(1/(j + kappa0)) on the tail; R_n - R_M is Hermitian, so its
+    norm is max |eigvalsh|.  spectra is the context of a `laxflow
+    diagnostics` command; None makes one.
     """
     eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 32")
-    kappa = find_kappa_zero(u0, eq, M)
+    spectra = _Spectra.of(spectra, u0, eq, M)
+    kappa = spectra.kappa0
     norm_u = l2_norm(u0)
-    block = eq.build_lax(u0, M, M).block
-    r_full = np.linalg.inv(_shifted(block, kappa))
+    r_full = spectra.resolvent(M)
     r_tail = 1.0 / (np.arange(M) + kappa)
     rows = []
     for n in [2**e for e in range(1, int(math.log2(M)))]:  # 2, 4, ..., M/2
         diff = -r_full
-        diff[:n, :n] += np.linalg.inv(_shifted(block[:n, :n], kappa))
+        diff[:n, :n] += spectra.resolvent(n)
         diff.flat[n * (M + 1) :: M + 1] += r_tail[n:]
         measured = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
         if eq.family == "BO":
@@ -310,28 +402,30 @@ def fit_rate(table: ConvergenceTable) -> Optional[float]:
     return float(slope)
 
 
-def run_propagator_sweep(u0, equation: str, M: int, T: float) -> List[Tuple[int, float]]:
+def run_propagator_sweep(u0, equation: str, M: int, T: float, *,
+                         spectra: Optional[_Spectra] = None) -> List[Tuple[int, float]]:
     """sup over t in [-T, T] (21 points) and a fixed vector family of
     ||(e^{itL_n} - e^{itL_M}) f||, for n = 4, 8, ..., M/2.  The family is
     the first 8 unit vectors and 8 random unit vectors (seeds 0..7).
 
-    Each L_n, sliced from L_M, is decomposed through `eig_hermitian` (its
-    n x n block only, with that call's checks); e^{i (t/2)(I + 2 L_n)} =
-    e^{it/2} e^{itL_n} is applied at all 21 times through one Q^H F[:n],
-    phased per time and taken back by one batched product with Q, the tail
-    phased elementwise; the global phase cancels in the difference.  Raises
-    RuntimeError when a phase t lambda overflows.
+    Each L_n is decomposed once through `eig_hermitian` (its n x n block
+    only, with that call's checks) by the spectral context: spectra, a
+    `laxflow diagnostics` command's, or a new one when None.  e^{i (t/2)(I
+    + 2 L_n)} = e^{it/2} e^{itL_n} is applied at all 21 times through one
+    Q^H F[:n], phased per time and taken back by one batched product with
+    Q, the tail phased elementwise; the global phase cancels in the
+    difference.  Raises RuntimeError when a phase t lambda overflows.
     """
     eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 64")
     tgrid = _time_grid(T, 21)
+    spectra = _Spectra.of(spectra, u0, eq, M)
     F = np.hstack([np.eye(M, 8, dtype=np.complex128)]
                   + [_random_unit_vectors(M, 1, s) for s in range(8)])
-    lax = eq.build_lax(u0, M, M)
 
     def evolve(n):
-        e = eig_hermitian(lax.truncated(n))
+        e = spectra.eig(n)
         try:
             phases = e.phases(tgrid / 2, 1).T[:, :, None]  # (times, M, 1)
         except ValueError as exc:

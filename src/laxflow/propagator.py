@@ -188,7 +188,7 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
         bounds = _certify(parent, derived, abs_q) if same else None
         certified = bounds is not None
         if not certified:
-            bounds = _check_failure(m, derived.mu, q)
+            bounds = _check_failure(m, derived.mu, q, abs_q)
         if not isinstance(bounds, str):
             q.flags.writeable = False
             return HermitianEig(np.concatenate([derived.mu, tail]), q, derived=True,
@@ -201,8 +201,8 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
             f"eigensolver failed for {m.equation.name} Lax matrix "
             f"(n={m.n}, M={m.M})"
         ) from exc
-    q, _ = _canonical_phases(q)
-    bounds = _check_failure(m, lam, q)
+    q, abs_q = _canonical_phases(q)
+    bounds = _check_failure(m, lam, q, abs_q)
     if isinstance(bounds, str):
         raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n}, M={m.M})")
     q.flags.writeable = False
@@ -253,9 +253,12 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _Bounds]:
+def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray,
+                   abs_q: Optional[float] = None) -> Union[str, _Bounds]:
     """The first check (lam, q) fails as a decomposition of m's block, or the
-    bounds that the defects it measured prove, product rounding included."""
+    bounds that the defects it measured prove, product rounding included.
+    abs_q >= || |q| || is the bound `_canonical_phases` returned for q; it
+    is taken from q when not given."""
     block, n = m.block, m.n
     # the largest entry of the whole matrix, tail included
     scale = 1.0 + max(float(np.max(np.abs(block), initial=0.0)),
@@ -267,7 +270,8 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _
     ortho = np.abs(qh @ q - np.eye(n))
     if np.max(ortho, initial=0.0) > _RECON_TOL:
         return "eigenvectors lost orthonormality"
-    abs_q = _abs_norm(np.abs(q))
+    if abs_q is None:
+        abs_q = _SAFETY * _abs_norm(np.abs(q))
     lam_max = float(np.max(np.abs(lam), initial=0.0))
     # a product's rounding is at most gamma times |q| |lambda| |q^H|
     rounding = _gamma(n + 2) * abs_q**2
@@ -275,7 +279,7 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _
     r = _SAFETY * (_abs_norm(recon) + rounding * lam_max)
     # B Q - Q lambda = Q lambda (Q^H Q - I) - (Q lambda Q^H - B) Q
     return _Bounds(e, _SAFETY * np.sqrt(1.0 + e) * (r + lam_max * e),
-                   _SAFETY * abs_q, _SAFETY * ((1.0 + e) * lam_max + r))
+                   abs_q, _SAFETY * ((1.0 + e) * lam_max + r))
 
 
 # a root takes at most about two rational steps from its start; bisection
@@ -616,7 +620,8 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> float:
     the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
     <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
     the norm at n = M, the largest, is taken, as sqrt(lambda_max(R0 G^2 R0))
-    by `eigvalsh`, with G^2 formed once.  Either way kappa0 >= 1.
+    by `eigvalsh`, with G^2 formed once (`_ccm_kappa_zero`).  Either way
+    kappa0 >= 1.
     """
     if M < 4:
         raise ValueError("M must be >= 4")
@@ -624,13 +629,31 @@ def find_kappa_zero(u0, eq: Equation, M: int) -> float:
         if not isinstance(u0, RealSpectrum):
             raise TypeError("BO data must be a RealSpectrum")
         return max(12.0 * l2_norm(u0) ** 2, 1.0)
+    return _ccm_kappa_zero(u0, M)
+
+
+def _gram_squared(u0, M: int) -> np.ndarray:
+    """G^2 for the Gram block G = A A^H at M, A = mult_matrix(u0, M)."""
+    a = mult_matrix(u0, M)
+    gram = a @ a.conj().T
+    del a  # freed before the product
+    return gram @ gram  # G is Hermitian: G^2 = G^H G
+
+
+def _ccm_kappa_zero(u0, M: int, gram_norm: Optional[Callable[[float], float]] = None) -> float:
+    """The CCM search of `find_kappa_zero`.  gram_norm(kappa) is the norm
+    ||G_M R0(kappa)||; a caller that holds G^2 and the norms it took passes
+    its own, else G^2 is formed here."""
     if not isinstance(u0, HardyVector):
         raise TypeError("CCM data must be a HardyVector")
-    a = mult_matrix(u0, M)
-    gram2 = np.linalg.matrix_power(a @ a.conj().T, 2)  # G = A A^H is Hermitian: G^2 = G^H G
-    del a  # only G^2 is needed below
+    if gram_norm is None:
+        gram2 = _gram_squared(u0, M)
+
+        def gram_norm(kappa):
+            return _scaled_norm(gram2, 1.0 / (np.arange(M) + kappa))
+
     for e in range(_CCM_GRID_MAX_EXP + 1):
-        if _scaled_norm(gram2, 1.0 / (np.arange(M) + 2.0**e)) <= 0.5:
+        if gram_norm(2.0**e) <= 0.5:
             return float(2**e)
     raise RuntimeError(
         "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "

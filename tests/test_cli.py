@@ -659,20 +659,71 @@ class TestDiagnostics:
         assert summary["kappa0_method"] == method
 
     def test_kappa0_searched_once_per_suite(self, tmp_path, monkeypatch):
-        # the bound and resolvent suites search; the summary reads the bound suite's
-        calls = []
+        # the suites share one search through their spectral context; every
+        # CCM search, through find_kappa_zero or not, calls _ccm_kappa_zero
+        calls, real = [], laxflow.propagator._ccm_kappa_zero
 
         def counting(*args):
-            calls.append(args[2])
-            return find_kappa_zero(*args)
+            calls.append(args[1])
+            return real(*args)
 
-        for mod in (laxflow, laxflow.propagator, diag, laxflow.cli):
-            if hasattr(mod, "find_kappa_zero"):
-                monkeypatch.setattr(mod, "find_kappa_zero", counting)
+        for mod in (laxflow.propagator, diag):
+            monkeypatch.setattr(mod, "_ccm_kappa_zero", counting)
         rc = main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
                    "--out", str(tmp_path / "run")])
         assert rc == 0
-        assert calls == [64, 64]
+        assert calls == [64]
+
+    def test_one_lax_build_per_command(self, tmp_path, monkeypatch):
+        calls, real = [], laxflow.lax.build_ccm_lax
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+        assert main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-defocusing"])
+    def test_resolvent_and_sweep_csv_rows_are_the_suites(self, tmp_path, equation):
+        # the command's shared context gives the rows each suite gives alone
+        M, profile = 64, "random-sobolev:s=1,seed=2,norm=0.5"
+        out = tmp_path / "run"
+        assert main(["diagnostics", "--M", str(M), "--equation", equation, "--profile", profile,
+                     "--T", "2", "--out", str(out)]) == 0
+        eq = laxflow.EQUATIONS[equation]
+        u0 = laxflow.analyze_profile(parse_profile(profile), M, hardy=eq.hardy)
+        res_rows = diag.run_resolvent_convergence(u0, equation, M)
+        sweep_rows = diag.run_propagator_sweep(u0, equation, M, 2.0)
+        lines = (out / "resolvent.csv").read_text().splitlines()
+        assert lines[0] == "n,measured,bound,pass"
+        assert len(lines) == len(res_rows) + 1
+        for line, r in zip(lines[1:], res_rows):
+            n, measured, bound, passed = line.split(",")
+            assert (int(n), passed) == (r.n, str(r.passed))
+            assert (float(measured), float(bound)) == (r.measured, r.bound)
+        lines = (out / "propagator_sweep.csv").read_text().splitlines()
+        assert lines[0] == "n,sup_error"
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == sweep_rows
+
+    @pytest.mark.parametrize("M, memory", [(64, 1 << 10), (65536, 1 << 30)])
+    def test_M_beyond_physical_memory_rejected_before_any_work(
+            self, tmp_path, capsys, monkeypatch, M, memory):
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: memory)
+        calls = []
+        for name in ("build_bo_lax", "build_ccm_lax"):
+            monkeypatch.setattr(laxflow.lax, name, lambda *a, _n=name: calls.append(_n))
+        for mod in (laxflow.propagator, diag):
+            monkeypatch.setattr(mod, "_ccm_kappa_zero", lambda *a: calls.append("kappa0"))
+        out = tmp_path / "x"
+        assert main(["diagnostics", "--M", str(M), "--equation", "CCM-defocusing",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing"])
     def test_bounds_csv_rows_are_the_suites_reports(self, tmp_path, equation):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from laxflow import diagnostics as diag
 from laxflow.diagnostics import (
     BoundReport,
     ConvergenceRow,
@@ -129,6 +130,20 @@ def test_each_suite_builds_the_lax_operator_once(monkeypatch, suite, equation):
     calls = count_builds(monkeypatch)
     suite(u0, equation, M)
     assert calls == [M]
+
+
+@pytest.mark.parametrize("suite", [
+    lambda u0, eq, M, sp: run_bound_suite(u0, eq, M, kappas=[1.0], ns=[1], spectra=sp),
+    lambda u0, eq, M, sp: run_resolvent_convergence(u0, eq, M, spectra=sp),
+    lambda u0, eq, M, sp: run_propagator_sweep(u0, eq, M, T=1.0, spectra=sp),
+], ids=["bound-suite", "resolvent", "propagator-sweep"])
+def test_spectral_context_of_other_inputs_rejected(suite):
+    u0, eq = ccm_data(64), EQUATIONS["CCM-focusing"]
+    others = [diag._Spectra(ccm_data(64), eq, 64), diag._Spectra(u0, EQUATIONS["BO"], 64),
+              diag._Spectra(u0, eq, 128)]
+    for spectra in others:
+        with pytest.raises(ValueError, match="spectral context belongs to other"):
+            suite(u0, eq.name, 64, spectra)
 
 
 # each public entry point, called with an equation name on valid data

@@ -333,6 +333,20 @@ def dense_defects(m, lam, q):
 
 
 @pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+def test_densely_checked_bounds_cover_abs_q(family):
+    # the dense check takes the || |q| || bound of the canonical phases: on
+    # the eigh path, and for derived pairs whose parent's build is gone
+    eq = EQUATIONS[family]
+    u0 = analyze_profile(InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 0.5}),
+                         32, hardy=eq.hardy)
+    parent = eig_hermitian(eq.build_lax(u0, 32, 32).truncated(25))
+    child = eig_hermitian(eq.build_lax(u0, 32, 32).truncated(24), parent)
+    assert not parent.derived and child.derived and not child.certified
+    for e in (parent, child):
+        assert e.bounds.abs_q >= np.linalg.norm(np.abs(e.eigenvectors), ord=2)
+
+
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
 class TestCertificate:
     """A derived decomposition accepted on its certificate passes the dense check."""
 
