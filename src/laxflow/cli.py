@@ -5,7 +5,12 @@ plot-ready CSV data plus a manifest that records the effective config, the
 eigendecomposition count and the sha256 digest of every file written, so a
 manifest alone suffices to reproduce a run.
 
-Exit codes: 0 ok, 1 check failure, 2 config error.
+Exit codes: 0 ok, 1 check failure, 2 config error.  `main` maps a
+`RuntimeError`, which the library raises when a check on the run fails
+(no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, an
+imaginary BO mass, a failed reference run), to exit 1 with `check
+failure: <reason>` on stderr, and `ConfigError`, `ValueError` and
+`TypeError` to exit 2 with `config error: <reason>`.
 """
 
 from __future__ import annotations
@@ -486,6 +491,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"check failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,9 +6,16 @@ data is embedded as a finite matrix on the frequency window [0, M).  The
 restriction can only shrink an operator norm, so the continuum upper bounds
 remain valid assertions for the measured values.
 
-No norm takes an SVD: an operator norm is sqrt(lambda_max) of the smaller
-Gram matrix, by `eigvalsh`.  No dense M x M Lax matrix is formed: each L_n
-acts as its n x n block and, elementwise, its diagonal tail diag(n..M-1).
+No norm takes an SVD or a full eigenvalue decomposition: an operator norm
+is sqrt(lambda_max) of the smaller Gram matrix, and the norm of a
+Hermitian difference its largest |lambda|, each by Lanczos from a seeded
+start vector (`propagator._hermitian_norm`, a few dozen matrix-vector
+products).  It stops when the dominant Ritz value theta's residual r is at
+most 8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
+eigenvalue theta converged to; it misses the largest only for a start
+nearly orthogonal to its eigenvector.  No dense M x M Lax matrix is
+formed: each L_n acts as its n x n block and, elementwise, its diagonal
+tail diag(n..M-1).
 
 The three Lax-operator suites read one spectral context per (data,
 equation, M), `_Spectra`, which computes each quantity when a suite first
@@ -31,8 +38,8 @@ import numpy as np
 
 from . import scheme
 from .lax import Equation, LaxMatrix, mult_matrix
-from .propagator import (HermitianEig, _ccm_kappa_zero, _gram_squared, _scaled_norm,
-                         eig_hermitian, find_kappa_zero)
+from .propagator import (HermitianEig, _ccm_kappa_zero, _gram_squared, _hermitian_norm,
+                         _scaled_norm, eig_hermitian, find_kappa_zero)
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import (
     HardyVector,
@@ -80,8 +87,8 @@ def _time_grid(T: float, points: int) -> np.ndarray:
 
 # M x M complex arrays a diagnostics command holds at once, at its peak, the
 # bound suite's decomposition of L_M: L_M, q, q^H, q diag(lambda) and their
-# product (5.7 by tracemalloc at M = 512 and 1024), or L_M, q and the copy
-# and workspace of `eigh`
+# product (5.9 and 5.5 by tracemalloc at M = 512 and 1024), or L_M, q and the
+# copy and workspace of `eigh`; a Lanczos basis holds a few dozen vectors
 _HELD_ARRAYS = 6
 
 
@@ -275,8 +282,9 @@ def run_resolvent_convergence(u0, equation: str, M: int, *,
 
     R_n = Q (Lambda + kappa0)^-1 Q^H from L_n's decomposition on the block,
     plus diag(1/(j + kappa0)) on the tail; R_n - R_M is Hermitian, so its
-    norm is max |eigvalsh|.  spectra is the context of a `laxflow
-    diagnostics` command; None makes one.
+    norm is its largest |eigenvalue|, by Lanczos (`_hermitian_norm`).
+    spectra is the context of a `laxflow diagnostics` command; None makes
+    one.
     """
     eq = Equation.named(equation)
     if M < 32 or (M & (M - 1)) != 0:
@@ -291,7 +299,7 @@ def run_resolvent_convergence(u0, equation: str, M: int, *,
         diff = -r_full
         diff[:n, :n] += spectra.resolvent(n)
         diff.flat[n * (M + 1) :: M + 1] += r_tail[n:]
-        measured = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        measured = _hermitian_norm(diff)
         if eq.family == "BO":
             bound = 8.0 * np.sqrt(3.0) / (n * np.sqrt(kappa)) * norm_u
         else:

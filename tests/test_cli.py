@@ -174,6 +174,14 @@ class TestEvolve:
         assert header == "t,k,re,im"
         assert len(rows) == 2 * 16
 
+    def test_runtime_error_is_a_check_failure(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg):
+            raise RuntimeError("eigensolver failed")
+
+        monkeypatch.setattr(laxflow.cli, "run_scheme", failing)
+        assert main(["evolve", "--K", "8", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "check failure: eigensolver failed\n"
+
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["evolve", "--K", "24", "--T", "1", "--grid-points", "11",
                 "--profile", "random-sobolev:s=1,seed=3,norm=0.5"]
@@ -598,6 +606,35 @@ class TestDiagnostics:
         profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
         assert main(["diagnostics", "--M", "64", "--equation", equation, "--profile", profile,
                      "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_no_eigvalsh_is_taken_and_reruns_are_byte_identical(self, tmp_path, monkeypatch,
+                                                                 equation):
+        # every Gram and resolvent-difference norm comes from Lanczos, whose
+        # start vector is seeded
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh was called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        monkeypatch.setattr(np.linalg._linalg, "eigvalsh", no_eigvalsh)
+        profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["diagnostics", "--M", "64", "--equation", equation, "--profile", profile,
+                         "--out", str(out)]) == 0
+        for name in ("bounds.csv", "resolvent.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_no_kappa0_is_a_check_failure(self, tmp_path):
+        # the search's RuntimeError ended the command with a traceback
+        out = tmp_path / "x"
+        proc = run_child("-m", "laxflow.cli", "diagnostics", "--M", "64",
+                         "--equation", "CCM-defocusing",
+                         "--profile", "random-sobolev:s=1,seed=0,norm=2000", "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("check failure: no kappa0 up to 2^20")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("M", [48, 32])
     def test_bad_M_rejected_before_any_suite(self, tmp_path, capsys, monkeypatch, M):

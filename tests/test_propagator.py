@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laxflow import propagator
 from laxflow.lax import EQUATIONS, LaxMatrix, build_bo_lax, build_ccm_lax
@@ -8,6 +10,7 @@ from laxflow.propagator import (
     _RECON_TOL,
     HermitianEig,
     PropagatorCache,
+    _hermitian_norm,
     advance,
     eig_hermitian,
     find_kappa_zero,
@@ -537,3 +540,59 @@ class TestKappaZero:
             find_kappa_zero(random_spectrum(8, 0), EQUATIONS["CCM-focusing"], 8)
         with pytest.raises(ValueError):
             find_kappa_zero(random_spectrum(8, 0), EQUATIONS["BO"], 3)
+
+
+def hermitian_case(kind, n, seed, dtype):
+    """A Hermitian n x n matrix of the named kind, entries of order 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "random":
+        a = x + x.conj().T
+    elif kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "rank-one":
+        a = x[:, :1] @ x[:, :1].conj().T
+    elif kind == "diagonal":
+        a = np.diag(rng.standard_normal(n))
+    else:
+        # Q diag(lam) Q^H: a dominant eigenvalue repeated, a negative one
+        # dominant, or the fast decay of the diagnostics' scaled Grams
+        q = np.linalg.qr(x)[0]
+        lam = rng.uniform(-1.0, 1.0, n)
+        if kind == "repeated":
+            lam[: n // 3 + 1] = 2.0
+        elif kind == "negative":
+            lam[:1] = -3.0
+        else:
+            lam = np.abs(lam) * 0.5 ** np.arange(n)
+        a = (q * lam) @ q.conj().T
+        a = (a + a.conj().T) / 2
+    return a.real.copy() if dtype == "real" else a.astype(np.complex128)
+
+
+class TestHermitianNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["random", "zero", "rank-one", "diagonal", "repeated", "negative",
+                            "decaying"]),
+           st.integers(0, 48), st.integers(0, 2**32 - 1), st.integers(-150, 150),
+           st.sampled_from(["complex", "real"]))
+    # unscaled, |w|^2 underflowed here and the result was 1.6e-140, not 2e-150
+    @example("repeated", 32, 372951265, -150, "complex")
+    def test_matches_eigvalsh(self, kind, n, seed, exponent, dtype):
+        a = hermitian_case(kind, n, seed, dtype) * 10.0**exponent
+        got = _hermitian_norm(a)
+        assert type(got) is float and got == _hermitian_norm(a)
+        want = float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
+        if kind == "zero" or n == 0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_diagnostics_scaled_grams(self, n):
+        # R0 G^2 R0 of CCM data: a spectrum decaying to rounding level
+        u0 = analyze_profile(
+            InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 1.0}), n, hardy=True)
+        r0 = 1.0 / (np.arange(n) + 1.0)
+        a = propagator._gram_squared(u0, n) * np.outer(r0, r0)
+        assert _hermitian_norm(a) == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)
