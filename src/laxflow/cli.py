@@ -9,8 +9,8 @@ Exit codes: 0 ok, 1 check failure, 2 config error.  `main` maps a
 `RuntimeError`, which the library raises when a check on the run fails
 (no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, an
 imaginary BO mass, a failed reference run), to exit 1 with `check
-failure: <reason>` on stderr, and `ConfigError`, `ValueError` and
-`TypeError` to exit 2 with `config error: <reason>`.
+failure: <reason>` on stderr, and `ConfigError`, `ValueError`, `TypeError`
+and `MemoryError` (`out of memory: `) to exit 2 with `config error: <reason>`.
 """
 
 from __future__ import annotations
@@ -488,8 +488,9 @@ def main(argv=None) -> int:
             if not math.isfinite(2.0 * args.T):
                 raise ConfigError(f"T and the width 2T of [-T, T] must be finite; got {args.T!r}")
         return args.func(args)
-    except (ConfigError, ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, TypeError, MemoryError) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"config error: {oom}{exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"check failure: {exc}", file=sys.stderr)

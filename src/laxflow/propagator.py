@@ -3,17 +3,17 @@
 Because the Lax matrices are Hermitian, e^{i alpha t (I + 2 L)} is computed
 through the spectral decomposition L = Q diag(lambda) Q^H once per distinct
 truncation parameter n.  Only the dense n x n block is decomposed, at
-O(n^3); the tail diag(n..M-1) is already diagonal, so on those rows the
-group is the elementwise phase e^{i alpha t (1 + 2j)}.  A run of r scheme
-steps sharing one decomposition then costs, for an M x T block of iterates,
-one product W = Q^H S* Q plus one n x n by n x T product per step in the
-eigenbasis, or, for short runs, two such products per step in the standard
-basis; the tail is shifted and phased elementwise either way, and a zero
-guard row below the iterate gives n < M and n = M one step body.  All
-eigenvalues are real, so |phase| = 1 for every t and the evolution is
-unconditionally stable in time.  `advance` is the one group-application
-path; the group alone at many times, as the diagnostics propagator sweep
-needs it, is Q^H v taken once and phased per time by `HermitianEig.phases`.
+O(n^3); the tail diag(n..M-1) is already diagonal, and `scheme.run_scheme`
+keeps it in the gauge e^{i alpha t j^2} (`_gauge`), where a scheme step,
+the shift S* and the phase e^{i alpha t (1 + 2j)}, is the shift alone.  A
+run of r scheme steps sharing one decomposition then costs, for the n x T
+block of T iterates, one product W = Q^H S* Q plus one n x n by n x T
+product per step in the eigenbasis, or, for short runs, two such products
+per step in the standard basis.  All eigenvalues are real, so |phase| = 1
+for every t and the evolution is unconditionally stable in time.
+`advance` is the one group-application path; the group alone at many
+times, as the diagnostics propagator sweep needs it, is Q^H v taken once
+and phased per time by `HermitianEig.phases`.
 
 The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
 on a staircase n -> n - 1 each decomposition follows from the one before:
@@ -133,11 +133,25 @@ class HermitianEig:
 
     def phases(self, ts, alpha: int) -> np.ndarray:
         """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts)); ValueError on overflow."""
-        with np.errstate(over="ignore"):
-            arg = np.outer(1.0 + 2.0 * self.eigenvalues, ts)
-        if not np.all(np.isfinite(arg)):
-            raise ValueError("phase t (1 + 2 lambda) overflows; the time is too large")
-        return np.exp(1j * alpha * arg)
+        return _phases(1.0 + 2.0 * self.eigenvalues, ts, alpha)
+
+
+def _phases(rates, ts, alpha: int) -> np.ndarray:
+    """e^{i alpha t r} for r in rates, shape (len(rates), len(ts)); ValueError on overflow."""
+    with np.errstate(over="ignore"):
+        arg = np.outer(rates, ts)
+    if not np.all(np.isfinite(arg)):
+        raise ValueError("phase argument overflows; the time is too large")
+    return np.exp(1j * alpha * arg)
+
+
+def _gauge(ts, alpha: int, m: np.ndarray) -> np.ndarray:
+    """e^{i alpha t m}, shape (len(m), len(ts)), for integers m; ValueError on overflow.
+    t's leading 26 bits and its other 27 times |m| < 2^26 are exact, so each
+    phase is within a few u of exact at any t (one rounding of t m: u |t m|)."""
+    mant, ex = np.frexp(ts)
+    hi = np.ldexp(np.trunc(np.ldexp(mant, 26)), ex - 26)
+    return _phases(m, hi, alpha) * _phases(m, ts - hi, alpha)
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
@@ -481,52 +495,45 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
     return None
 
 
-def advance(e: HermitianEig, ts, alpha: int, V: np.ndarray, steps: int):
-    """Take `steps` scheme steps V <- e^{i alpha t (I + 2 L)} S* V on one decomposition.
+def advance(e: HermitianEig, ts, alpha: int, X: np.ndarray, steps: int) -> np.ndarray:
+    """Take `steps` scheme steps x <- e^{i alpha t (I + 2 L)} S* x on the block of L.
 
-    Column j of V evolves by ts[j].  Returns (rows, V): rows[:, s] is the
-    zero mode of the iterate after step s + 1, shape (len(ts), steps), and V
-    is the last iterate in the standard basis; the caller's V is not changed.
+    X is the (n + steps) x len(ts) window of a sliding iterate, n >= 1:
+    rows 0..n-1 hold the first iterate's block and row n + s the row taken
+    in at step s, in the standard basis; column j evolves by ts[j].  X is
+    advanced in place, the block after step s in rows s + 1..s + n.
+    Returns rows, shape (len(ts), steps): rows[:, s] is the zero mode after
+    step s + 1.
 
-    The iterate carries one zero guard row below row M - 1, which S* shifts
-    into row M - 1, so the block always reads rows 1..n (0..n in the
-    eigenbasis) and the tail rows n..M-1 are shifted in place and phased
-    elementwise, with or without a tail.  On the block the standard basis
-    costs 16 n^2 T flops a step; the eigenbasis, where the block rows hold
-    w = Q^H V[:n] and a step is w <- phases * (W w + c v_n) with
-    W = Q^H S* Q and c = Q^H e_{n-1} taking in row n, costs
-    8 n^3 + 8 n^2 T (steps + 2) in all.  The cheaper one is taken: the
-    eigenbasis iff T (steps - 2) > n.  With n = 0 a step is pure phases.
+    On the block the standard basis costs 16 n^2 T flops a step; the
+    eigenbasis, where the block rows hold w = Q^H x and a step is
+    w <- phases * (W w + c x_n) with W = Q^H S* Q and c = Q^H e_{n-1}
+    taking in row n, costs 8 n^3 + 8 n^2 T (steps + 2) in all.  The cheaper
+    one is taken: the eigenbasis iff T (steps - 2) > n.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    M, n, T = e.M, e.n, len(ts)
-    if V.shape != (M, T):
-        raise ValueError("V must be (M, len(ts))")
-    phases = e.phases(ts, alpha)
+    n, T = e.n, len(ts)
+    if n == 0 or X.shape != (n + steps, T):
+        raise ValueError("X must be the (n + steps, len(ts)) window of a nonempty block")
+    phases = _phases(1.0 + 2.0 * e.eigenvalues[:n], ts, alpha)
     q = e.eigenvectors
     rows = np.empty((T, steps), dtype=np.complex128)
-    guard = np.zeros((1, T))
-    if n and T * (steps - 2) > n:
+    if T * (steps - 2) > n:
         qh = q.conj().T
         # S* Q is Q shifted up one row with a zero last row, so Q^H S* Q
         # needs no shifted copy; row n shifts into block row n - 1
         w_op = np.hstack([qh[:, :-1] @ q[1:], qh[:, -1:]])
-        X = np.concatenate([qh @ V[:n], V[n:], guard])
+        X[:n] = qh @ X[:n]
         for s in range(steps):
-            X[:n] = w_op @ X[: n + 1]
-            X[n:-1] = X[n + 1 :]
-            X[:-1] *= phases
-            rows[:, s] = q[0] @ X[:n]
-        X[:n] = q @ X[:n]
-        return rows, X[:-1]
-    X = np.concatenate([V, guard])
-    pb, pt = phases[:n], phases[n:]
+            X[s + 1 : s + n + 1] = w_op @ X[s : s + n + 1]
+            X[s + 1 : s + n + 1] *= phases
+            rows[:, s] = q[0] @ X[s + 1 : s + n + 1]
+        X[steps:] = q @ X[steps:]
+        return rows
     for s in range(steps):
         # Q^H x as conj(Q^T conj(x)): no conjugate copy of Q, only of the n x T x
-        X[:n] = q @ (pb * (q.T @ X[1 : n + 1].conj()).conj())
-        X[n:-1] = X[n + 1 :] * pt
-        rows[:, s] = X[0]
-    return rows, X[:-1]
+        X[s + 1 : s + n + 1] = q @ (phases * (q.T @ X[s + 1 : s + n + 1].conj()).conj())
+        rows[:, s] = X[s + 1]
+    return rows
 
 
 # the bytes of finished decompositions a cache keeps for a later run to hit:

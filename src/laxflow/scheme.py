@@ -25,7 +25,7 @@ import numpy as np
 
 from . import spectral
 from .lax import Equation, data_digest
-from .propagator import PropagatorCache, advance
+from .propagator import PropagatorCache, _gauge, advance
 from .spectral import (
     HardyVector,
     InitialProfile,
@@ -240,17 +240,20 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     """Evaluate the scheme at every configured time.
 
     All times share one pass over k: the iterates for distinct t are columns
-    of one M x T matrix.  The steps k >= 1 are taken in maximal runs of equal
-    n(k), one cached decomposition each of L_n, sliced from the one Lax build
-    at the largest n(k) (`LaxMatrix.truncated`) on the first cache miss:
-    O(n^3) for the n x n block, held as n^2 complex numbers.  A run at n one
-    below the run before it (the full staircase) derives its decomposition
-    from that run's, at O(n^2) plus one real n x n by n x 2n product and
-    one real n x n product for its certificate (`propagator.eig_hermitian`).
-    On the block a long run costs one product W = Q^H S* Q and then one
-    n x n by n x T product per step in the eigenbasis; a short run takes two
-    such products per step in the standard basis.  The tail rows n..M-1
-    take their phases elementwise (see `propagator.advance`).
+    of one (M + K) x T buffer, row j of u^k at row k + j, so S* moves no
+    data and u^K is the window one row on.  The steps k >= 1 are taken in
+    maximal runs of equal n(k), one cached decomposition each of L_n, sliced
+    from the one Lax build at the largest n(k) (`LaxMatrix.truncated`) on
+    the first cache miss: O(n^3) for the n x n block, held as n^2 complex
+    numbers.  A run at n one below the run before it (the full staircase)
+    derives its decomposition from that run's (`propagator.eig_hermitian`).
+    `propagator.advance` takes each run's steps on the block rows 0..n-1;
+    the tail rows are kept in the gauge e^{i alpha t j^2} x_j, where a step
+    is the shift alone (j^2 + 1 + 2j = (j + 1)^2), and change basis only
+    where n does, in one multiply per run (none on a full staircase).  A run
+    at n = 0 reads its zero modes off the buffer and decomposes nothing.
+    Gauge phases are within a few u of exact at any t for M <= 2^13
+    (`propagator._gauge`); the block's round t (1 + 2 lambda) once a step.
 
     After the last run of each n the cache is told that the entry is
     finished (`PropagatorCache.release`), so it keeps finished entries
@@ -258,7 +261,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     decompositions, the one in use and its parent, plus 2 MiB of finished
     ones (`propagator._CACHE_BUDGET`).  Before any work, ValueError when
     the least the run must hold at once, the Lax build and one
-    decomposition at the largest n(k), the iterate and the coefficients,
+    decomposition at the largest n(k), the buffer and the coefficients,
     exceeds the memory the process may use (`_physical_memory`: physical
     memory, or the cgroup limit when lower).
     """
@@ -267,7 +270,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     M = sched.ambient_size
     T = len(cfg.times)
     n_max = int(sched.values[1:].max(initial=0))
-    need, have = 16 * (2 * n_max**2 + (M + 1) * T + T * K), _physical_memory()
+    need, have = 16 * (2 * n_max**2 + (M + K) * T + T * K), _physical_memory()
     if need > have:
         raise ValueError(f"the run needs at least {need / 2**30:.3g} GiB at once, more "
                          f"than the {have / 2**30:.3g} GiB of physical memory or "
@@ -291,29 +294,38 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     seed_norm = l2_norm(seed)
 
     coeffs = np.zeros((T, K), dtype=np.complex128)
-    V = np.tile(seed.padded(M)[:, None], (1, T))
-    coeffs[:, 0] = V[0, :]
+    buf = np.tile(seed.padded(M + K)[:, None], (1, T))
+    coeffs[:, 0] = buf[0]
+
+    def regauge(k, was, n, steps):
+        """Phase the rows of u^{k-1} whose basis changes for a run at n after `was`."""
+        j = np.arange(min(n, was), min(max(was, n + steps), M))
+        m = np.sign(was - n) * j * j * (j < max(n, was)) - n * n * ((n <= j) & (j < n + steps))
+        if m.any():
+            buf[k - 1 + j] *= _gauge(cfg.times, eq.alpha, m)
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
     lax = functools.cache(lambda: eq.build_lax(u0, n_max, M))
     runs = [(n, len(list(run))) for n, run in itertools.groupby(sched.values[1:].tolist())]
     last = {n: i for i, (n, _) in enumerate(runs)}
-    k, eig = 1, None
+    k, eig, was = 1, None, int(sched.values[0])
     for i, (n, steps) in enumerate(runs):
-        # each run's decomposition is the next run's parent: on a staircase
-        # n -> n - 1 it is derived instead of decomposed afresh, and eig
-        # keeps the parent alive whatever the cache evicts
-        key = (eq.name, n, M, digest)
-        eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
-        coeffs[:, k : k + steps], V = advance(eig, cfg.times, eq.alpha, V, steps)
-        k += steps
-        if last[n] == i:
-            cache.release(key)
+        regauge(k, was, n, steps)
+        if n == 0:
+            coeffs[:, k : k + steps] = buf[k : k + steps].T
+        else:
+            # each run's decomposition is the next one's parent, derived from
+            # it on a staircase n -> n - 1 and kept alive by eig past evictions
+            key = (eq.name, n, M, digest)
+            eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
+            coeffs[:, k : k + steps] = advance(eig, cfg.times, eq.alpha,
+                                               buf[k - 1 : k - 1 + n + steps], steps)
+            if last[n] == i:
+                cache.release(key)
+        k, was = k + steps, n
 
-    # one more shift yields u^K up to a unitary factor; its norm and support
-    # are what the exact-preservation property constrains
-    V[:-1, :] = V[1:, :]
-    V[-1, :] = 0.0
+    # u^K = S* u^{K-1}, the window one row on, in the standard basis
+    regauge(K, was, M, 0)
 
     if not eq.hardy:
         # mass is conserved exactly real; scrub the residual rounding phase
@@ -332,7 +344,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
         coeffs=coeffs,
         seed_norm=seed_norm,
         data_digest=digest,
-        final_iterate=V,
+        final_iterate=buf[K:],
         decompositions=cache.decompositions - decomp_before,
         cache=cache,
     )

@@ -182,6 +182,16 @@ class TestEvolve:
         assert main(["evolve", "--K", "8", "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "check failure: eigensolver failed\n"
 
+    def test_memory_error_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(laxflow.cli, "run_scheme", failing)
+        assert main(["evolve", "--K", "8", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["evolve", "--K", "24", "--T", "1", "--grid-points", "11",
                 "--profile", "random-sobolev:s=1,seed=3,norm=0.5"]

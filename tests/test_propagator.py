@@ -126,12 +126,24 @@ class TestApplyGroup:
         ts = np.linspace(-3.0, 3.0, T)
         rng = np.random.default_rng(3)
         V = rng.standard_normal((6, T)) + 1j * rng.standard_normal((6, T))
-        rows, out = advance(e, ts, 1, V, steps)
+        iterates = [V]
         for s in range(steps):
             V = np.vstack([V[1:], np.zeros((1, T))])
             V = np.stack([group_on_vector(e, t, 1, V[:, j]) for j, t in enumerate(ts)], axis=1)
-            np.testing.assert_allclose(rows[:, s], V[0], atol=1e-12)
-        np.testing.assert_allclose(out, V, atol=1e-12)
+            iterates.append(V)
+        check_block_run(e, ts, 1, iterates)
+
+
+def check_block_run(e, ts, alpha, iterates):
+    """`advance` on the block of the oracle's first iterate, fed the oracle's
+    own row n (zero past M) before each step, gives the oracle's zero mode
+    after each step and its last block, to 1e-12."""
+    n, steps = e.n, len(iterates) - 1
+    X = np.vstack([iterates[0][:n]] + [np.vstack([v, 0 * v[:1]])[n] for v in iterates[:-1]])
+    rows = advance(e, ts, alpha, X, steps)
+    for s in range(steps):
+        np.testing.assert_allclose(rows[:, s], iterates[s + 1][0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(X[steps:], iterates[-1][:n], rtol=0, atol=1e-12)
 
 
 M_BLOCK = 8
@@ -173,14 +185,26 @@ class TestBlockRepresentation:
         ts = np.linspace(-1.5, 2.0, T)
         rng = np.random.default_rng(n)
         V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
-        rows, out = advance(e, ts, alpha, V, steps)
         gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m)
         groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
+        iterates = [V]
         for s in range(steps):
             shifted = np.vstack([V[1:], np.zeros((1, T))])
             V = np.stack([g @ shifted[:, j] for j, g in enumerate(groups)], axis=1)
-            np.testing.assert_allclose(rows[:, s], V[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out, V, rtol=0, atol=1e-12)
+            iterates.append(V)
+        if n:
+            check_block_run(e, ts, alpha, iterates)
+            return
+        # no block: advance refuses it, and run_scheme reads the zero mode
+        # after step s off row s of the first iterate in the gauge, as
+        # e^{i alpha t s^2} times it
+        with pytest.raises(ValueError, match="nonempty block"):
+            advance(e, ts, alpha, np.zeros((steps, T), dtype=complex), steps)
+        j = np.arange(1, steps + 1)
+        first = np.vstack([iterates[0], np.zeros((steps, T))])
+        gauged = propagator._gauge(ts, alpha, j * j) * first[j]
+        for s in range(steps):
+            np.testing.assert_allclose(gauged[s], iterates[s + 1][0], rtol=0, atol=1e-12)
 
 
 class TestCache:

@@ -123,3 +123,10 @@ def test_scheme_properties(equation, values, later, seed, density, norm, decline
 
 for inputs, _ in PATHS:
     test_scheme_properties = example(**inputs)(test_scheme_properties)
+
+# long runs in the eigenbasis body while rows leave the block and rejoin it,
+# so that tail rows change basis between runs
+for equation in EQUATIONS:
+    test_scheme_properties = example(
+        equation=equation, values=[24] + [10] * 7 + [4] * 8 + [14] * 8, later=[3.5, -700.25],
+        seed=4, density=1.0, norm=0.5, declined=set())(test_scheme_properties)

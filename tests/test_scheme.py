@@ -179,6 +179,24 @@ class TestLinearCase:
             expect = np.exp(1j * alpha * t * ks**2) * h0.padded(K)
             np.testing.assert_allclose(out.coeffs[i], expect, atol=1e-10)
 
+    @pytest.mark.parametrize("t", [999.7, -123.456, 3.3])
+    def test_free_flow_to_rounding(self, t):
+        # t k^2 reaches 1e9 at K = 1024: rounding it once put these
+        # coefficients 5e-12 off, phases e^{i t (1 + 2j)} taken a step at a
+        # time 3e-13; the gauge's products of t's two halves are exact
+        mpmath = pytest.importorskip("mpmath")
+        K = 1 << 10
+        out = run("BO", make_schedule("linear-case", K), [t], bo_profile(4))
+        c = project_hardy(analyze_profile(bo_profile(4), K)).padded(K)
+        with mpmath.workdps(40):
+            expect = [complex(mpmath.expj(mpmath.mpf(t) * k * k) * c[k]) for k in range(K)]
+        assert np.max(np.abs(out.coeffs[0] - expect)) <= 1e-15
+
+    def test_runs_at_zero_decompose_nothing(self):
+        lin = run("BO", make_schedule("linear-case", 16), [0.5, 2.0], bo_profile(1))
+        half = run("BO", make_schedule("half-staircase", 16), [0.5, 2.0], bo_profile(1))
+        assert (lin.decompositions, half.decompositions) == (0, 1)
+
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
@@ -311,7 +329,7 @@ class TestPreflight:
         cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
                            np.linspace(-1.0, 1.0, T), bo_profile(2))
         calls = count_ccm_builds(monkeypatch)
-        need = 16 * (2 * 15**2 + (K + 1) * T + T * K)
+        need = 16 * (2 * 15**2 + (K + K) * T + T * K)  # M = K
         monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             run_scheme(cfg)
