@@ -9,8 +9,9 @@ Exit codes: 0 ok, 1 check failure, 2 config error.  `main` maps a
 `RuntimeError`, which the library raises when a check on the run fails
 (no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, an
 imaginary BO mass, a failed reference run), to exit 1 with `check
-failure: <reason>` on stderr, and `ConfigError`, `ValueError`, `TypeError`
-and `MemoryError` (`out of memory: `) to exit 2 with `config error: <reason>`.
+failure: <reason>` on stderr, and `ConfigError`, `ValueError`, `TypeError`,
+`MemoryError` (`out of memory: `) and `OSError` (an output directory that
+cannot be made or written) to exit 2 with `config error: <reason>`.
 """
 
 from __future__ import annotations
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
             if not math.isfinite(2.0 * args.T):
                 raise ConfigError(f"T and the width 2T of [-T, T] must be finite; got {args.T!r}")
         return args.func(args)
-    except (ConfigError, ValueError, TypeError, MemoryError) as exc:
+    except (ConfigError, ValueError, TypeError, MemoryError, OSError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"config error: {oom}{exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ import numpy as np
 from . import scheme
 from .lax import Equation, LaxMatrix, mult_matrix
 from .propagator import (HermitianEig, _ccm_kappa_zero, _gram_squared, _hermitian_norm,
-                         _scaled_norm, eig_hermitian, find_kappa_zero)
+                         _phases, _scaled_norm, eig_hermitian, find_kappa_zero)
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import (
     HardyVector,
@@ -133,7 +133,7 @@ class _Spectra:
     def lax(self) -> LaxMatrix:
         """L_M, read-only: every L_n is its view `truncated(n)`."""
         if self._lax is None:
-            self._lax = self.eq.build_lax(self.u0, self.M, self.M)
+            self._lax = self.eq.build_lax(self.u0, self.M)
         return self._lax
 
     def gram_norm(self, kappa: float) -> float:
@@ -166,7 +166,7 @@ class _Spectra:
         """R_n(kappa0)'s block (B_n + kappa0)^-1, as Q (Lambda + kappa0)^-1 Q^H."""
         e = self.eig(n)
         q = e.eigenvectors
-        return (q / (e.eigenvalues[:n] + self.kappa0)) @ q.conj().T
+        return (q / (e.eigenvalues + self.kappa0)) @ q.conj().T
 
 
 def run_bound_suite(
@@ -252,8 +252,8 @@ def run_bound_suite(
     h1, hm1 = np.linalg.norm(d1 * F, axis=0), np.linalg.norm(F / d1, axis=0)
     lam_mins = {}
     for n in sorted({1, M // 2, M}):
-        # L_n's eigenvalues: the block's, then the tail's n..M-1
-        lam_mins[n] = float(np.min(spectra.eig(n).eigenvalues))
+        # L_n's smallest eigenvalue: the block's, or the tail's n if smaller
+        lam_mins[n] = float(np.min(spectra.eig(n).eigenvalues, initial=n if n < M else np.inf))
         lf = np.linalg.norm(np.concatenate([(block[:n, :n] + kappa0 * np.eye(n)) @ F[:n],
                                             d1[n:] * F[n:]]), axis=0)
         rf = np.linalg.norm(np.concatenate([spectra.resolvent(n) @ F[:n], F[n:] / d1[n:]]),
@@ -435,7 +435,9 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float, *,
     def evolve(n):
         e = spectra.eig(n)
         try:
-            phases = e.phases(tgrid / 2, 1).T[:, :, None]  # (times, M, 1)
+            # L_n's eigenvalues: the block's, then the tail's n..M-1
+            rates = 1.0 + 2.0 * np.concatenate([e.eigenvalues, np.arange(n, M)])
+            phases = _phases(rates, tgrid / 2, 1).T[:, :, None]  # (times, M, 1)
         except ValueError as exc:
             raise RuntimeError("propagator sweep error is not finite") from exc
         q = e.eigenvectors

@@ -1,23 +1,21 @@
 """Truncated Lax operators as finite Hermitian matrices.
 
-At ambient size M the operators act on coefficient vectors over the
-frequency window [0, M).  The derivative part is never truncated: rows and
-columns at or beyond the truncation parameter n carry only the diagonal
-entry j, matching the analysis of the scheme.  A `LaxMatrix` therefore
-stores only its dense n x n block; the tail diag(n..M-1) is implicit and
-exact.  The potential blocks are
+The operators act on coefficient vectors over the frequencies 0, 1, 2, ...
+The derivative part is never truncated: rows and columns at or beyond the
+truncation parameter n carry only the diagonal entry j, matching the
+analysis of the scheme.  A `LaxMatrix` therefore stores only its dense
+n x n block; the tail diag(n, n + 1, ...) is implicit and exact, and a
+caller working on the window [0, M) reads it off its own M.  The blocks are
 
-* BO:  B[j, l] = u0hat(j - l) for j, l < n (Hermitian Toeplitz), and the
-  operator is diag(0..M-1) - B;
-* CCM: G = A A^H with A[j, m] = u0hat(j - m) lower-triangular Toeplitz on
-  the n x n block, and the operator is diag(0..M-1) -/+ G for the
-  focusing/defocusing sign.
+* BO:  diag(0..n-1) - B with B[j, l] = u0hat(j - l) (Hermitian Toeplitz);
+* CCM: diag(0..n-1) -/+ G for the focusing/defocusing sign, G = A A^H with
+  A[j, m] = u0hat(j - m) lower-triangular Toeplitz.
 
 Both Toeplitz matrices come from `mult_matrix`, which copies the data's
 coefficients out of a strided numpy view; no entry is computed.  A being
-lower triangular, the blocks at n are the leading blocks of those at M:
-`LaxMatrix.truncated` slices every L_n = Pi_n L_M Pi_n from one build.
-`EQUATIONS` maps each equation name to its `Equation` record.
+lower triangular, the block at n is the leading block of the one at any
+larger size: `LaxMatrix.truncated` slices every L_n = Pi_n L Pi_n from one
+build.  `EQUATIONS` maps each equation name to its `Equation` record.
 """
 
 from __future__ import annotations
@@ -68,12 +66,12 @@ class Equation:
         """True iff the data live in the Hardy space rather than real L2."""
         return self.family == "CCM"
 
-    def build_lax(self, u0, n: int, M: int) -> "LaxMatrix":
+    def build_lax(self, u0, n: int) -> "LaxMatrix":
         # the builders are looked up by name at each call, so a wrapper
         # installed on the module (a tracer, say) sees every build
         if self.family == "BO":
-            return build_bo_lax(u0, n, M)
-        return build_ccm_lax(u0, n, M, self.sign)
+            return build_bo_lax(u0, n)
+        return build_ccm_lax(u0, n, self.sign)
 
 
 EQUATIONS = {
@@ -96,17 +94,15 @@ def data_digest(u0) -> str:
 
 @dataclass(frozen=True)
 class LaxMatrix:
-    """Truncated Lax operator on [0, M): a Hermitian n x n block, then diag(n..M-1)."""
+    """Truncated Lax operator: a Hermitian n x n block, then diag(n, n + 1, ...)."""
 
     block: np.ndarray
     equation: Equation
-    M: int
 
     def __post_init__(self):
         b = _read_only(self.block, np.complex128)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"block shape {b.shape} is not square")
-        _check_sizes(len(b), self.M)
         object.__setattr__(self, "block", b)
 
     @property
@@ -114,13 +110,13 @@ class LaxMatrix:
         return len(self.block)
 
     def truncated(self, n: int) -> "LaxMatrix":
-        """L_n = Pi_n L Pi_n: the leading n x n block, then diag(n..M-1).
+        """L_n = Pi_n L Pi_n: the leading n x n block, then diag(n, n + 1, ...).
 
         The block is a read-only view of this one, not a copy.
         """
         if not 0 <= n <= self.n:
             raise ValueError(f"truncation parameter n={n} outside [0, {self.n}]")
-        return LaxMatrix(self.block[:n, :n], self.equation, self.M)
+        return LaxMatrix(self.block[:n, :n], self.equation)
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -136,13 +132,6 @@ def _read_only(a, dtype) -> np.ndarray:
     return a
 
 
-def _check_sizes(n: int, M: int) -> None:
-    if M < 1:
-        raise ValueError("ambient size M must be >= 1")
-    if not 0 <= n <= M:
-        raise ValueError(f"truncation parameter n={n} outside [0, M={M}]")
-
-
 def mult_matrix(u0, n: int) -> np.ndarray:
     """Multiplication by u0 compressed to [0, n): the Toeplitz U[j, l] = u0hat(j - l).
 
@@ -151,6 +140,8 @@ def mult_matrix(u0, n: int) -> np.ndarray:
     |k| < n, U[j, l] = vals[n - 1 + j - l]: the rows of U are the reversed
     length-n windows of vals, copied, so no entry is computed.
     """
+    if n < 0:
+        raise ValueError(f"truncation parameter n={n} is negative")
     real = isinstance(u0, RealSpectrum)
     col = HardyVector(u0.hardy_part() if real else u0.coeffs).padded(n)
     row = np.conj(col) if real else np.zeros_like(col)
@@ -159,17 +150,15 @@ def mult_matrix(u0, n: int) -> np.ndarray:
     return sliding_window_view(vals, n)[:n, ::-1].copy()
 
 
-def build_bo_lax(u0: RealSpectrum, n: int, M: int) -> LaxMatrix:
-    """BO Lax matrix diag(0..M-1) minus the n x n Toeplitz block of u0."""
-    _check_sizes(n, M)
+def build_bo_lax(u0: RealSpectrum, n: int) -> LaxMatrix:
+    """BO Lax matrix: diag(0..n-1) minus the n x n Toeplitz block of u0."""
     u0.check_symmetry()
     block = np.diag(np.arange(n, dtype=np.complex128)) - mult_matrix(u0, n)
-    return LaxMatrix(block, EQUATIONS["BO"], M)
+    return LaxMatrix(block, EQUATIONS["BO"])
 
 
-def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
-    """CCM Lax matrix diag(0..M-1) -/+ the Gram block A A^H."""
-    _check_sizes(n, M)
+def build_ccm_lax(u0: HardyVector, n: int, sign: str) -> LaxMatrix:
+    """CCM Lax matrix: diag(0..n-1) -/+ the n x n Gram block A A^H."""
     if sign not in ("focusing", "defocusing"):
         raise ValueError("sign must be 'focusing' or 'defocusing'")
     a = mult_matrix(u0, n)
@@ -178,7 +167,7 @@ def build_ccm_lax(u0: HardyVector, n: int, M: int, sign: str) -> LaxMatrix:
     gram = 0.5 * (gram + gram.conj().T)
     block = np.diag(np.arange(n, dtype=np.complex128))
     block = block - gram if sign == "focusing" else block + gram
-    return LaxMatrix(block, EQUATIONS["CCM-" + sign], M)
+    return LaxMatrix(block, EQUATIONS["CCM-" + sign])
 
 
 def hermitian_defect(m: LaxMatrix) -> float:

@@ -3,34 +3,37 @@
 Because the Lax matrices are Hermitian, e^{i alpha t (I + 2 L)} is computed
 through the spectral decomposition L = Q diag(lambda) Q^H once per distinct
 truncation parameter n.  Only the dense n x n block is decomposed, at
-O(n^3); the tail diag(n..M-1) is already diagonal, and `scheme.run_scheme`
-keeps it in the gauge e^{i alpha t j^2} (`_gauge`), where a scheme step,
-the shift S* and the phase e^{i alpha t (1 + 2j)}, is the shift alone.  A
-run of r scheme steps sharing one decomposition then costs, for the n x T
-block of T iterates, one product W = Q^H S* Q plus one n x n by n x T
-product per step in the eigenbasis, or, for short runs, two such products
-per step in the standard basis.  All eigenvalues are real, so |phase| = 1
-for every t and the evolution is unconditionally stable in time.
+O(n^3), and a decomposition is the block's alone: the tail diag(n, n + 1,
+...) is already diagonal, and `scheme.run_scheme` keeps it in the gauge
+e^{i alpha t j^2} (`_gauge`), where a scheme step, the shift S* and the
+phase e^{i alpha t (1 + 2j)}, is the shift alone.  A run of r scheme steps
+sharing one decomposition then costs, for the n x T block of T iterates,
+one product W = Q^H S* Q plus one n x n by n x T product per step in the
+eigenbasis, or, for short runs, two such products per step in the standard
+basis.  All eigenvalues are real, so |phase| = 1 for every t and the
+evolution is unconditionally stable in time.
 `advance` is the one group-application path; the group alone at many
 times, as the diagnostics propagator sweep needs it, is Q^H v taken once
-and phased per time by `HermitianEig.phases`.
+and phased per time by `_phases`.
 
-The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so
-on a staircase n -> n - 1 each decomposition follows from the one before:
+The block of L_{n-1} is the leading (n-1) x (n-1) submatrix of L_n's, so on
+a staircase n -> n - 1 each decomposition follows from the one before:
 `eig_hermitian` given that parent solves a secular equation for the new
-eigenvalues and forms the eigenvectors with one real product, instead of
-a fresh O(n^3) `eigh`.  Each root starts at the root of a one-pole model
-about its nearer pole, where most roots already meet the stopping test,
-and the rest take about one rational step; every evaluation is a
-matrix-vector product.  An `eigh` result passes the dense reconstruction
-and orthonormality checks, two complex n x n products.  A derived one is
-accepted on a certificate instead: spectral-norm bounds on its defects,
-rounding included, carried from the parent's in O(n^2) plus one real
-n x n product, that prove the dense checks would pass with half their
-tolerance to spare.  When the bounds grow past that the dense check runs
-and restarts the chain from what it measures; where the derived pairs
-fail it, `eigh` is taken instead.  Two slices of one read-only build need
-no block compare: their blocks are equal by construction.
+eigenvalues and forms the eigenvectors with one real product, instead of a
+fresh O(n^3) `eigh`.  Each root starts at the root of a one-pole model
+about its nearer pole, where most roots already meet the stopping test, and
+the rest take about one rational step; every evaluation is a matrix-vector
+product.  An `eigh` result passes the dense reconstruction and
+orthonormality checks, two complex n x n products, the reconstruction
+scaled by the block's largest entry.  A derived one is accepted on a
+certificate instead: spectral-norm bounds on its defects, rounding
+included, carried from the parent's in O(n^2) plus one real n x n product,
+that prove the dense checks would pass with half their tolerance to spare
+(scaled by the block's diagonal, a lower bound of its largest entry).  When
+the bounds grow past that the dense check runs and restarts the chain from
+what it measures; where the derived pairs fail it, `eigh` is taken instead.
+Two slices of one read-only build need no block compare: their blocks are
+equal by construction.
 
 A `PropagatorCache` is a plain dict from key to decomposition with no
 lock: laxflow code runs on one thread, and the BLAS behind numpy already
@@ -89,18 +92,17 @@ class _Bounds(NamedTuple):
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a block-plus-tail Lax matrix.
+    """Eigendecomposition of a Lax matrix's n x n block.
 
-    eigenvectors is the n x n matrix Q with block = Q diag(lambda) Q^H;
-    eigenvalues holds all M eigenvalues: the block's, ascending, then the
-    tail's n..M-1, whose eigenvectors are the unit vectors e_n..e_{M-1}.
-    derived is True iff the block's pairs came from the decomposition at
-    n + 1 rather than from `eigh`, and certified iff they were accepted on
-    their certificate rather than on the dense check; secular_steps counts
-    the rational steps the derivation's roots took.  `eig_hermitian` also
-    keeps the bounds its checks proved and a weak reference to the array
-    whose leading block it decomposed, which a decomposition derived from
-    this one builds on.
+    eigenvectors is the n x n matrix Q with block = Q diag(lambda) Q^H and
+    eigenvalues the n lambdas, ascending; the tail diag(n, n + 1, ...) is
+    its own decomposition, left to the caller.  derived is True iff the
+    pairs came from the decomposition at n + 1 rather than from `eigh`, and
+    certified iff they were accepted on their certificate rather than on
+    the dense check; secular_steps counts the rational steps the
+    derivation's roots took.  `eig_hermitian` also keeps the bounds its
+    checks proved and a weak reference to the array whose leading block it
+    decomposed, which a decomposition derived from this one builds on.
     """
 
     eigenvalues: np.ndarray
@@ -116,10 +118,6 @@ class HermitianEig:
         object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors, np.complex128))
 
     @property
-    def M(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
     def block(self) -> Optional[np.ndarray]:
         """The read-only block decomposed, while the array it is the leading
         block of (a whole build, for `LaxMatrix.truncated` slices) lives; a
@@ -131,17 +129,15 @@ class HermitianEig:
     def n(self) -> int:
         return len(self.eigenvectors)
 
-    def phases(self, ts, alpha: int) -> np.ndarray:
-        """e^{i alpha t (1 + 2 lambda)}, shape (M, len(ts)); ValueError on overflow."""
-        return _phases(1.0 + 2.0 * self.eigenvalues, ts, alpha)
-
 
 def _phases(rates, ts, alpha: int) -> np.ndarray:
     """e^{i alpha t r} for r in rates, shape (len(rates), len(ts)); ValueError on overflow."""
     with np.errstate(over="ignore"):
         arg = np.outer(rates, ts)
     if not np.all(np.isfinite(arg)):
-        raise ValueError("phase argument overflows; the time is too large")
+        raise ValueError(f"phase argument overflows: |t| up to {np.max(np.abs(ts)):g} times "
+                         f"a rate (1 + 2 lambda, or j^2 in the tail's gauge) up to "
+                         f"{np.max(np.abs(rates)):g}")
     return np.exp(1j * alpha * arg)
 
 
@@ -165,9 +161,9 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
 
     Columns are sorted by ascending eigenvalue and each eigenvector is
     rotated so its largest-magnitude component is real positive, making the
-    result a deterministic function of the input matrix.  The tail is exact,
-    so the Hermitian, reconstruction and orthonormality checks on the block
-    are the checks on the whole matrix.
+    result a deterministic function of the input matrix.  Only the block is
+    decomposed and checked: the tail is exact and the caller's.  The
+    reconstruction check's tolerance scales with the block's largest entry.
 
     With `parent`, the decomposition of the same operator at n + 1, the
     block's eigenpairs are derived from the parent's (`_delete_last`) and
@@ -185,7 +181,6 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
     `eigh` is the fallback when the derivation declines or its pairs fail
     that check.
     """
-    tail = np.arange(m.n, m.M, dtype=np.float64)
     root = _root_ref(m.block)
     derivable = _derivable(m, parent)
     block = parent.block if derivable and parent.bounds is not None else None
@@ -205,22 +200,21 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
             bounds = _check_failure(m, derived.mu, q, abs_q)
         if not isinstance(bounds, str):
             q.flags.writeable = False
-            return HermitianEig(np.concatenate([derived.mu, tail]), q, derived=True,
+            return HermitianEig(derived.mu, q, derived=True,
                                 certified=certified, secular_steps=derived.steps,
                                 bounds=bounds, _root=root)
     try:
         lam, q = np.linalg.eigh(m.block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"eigensolver failed for {m.equation.name} Lax matrix "
-            f"(n={m.n}, M={m.M})"
+            f"eigensolver failed for {m.equation.name} Lax matrix (n={m.n})"
         ) from exc
     q, abs_q = _canonical_phases(q)
     bounds = _check_failure(m, lam, q, abs_q)
     if isinstance(bounds, str):
-        raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n}, M={m.M})")
+        raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n})")
     q.flags.writeable = False
-    return HermitianEig(np.concatenate([lam, tail]), q, bounds=bounds, _root=root)
+    return HermitianEig(lam, q, bounds=bounds, _root=root)
 
 
 def _root_ref(block: np.ndarray) -> Optional[weakref.ref]:
@@ -274,9 +268,7 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray,
     abs_q >= || |q| || is the bound `_canonical_phases` returned for q; it
     is taken from q when not given."""
     block, n = m.block, m.n
-    # the largest entry of the whole matrix, tail included
-    scale = 1.0 + max(float(np.max(np.abs(block), initial=0.0)),
-                      float(m.M - 1 if n < m.M else 0))
+    scale = 1.0 + float(np.max(np.abs(block), initial=0.0))
     qh = q.conj().T
     recon = np.abs((q * lam) @ qh - block)
     if np.max(recon, initial=0.0) > _RECON_TOL * scale:
@@ -354,7 +346,7 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     (no deflation is done) or the roots do not converge.
     """
     n = parent.n
-    lam = parent.eigenvalues[:n]
+    lam = parent.eigenvalues
     last = parent.eigenvectors[-1]
     w = np.abs(last) ** 2
     gaps = np.diff(lam)
@@ -456,11 +448,13 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
     and the canonical phases (6 u |q|); its spectral norm is bounded
     through || |Q| || and || |s| ||.  The stored mu is origin + tau to
     u |mu|.  `_Bounds.recon` then bounds the reconstruction defect, and
-    the maximum entry of a matrix is at most its spectral norm.
+    the maximum entry of a matrix is at most its spectral norm.  The dense
+    check scales its tolerance by 1 + max |C|; the certificate by 1 + max
+    |diag(C)|, an O(n) lower bound on it.
     """
     Q, (e_p, rho_p, abs_q_p, b) = parent.eigenvectors, parent.bounds
     n = parent.n
-    lam, ell, s = parent.eigenvalues[:n], Q[-1], d.s
+    lam, ell, s = parent.eigenvalues, Q[-1], d.s
     gam, row = _gamma(n), np.sqrt(1.0 + e_p)  # row >= ||Q|| >= ||l||
     s_abs, abs_ell = np.abs(s), np.abs(ell)
     v = ell * d.phase
@@ -489,8 +483,8 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
         row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
         + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
     bounds = _Bounds(ortho, residual, abs_q, b)
-    # a derived block is smaller than M, so the dense check's scale is >= M
-    if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * parent.M:
+    scale = 1.0 + float(np.max(np.abs(np.diagonal(parent.block)[:-1]), initial=0.0))
+    if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * scale:
         return bounds
     return None
 
@@ -514,7 +508,7 @@ def advance(e: HermitianEig, ts, alpha: int, X: np.ndarray, steps: int) -> np.nd
     n, T = e.n, len(ts)
     if n == 0 or X.shape != (n + steps, T):
         raise ValueError("X must be the (n + steps, len(ts)) window of a nonempty block")
-    phases = _phases(1.0 + 2.0 * e.eigenvalues[:n], ts, alpha)
+    phases = _phases(1.0 + 2.0 * e.eigenvalues, ts, alpha)
     q = e.eigenvectors
     rows = np.empty((T, steps), dtype=np.complex128)
     if T * (steps - 2) > n:
@@ -548,7 +542,7 @@ def _nbytes(e: HermitianEig) -> int:
 
 @dataclass
 class PropagatorCache:
-    """At-most-once eigendecomposition per (equation, n, M, digest).
+    """At-most-once eigendecomposition per (equation, n, digest).
 
     A decomposition built with a `parent` one size up is derived from it
     when it can be (`derived`; `certified` of those were accepted on their
@@ -576,7 +570,7 @@ class PropagatorCache:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the cached decompositions: 16 n^2 + 8 M each."""
+        """Resident bytes of the cached decompositions: 16 n^2 + 8 n each."""
         return sum(map(_nbytes, self._store.values()))
 
     def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix],

@@ -305,7 +305,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
             buf[k - 1 + j] *= _gauge(cfg.times, eq.alpha, m)
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
-    lax = functools.cache(lambda: eq.build_lax(u0, n_max, M))
+    lax = functools.cache(lambda: eq.build_lax(u0, n_max))
     runs = [(n, len(list(run))) for n, run in itertools.groupby(sched.values[1:].tolist())]
     last = {n: i for i, (n, _) in enumerate(runs)}
     k, eig, was = 1, None, int(sched.values[0])
@@ -315,8 +315,9 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
             coeffs[:, k : k + steps] = buf[k : k + steps].T
         else:
             # each run's decomposition is the next one's parent, derived from
-            # it on a staircase n -> n - 1 and kept alive by eig past evictions
-            key = (eq.name, n, M, digest)
+            # it on a staircase n -> n - 1 and kept alive by eig past evictions;
+            # the block depends on the data and n alone, so runs of any K share it
+            key = (eq.name, n, digest)
             eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
             coeffs[:, k : k + steps] = advance(eig, cfg.times, eq.alpha,
                                                buf[k - 1 : k - 1 + n + steps], steps)

@@ -3,8 +3,8 @@
 import numpy as np
 
 
-def dense_matrix(m):
+def dense_matrix(m, M):
     """m.block in the leading n x n corner, then the diagonal tail n..M-1."""
-    e = np.diag(np.arange(m.M, dtype=np.complex128))
+    e = np.diag(np.arange(M, dtype=np.complex128))
     e[: m.n, : m.n] = m.block
     return e

@@ -172,8 +172,8 @@ def dense_mult_matrix(u0, M):
 
 def dense_lax(u0, equation, n, M):
     if equation == "BO":
-        return dense_matrix(build_bo_lax(u0, n, M))
-    return dense_matrix(build_ccm_lax(u0, n, M, equation.split("-", 1)[1]))
+        return dense_matrix(build_bo_lax(u0, n), M)
+    return dense_matrix(build_ccm_lax(u0, n, equation.split("-", 1)[1]), M)
 
 
 class TestNonzeroColumnNorms:

@@ -8,9 +8,9 @@ from laxflow import propagator
 from laxflow.lax import EQUATIONS, LaxMatrix, build_bo_lax, build_ccm_lax
 from laxflow.propagator import (
     _RECON_TOL,
-    HermitianEig,
     PropagatorCache,
     _hermitian_norm,
+    _phases,
     advance,
     eig_hermitian,
     find_kappa_zero,
@@ -27,32 +27,34 @@ def random_spectrum(K, seed, norm=0.5):
 
 
 def group_on_vector(e, t, alpha, v):
-    """The group at one time on one vector, Q e^{i alpha t (1 + 2 lambda)} Q^H v,
-    with Q the block's eigenvectors padded by the tail's unit vectors."""
-    q = np.eye(e.M, dtype=np.complex128)
+    """The group at one time on one vector of length M, Q e^{i alpha t (1 + 2
+    lambda)} Q^H v, with Q the block's eigenvectors padded by the tail's unit
+    vectors and lambda the block's eigenvalues, then the tail's n..M-1."""
+    M = len(v)
+    q = np.eye(M, dtype=np.complex128)
     q[: e.n, : e.n] = e.eigenvectors
-    return q @ (e.phases([t], alpha)[:, 0] * (q.conj().T @ np.asarray(v)))
+    lam = np.concatenate([e.eigenvalues, np.arange(e.n, M)])
+    return q @ (_phases(1.0 + 2.0 * lam, [t], alpha)[:, 0] * (q.conj().T @ np.asarray(v)))
 
 
 class TestEig:
     def test_free_operator(self):
-        # n = 0: an empty block, so every eigenvector is a unit vector of the tail
-        m = build_bo_lax(random_spectrum(6, 0), 0, 6)
+        # n = 0: an empty block, so the decomposition is empty; the tail is the caller's
+        m = build_bo_lax(random_spectrum(6, 0), 0)
         e = eig_hermitian(m)
-        np.testing.assert_allclose(e.eigenvalues, np.arange(6.0))
-        assert e.eigenvectors.shape == (0, 0)
+        assert e.eigenvalues.shape == (0,) and e.eigenvectors.shape == (0, 0)
 
     def test_two_by_two_golden(self):
         # [[1, 1], [1, 0]] has eigenvalues (1 +- sqrt 5) / 2
         ent = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)
-        e = eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"], 2))
+        e = eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"]))
         golden = np.array([(1 - np.sqrt(5)) / 2, (1 + np.sqrt(5)) / 2])
         np.testing.assert_allclose(e.eigenvalues, golden, atol=1e-14)
 
     def test_ascending_and_deterministic(self):
         m = build_ccm_lax(
             analyze_profile(InitialProfile("random-sobolev", {"s": 1.0, "seed": 9}), 16, hardy=True),
-            16, 16, "defocusing",
+            16, "defocusing",
         )
         a, b = eig_hermitian(m), eig_hermitian(m)
         assert np.all(np.diff(a.eigenvalues) >= 0)
@@ -66,42 +68,44 @@ class TestEig:
     def test_rejects_non_hermitian(self):
         ent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
-            eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"], 2))
+            eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"]))
 
 
 class TestPhases:
     def test_values(self):
-        e = HermitianEig([-0.5, 1.0, 2.0], np.eye(1))
-        got = e.phases([0.0, 0.25], -1)
+        # the rates 1 + 2 lambda of the eigenvalues -0.5, 1 and 2
+        got = _phases(1.0 + 2.0 * np.array([-0.5, 1.0, 2.0]), [0.0, 0.25], -1)
         np.testing.assert_array_equal(got[:, 0], np.ones(3))
         np.testing.assert_allclose(got[:, 1], np.exp(-0.25j * np.array([0.0, 3.0, 5.0])))
 
     @pytest.mark.parametrize("ts", [[1e307], [0.0, -1e308], [1e300, 2.0]])
     def test_overflowing_argument_raises(self, ts):
         # the eigenvalue 1e10 takes 1e300 past the largest double too
-        e = HermitianEig([0.0, 5.0, 1e10], np.eye(2))
-        with pytest.raises(ValueError, match="overflows"):
-            e.phases(ts, 1)
+        rates = 1.0 + 2.0 * np.array([0.0, 5.0, 1e10])
+        with pytest.raises(ValueError, match="overflows") as info:
+            _phases(rates, ts, 1)
+        # the message names the largest |t| and the largest rate
+        assert f"{max(map(abs, ts)):g}" in str(info.value) and "2e+10" in str(info.value)
 
 
 class TestApplyGroup:
     def test_against_series_oracle(self):
-        m = build_bo_lax(random_spectrum(10, 1), 7, 10)
+        m = build_bo_lax(random_spectrum(10, 1), 7)
         e = eig_hermitian(m)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         for t, alpha in ((0.3, 1), (-1.7, -1), (2.0, 1)):
-            expect = taylor_expm(1j * alpha * t * (np.eye(10) + 2 * dense_matrix(m))) @ v
+            expect = taylor_expm(1j * alpha * t * (np.eye(10) + 2 * dense_matrix(m, 10))) @ v
             np.testing.assert_allclose(group_on_vector(e, t, alpha, v), expect, atol=1e-10)
 
     def test_identity_at_time_zero(self):
-        m = build_ccm_lax(HardyVector([0.1, 0.2j]), 4, 4, "focusing")
+        m = build_ccm_lax(HardyVector([0.1, 0.2j]), 4, "focusing")
         e = eig_hermitian(m)
         v = np.arange(4.0) + 0j
         np.testing.assert_allclose(group_on_vector(e, 0.0, -1, v), v, atol=1e-14)
 
     def test_group_law(self):
-        m = build_bo_lax(random_spectrum(8, 4), 8, 8)
+        m = build_bo_lax(random_spectrum(8, 4), 8)
         e = eig_hermitian(m)
         v = np.exp(1j * np.arange(8.0))
         ab = group_on_vector(e, 0.7, 1, group_on_vector(e, 1.9, 1, v))
@@ -110,7 +114,7 @@ class TestApplyGroup:
     def test_unitary(self):
         m = build_ccm_lax(
             analyze_profile(InitialProfile("random-sobolev", {"s": 2.0, "seed": 3}), 12, hardy=True),
-            12, 12, "defocusing",
+            12, "defocusing",
         )
         e = eig_hermitian(m)
         rng = np.random.default_rng(1)
@@ -122,7 +126,7 @@ class TestApplyGroup:
     # M = 6: the eigenbasis body runs iff T * (steps - 2) > 6
     @pytest.mark.parametrize("steps,T", [(1, 4), (6, 1), (3, 7), (6, 4)])
     def test_advance_matches_stepwise(self, steps, T):
-        e = eig_hermitian(build_bo_lax(random_spectrum(6, 5), 6, 6))
+        e = eig_hermitian(build_bo_lax(random_spectrum(6, 5), 6))
         ts = np.linspace(-3.0, 3.0, T)
         rng = np.random.default_rng(3)
         V = rng.standard_normal((6, T)) + 1j * rng.standard_normal((6, T))
@@ -152,7 +156,7 @@ M_BLOCK = 8
 def block_lax(family, n):
     p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 11, "norm": 0.5})
     eq = EQUATIONS[family]
-    return eq.build_lax(analyze_profile(p, M_BLOCK, hardy=eq.hardy), n, M_BLOCK), eq.alpha
+    return eq.build_lax(analyze_profile(p, M_BLOCK, hardy=eq.hardy), n), eq.alpha
 
 
 @pytest.mark.parametrize("n", [0, 1, M_BLOCK // 2, M_BLOCK - 1, M_BLOCK])
@@ -163,17 +167,17 @@ class TestBlockRepresentation:
     def test_eigenvalues_match_dense(self, family, n):
         m, _ = block_lax(family, n)
         e = eig_hermitian(m)
-        assert e.eigenvectors.shape == (n, n)
-        np.testing.assert_array_equal(e.eigenvalues[n:], np.arange(n, M_BLOCK))
-        np.testing.assert_allclose(np.sort(e.eigenvalues), np.linalg.eigvalsh(dense_matrix(m)),
+        assert e.eigenvalues.shape == (n,) and e.eigenvectors.shape == (n, n)
+        lam = np.concatenate([e.eigenvalues, np.arange(n, M_BLOCK)])
+        np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(dense_matrix(m, M_BLOCK)),
                                    rtol=0, atol=1e-12)
 
     def test_reconstructs_dense(self, family, n):
         m, _ = block_lax(family, n)
         e = eig_hermitian(m)
         q = scipy.linalg.block_diag(e.eigenvectors, np.eye(M_BLOCK - n))
-        recon = (q * e.eigenvalues) @ q.conj().T
-        dense = dense_matrix(m)
+        recon = (q * np.concatenate([e.eigenvalues, np.arange(n, M_BLOCK)])) @ q.conj().T
+        dense = dense_matrix(m, M_BLOCK)
         assert np.max(np.abs(recon - dense)) <= _RECON_TOL * (1.0 + np.max(np.abs(dense)))
 
     # the eigenbasis body runs iff T * (steps - 2) > n: never for (1, 3),
@@ -185,7 +189,7 @@ class TestBlockRepresentation:
         ts = np.linspace(-1.5, 2.0, T)
         rng = np.random.default_rng(n)
         V = rng.standard_normal((M_BLOCK, T)) + 1j * rng.standard_normal((M_BLOCK, T))
-        gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m)
+        gen = np.eye(M_BLOCK) + 2.0 * dense_matrix(m, M_BLOCK)
         groups = [scipy.linalg.expm(1j * alpha * t * gen) for t in ts]
         iterates = [V]
         for s in range(steps):
@@ -211,44 +215,44 @@ class TestCache:
     def test_counts(self):
         u0 = random_spectrum(8, 0)
         cache = PropagatorCache()
-        key = lambda n: ("BO", None, n, 8, "d")
-        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
-        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
-        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5, 8))
+        key = lambda n: ("BO", n, "d")
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
+        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
         assert cache.decompositions == 2
         assert cache.hits == 1
 
     def test_returns_same_object(self):
         u0 = random_spectrum(4, 0)
         cache = PropagatorCache()
-        k = ("BO", None, 2, 4, "d")
-        a = cache.get_or_build(k, lambda: build_bo_lax(u0, 2, 4))
-        b = cache.get_or_build(k, lambda: build_bo_lax(u0, 2, 4))
+        k = ("BO", 2, "d")
+        a = cache.get_or_build(k, lambda: build_bo_lax(u0, 2))
+        b = cache.get_or_build(k, lambda: build_bo_lax(u0, 2))
         assert a is b
 
     def test_evicts_finished_entries_released_longest_ago(self, monkeypatch):
-        # three entries of 16 * 3^2 + 8 * 8 = 208 bytes, a budget for two
+        # three entries of 16 * 3^2 + 8 * 3 = 168 bytes, a budget for two
         u0 = random_spectrum(8, 0)
         cache = PropagatorCache()
-        key = lambda d: ("BO", None, 3, 8, d)
-        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 2 * 208)
+        key = lambda d: ("BO", 3, d)
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 2 * 168)
         for d in "abc":
-            cache.get_or_build(key(d), lambda: build_bo_lax(u0, 3, 8))
+            cache.get_or_build(key(d), lambda: build_bo_lax(u0, 3))
         cache.release(key("b"))
         cache.release(key("a"))
         cache.release(key("c"))
         assert (list(cache._store), cache.evictions) == ([key("a"), key("c")], 1)
-        assert cache.nbytes == 2 * 208
+        assert cache.nbytes == 2 * 168
 
     def test_live_entries_are_never_evicted(self, monkeypatch):
         u0 = random_spectrum(8, 0)
         cache = PropagatorCache()
-        key = lambda n: ("BO", None, n, 8, "d")
-        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
+        key = lambda n: ("BO", n, "d")
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
         cache.release(key(3))
         # a hit makes a finished entry live again
-        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3, 8))
-        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5, 8))
+        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
+        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
         monkeypatch.setattr(propagator, "_CACHE_BUDGET", 0)
         cache.release(key(5))
         assert (list(cache._store), cache.evictions) == ([key(3)], 1)
@@ -267,7 +271,7 @@ def staircase_chain(family, K=K_CHAIN):
     u0 = analyze_profile(p, K, hardy=eq.hardy)
     parent, chain = None, []
     for n in range(K - 1, 0, -1):
-        m = eq.build_lax(u0, n, K)
+        m = eq.build_lax(u0, n)
         parent = eig_hermitian(m, parent)
         chain.append((m, parent))
     return chain
@@ -284,8 +288,8 @@ class TestDerivation:
             ref = eig_hermitian(m)
             np.testing.assert_allclose(e.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
             np.testing.assert_allclose(e.eigenvectors, ref.eigenvectors, rtol=0, atol=1e-11)
-            q, lam = e.eigenvectors, e.eigenvalues[: m.n]
-            scale = 1.0 + max(np.max(np.abs(m.block)), m.M - 1)
+            q, lam = e.eigenvectors, e.eigenvalues
+            scale = 1.0 + np.max(np.abs(m.block))
             assert np.max(np.abs((q * lam) @ q.conj().T - m.block)) <= _RECON_TOL * scale
             assert np.max(np.abs(q.conj().T @ q - np.eye(m.n))) <= _RECON_TOL
             idx = np.argmax(np.abs(q), axis=0)
@@ -310,7 +314,7 @@ def test_secular_roots_meet_their_stopping_test(family):
     roots = 0
     for _, e in staircase_chain(family, K=128)[:-1]:
         d = propagator._delete_last(e)
-        lam, w = e.eigenvalues[: e.n], np.abs(e.eigenvectors[-1]) ** 2
+        lam, w = e.eigenvalues, np.abs(e.eigenvectors[-1]) ** 2
         terms = w[:, None] / ((lam[:, None] - d.origin) - d.tau)
         f, scale = terms.sum(axis=0), np.abs(terms).sum(axis=0)
         assert np.all(np.abs(f) <= propagator._SECULAR_TOL * e.n * scale)
@@ -325,11 +329,11 @@ class TestDerivationFallback:
         # vectors and most weights |Q[n-1, :]|^2 are zero
         u0 = RealSpectrum.from_hardy_part([0.3], 8)
         cache = PropagatorCache()
-        key = lambda n: ("BO", None, n, 8, "d")
-        parent = cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5, 8))
-        e = cache.get_or_build(key(4), lambda: build_bo_lax(u0, 4, 8), parent)
+        key = lambda n: ("BO", n, "d")
+        parent = cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
+        e = cache.get_or_build(key(4), lambda: build_bo_lax(u0, 4), parent)
         assert (cache.decompositions, cache.derived, cache.fallbacks) == (2, 0, 1)
-        ref = eig_hermitian(build_bo_lax(u0, 4, 8))
+        ref = eig_hermitian(build_bo_lax(u0, 4))
         assert not e.derived
         np.testing.assert_array_equal(e.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(e.eigenvectors, ref.eigenvectors)
@@ -337,8 +341,8 @@ class TestDerivationFallback:
     def test_parent_of_other_data_fails_the_checks(self):
         # the parent decomposes another operator: the derived pairs do not
         # reconstruct the block, so eigh is taken
-        m = build_bo_lax(random_spectrum(8, 1), 4, 8)
-        parent = eig_hermitian(build_bo_lax(random_spectrum(8, 2), 5, 8))
+        m = build_bo_lax(random_spectrum(8, 1), 4)
+        parent = eig_hermitian(build_bo_lax(random_spectrum(8, 2), 5))
         e = eig_hermitian(m, parent)
         ref = eig_hermitian(m)
         assert not e.derived
@@ -346,11 +350,11 @@ class TestDerivationFallback:
 
     def test_only_one_size_down_is_derived(self):
         u0 = random_spectrum(8, 3)
-        parent = eig_hermitian(build_bo_lax(u0, 6, 8))
-        assert eig_hermitian(build_bo_lax(u0, 5, 8), parent).derived
-        assert not eig_hermitian(build_bo_lax(u0, 4, 8), parent).derived
-        one = eig_hermitian(build_bo_lax(u0, 1, 8))
-        assert not eig_hermitian(build_bo_lax(u0, 0, 8), one).derived
+        parent = eig_hermitian(build_bo_lax(u0, 6))
+        assert eig_hermitian(build_bo_lax(u0, 5), parent).derived
+        assert not eig_hermitian(build_bo_lax(u0, 4), parent).derived
+        one = eig_hermitian(build_bo_lax(u0, 1))
+        assert not eig_hermitian(build_bo_lax(u0, 0), one).derived
 
 
 def dense_defects(m, lam, q):
@@ -366,8 +370,8 @@ def test_densely_checked_bounds_cover_abs_q(family):
     eq = EQUATIONS[family]
     u0 = analyze_profile(InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 0.5}),
                          32, hardy=eq.hardy)
-    parent = eig_hermitian(eq.build_lax(u0, 32, 32).truncated(25))
-    child = eig_hermitian(eq.build_lax(u0, 32, 32).truncated(24), parent)
+    parent = eig_hermitian(eq.build_lax(u0, 32).truncated(25))
+    child = eig_hermitian(eq.build_lax(u0, 32).truncated(24), parent)
     assert not parent.derived and child.derived and not child.certified
     for e in (parent, child):
         assert e.bounds.abs_q >= np.linalg.norm(np.abs(e.eigenvectors), ord=2)
@@ -384,7 +388,7 @@ class TestCertificate:
         every L_n sliced from one build, as `run_scheme` does."""
         eq = EQUATIONS[family]
         p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": 0.5})
-        lax = eq.build_lax(analyze_profile(p, self.K, hardy=eq.hardy), self.K - 1, self.K)
+        lax = eq.build_lax(analyze_profile(p, self.K, hardy=eq.hardy), self.K - 1)
         parent = None
         for n in range(self.K - 1, 0, -1):
             m = lax.truncated(n)
@@ -401,12 +405,14 @@ class TestCertificate:
                 if not e.certified:
                     continue
                 certified += 1
-                recon, ortho = dense_defects(m, e.eigenvalues[: m.n], e.eigenvectors)
+                recon, ortho = dense_defects(m, e.eigenvalues, e.eigenvectors)
                 assert e.bounds.ortho >= ortho
                 assert e.bounds.recon() >= recon
-                # the certificate's own criteria, half the dense check's tolerances
+                # the certificate's own criteria, half the dense check's
+                # tolerances, the reconstruction's scaled by the block's diagonal
                 assert e.bounds.ortho <= 0.5 * _RECON_TOL
-                assert e.bounds.recon() <= 0.5 * _RECON_TOL * m.M
+                scale = 1.0 + np.max(np.abs(np.diagonal(m.block)))
+                assert e.bounds.recon() <= 0.5 * _RECON_TOL * scale
         assert certified >= 0.9 * 10 * (self.K - 2)
 
     def test_keeps_no_build_alive(self, family):
@@ -415,9 +421,9 @@ class TestCertificate:
         eq = EQUATIONS[family]
         p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 1000, "norm": 0.5})
         u0 = analyze_profile(p, 16, hardy=eq.hardy)
-        parent = eig_hermitian(eq.build_lax(u0, 16, 16).truncated(9))
+        parent = eig_hermitian(eq.build_lax(u0, 16).truncated(9))
         assert parent.block is None
-        child = eig_hermitian(eq.build_lax(u0, 16, 16).truncated(8), parent)
+        child = eig_hermitian(eq.build_lax(u0, 16).truncated(8), parent)
         assert child.derived and not child.certified
         out = run_scheme(SchemeConfig(family, make_schedule("full-staircase", 16), [1.0], u0))
         assert out.cache.certified == 14
@@ -460,7 +466,7 @@ class TestSharedBuild:
     def build(self, seed=3):
         eq = EQUATIONS["CCM-defocusing"]
         p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": 0.5})
-        return eq.build_lax(analyze_profile(p, self.K, hardy=True), self.K - 1, self.K)
+        return eq.build_lax(analyze_profile(p, self.K, hardy=True), self.K - 1)
 
     def counting(self, monkeypatch, names, module=propagator):
         """The calls to module's functions of those names, in order."""
@@ -486,7 +492,7 @@ class TestSharedBuild:
     def test_an_equal_copy_is_compared_and_certified(self, monkeypatch):
         lax = self.build()
         parent = eig_hermitian(lax.truncated(self.K - 2))
-        copy = LaxMatrix(lax.truncated(self.K - 3).block.copy(), lax.equation, lax.M)
+        copy = LaxMatrix(lax.truncated(self.K - 3).block.copy(), lax.equation)
         calls = self.counting(monkeypatch, ["array_equal"], np)
         child = eig_hermitian(copy, parent)
         assert calls == ["array_equal"]
@@ -498,7 +504,7 @@ class TestSharedBuild:
         block = lax.truncated(self.K - 3).block.copy()
         block[2, 2] = np.nextafter(block[2, 2].real, np.inf)  # still Hermitian
         calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
-        child = eig_hermitian(LaxMatrix(block, lax.equation, lax.M), parent)
+        child = eig_hermitian(LaxMatrix(block, lax.equation), parent)
         assert calls == ["hermitian_defect", "_check_failure"]
         assert child.derived and not child.certified
 
@@ -511,7 +517,7 @@ class TestSharedBuild:
         for n in (self.K - 2, self.K - 3):
             view = root[:n, :n]
             view.flags.writeable = False
-            views.append(LaxMatrix(view, EQUATIONS["CCM-defocusing"], self.K))
+            views.append(LaxMatrix(view, EQUATIONS["CCM-defocusing"]))
         assert views[1].block.base is root and root.flags.writeable
         parent = eig_hermitian(views[0])
         assert parent.block is None
@@ -543,8 +549,8 @@ class TestKappaZero:
         )
         k0 = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
         # verify the defining property directly at the returned shift
-        m = build_ccm_lax(u0, 32, 32, "focusing")
-        g = np.diag(np.arange(32.0)) - dense_matrix(m)
+        m = build_ccm_lax(u0, 32, "focusing")
+        g = np.diag(np.arange(32.0)) - dense_matrix(m, 32)
         r0 = 1.0 / (np.arange(32) + k0)
         assert np.linalg.norm(g * r0, ord=2) <= 0.5
 

@@ -447,14 +447,30 @@ class TestIterateStructure:
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_cache_holds_blocks_only(self):
-        # full staircase K = 64: steps k >= 1 decompose n = 63..1 at M = 64,
-        # each entry an n x n block plus M eigenvalues
+        # full staircase K = 64: steps k >= 1 decompose n = 63..1, each entry
+        # an n x n block and its n eigenvalues
         K = 64
         cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
                            np.array([0.5, 2.0]), bo_profile(2))
         out = run_scheme(cfg)
         assert out.decompositions == K - 1
-        assert out.cache.nbytes == sum(16 * n * n + 8 * K for n in range(1, K))
+        assert out.cache.nbytes == sum(16 * n * n + 8 * n for n in range(1, K))
+
+    def test_cache_shared_across_frequency_counts(self):
+        # the block at n depends on the data and n alone, so a K = 32 run on
+        # the cache of a K = 64 run with the same data finds every n it needs
+        u0 = HardyVector([0.3, -0.2j, 0.1, 0.05 + 0.05j, 0.02, 0.01j, -0.01, 0.005])
+        times = np.array([-1.3, 0.4, 2.5])
+        cache = PropagatorCache()
+        run_scheme(SchemeConfig("CCM-defocusing", make_schedule("full-staircase", 64), times, u0),
+                   cache=cache)
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", 32), times, u0)
+        hits = cache.hits
+        shared = run_scheme(cfg, cache=cache)
+        fresh = run_scheme(cfg)
+        assert cache.hits - hits == 31 and shared.decompositions == 0
+        np.testing.assert_allclose(shared.coeffs, fresh.coeffs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shared.final_iterate, fresh.final_iterate, rtol=0, atol=1e-12)
 
     def test_time_reversal_bo(self):
         """Real initial coefficients: BO output at -t is the conjugate of +t."""
