@@ -26,8 +26,8 @@ from .propagator import (  # noqa: F401
     HermitianEig,
     PropagatorCache,
     eig_hermitian,
-    find_kappa_zero,
 )
+from .diagnostics import find_kappa_zero  # noqa: F401
 from .scheme import (  # noqa: F401
     Schedule,
     SchemeConfig,

@@ -9,9 +9,9 @@ remain valid assertions for the measured values.
 No norm takes an SVD or a full eigenvalue decomposition: an operator norm
 is sqrt(lambda_max) of the smaller Gram matrix, and the norm of a
 Hermitian difference its largest |lambda|, each by Lanczos from a seeded
-start vector (`propagator._hermitian_norm`, a few dozen matrix-vector
-products).  It stops when the dominant Ritz value theta's residual r is at
-most 8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
+start vector (`_hermitian_norm`, a few dozen matrix-vector products).  It
+stops when the dominant Ritz value theta's residual r is at most
+8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
 eigenvalue theta converged to; it misses the largest only for a start
 nearly orthogonal to its eigenvector.  No dense M x M Lax matrix is
 formed: each L_n acts as its n x n block and, elementwise, its diagonal
@@ -19,10 +19,11 @@ tail diag(n..M-1).
 
 The three Lax-operator suites read one spectral context per (data,
 equation, M), `_Spectra`, which computes each quantity when a suite first
-asks for it: the build of L_M, of which every L_n is a slice; kappa0; for
-CCM, G^2 = (A A^H)^2 and the norms ||G R0(kappa)|| at n = M, which the
-kappa0 search and the bound suite share; and one decomposition of each
-L_n, which gives the semibound's smallest eigenvalue, the resolvent
+asks for it: the build of L_M, of which every L_n is a slice; kappa0, the
+one implementation of the shift (`find_kappa_zero` reads it); for CCM,
+G^2 = (A A^H)^2 and the norms ||G R0(kappa)|| at n = M, which the kappa0
+search and the bound suite share; and one decomposition of each L_n,
+which gives the semibound's smallest eigenvalue, the resolvent
 R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H and the sweep's groups.
 `laxflow diagnostics` passes one context to all three suites; called
 alone, each suite makes its own.
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import scheme
 from .lax import Equation, LaxMatrix, mult_matrix
-from .propagator import (HermitianEig, _ccm_kappa_zero, _gram_squared, _hermitian_norm,
-                         _phases, _scaled_norm, eig_hermitian, find_kappa_zero)
+from .propagator import HermitianEig, _phases, eig_hermitian
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
 from .spectral import (
     HardyVector,
@@ -60,9 +61,11 @@ __all__ = [
     "run_convergence_study",
     "fit_rate",
     "run_propagator_sweep",
+    "find_kappa_zero",
 ]
 
 _PASS_TOL = 1e-10
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
 @dataclass(frozen=True)
@@ -108,16 +111,83 @@ def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=0)
 
 
+_LANCZOS_SEED = 0x1A2  # Philox key of the start vector
+_LANCZOS_CHECK = 6  # Lanczos steps between looks at the tridiagonal
+
+
+def _hermitian_norm(a: np.ndarray) -> float:
+    """max |lambda| of a Hermitian matrix, by Lanczos with full reorthogonalization.
+
+    The start vector is a fixed Philox-seeded complex Gaussian, so equal
+    inputs give equal floats.  Every few steps the extreme eigenpairs
+    (theta, s) of the k x k tridiagonal give Ritz values with residuals
+    r = beta_k |s_k|, and each end holds an eigenvalue of a within r of its
+    theta.  The run stops when the dominant end's r is at most
+    8 u sqrt(n) |theta| and the other end's |theta| + r is no larger, and
+    returns the dominant |theta| + r, an upper bound on the eigenvalue theta
+    converged to.  beta_k = 0 is an invariant subspace, exact; at most n
+    steps are taken.  It fails only when the start vector is nearly
+    orthogonal to the dominant eigenvector (a component below delta has
+    probability about n delta^2; Kuczynski and Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13, 1992, bound the error after k steps): it then converges
+    to a smaller eigenvalue.  The basis grows with the steps, a few dozen
+    vectors in practice.
+    """
+    n = len(a)
+    if n == 0:
+        return 0.0
+    rng = np.random.Generator(np.random.Philox(key=_LANCZOS_SEED))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = np.empty((min(n, _LANCZOS_CHECK), n), np.complex128)
+    basis[0] = v / np.linalg.norm(v)
+    w = a @ basis[0]
+    # the run takes a / scale, a power of two near |a| (1 for a v = 0), so
+    # the rescaling is exact and no square in a norm underflows or overflows
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w)))[1])
+    alpha, beta = np.zeros(n), np.zeros(n)
+    tol = 8.0 * _U * np.sqrt(n)
+    for k in range(1, n + 1):
+        w /= scale
+        alpha[k - 1] = np.vdot(basis[k - 1], w).real
+        w -= alpha[k - 1] * basis[k - 1]
+        if k > 1:
+            w -= beta[k - 2] * basis[k - 2]
+        w -= (basis[:k] @ w.conj()).conj() @ basis[:k]
+        beta[k - 1] = np.linalg.norm(w)
+        last = k == n or beta[k - 1] == 0.0
+        if last or k % _LANCZOS_CHECK == 0:
+            # complex like every other eigh here: the real LAPACK path raised
+            # the peak RSS of 60 diagnostics commands in one process by 0.6 MiB
+            t = np.diag(alpha[:k] + 0j) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
+            theta, s = np.linalg.eigh(t)
+            ends = np.abs(theta[[0, -1]])
+            r = beta[k - 1] * np.abs(s[-1, [0, -1]])
+            d = int(ends[1] >= ends[0])
+            if last or (r[d] <= tol * ends[d] and ends[1 - d] + r[1 - d] <= ends[d]):
+                return float(np.max(ends + r) * scale)
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis[:min(k, n - k)])])
+        basis[k] = w / beta[k - 1]
+        w = a @ basis[k]
+
+
+def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:
+    """||X diag(r)|| from the Gram matrix X^H X: sqrt of the largest
+    eigenvalue of R gram R, which is positive semidefinite, by
+    `_hermitian_norm`; 0 if empty."""
+    return float(np.sqrt(_hermitian_norm(gram * np.outer(r, r))))
+
+
+_CCM_GRID_MAX_EXP = 20
+
+
 class _Spectra:
     """The spectral quantities of one (data, equation, M) that the suites
     share, each computed when a suite first asks for it."""
 
     def __init__(self, u0, eq: Equation, M: int):
         self.u0, self.eq, self.M = u0, eq, M
-        self._lax: Optional[LaxMatrix] = None
-        self._gram2: Optional[np.ndarray] = None
         self._gram_norms: Dict[float, float] = {}
-        self._kappa0: Optional[float] = None
         self._eigs: Dict[int, HermitianEig] = {}
 
     @classmethod
@@ -129,32 +199,54 @@ class _Spectra:
             raise ValueError("the spectral context belongs to other data, equation or M")
         return spectra
 
-    @property
+    @cached_property
     def lax(self) -> LaxMatrix:
         """L_M, read-only: every L_n is its view `truncated(n)`."""
-        if self._lax is None:
-            self._lax = self.eq.build_lax(self.u0, self.M)
-        return self._lax
+        return self.eq.build_lax(self.u0, self.M)
+
+    @cached_property
+    def _gram2(self) -> np.ndarray:
+        """G^2 for the CCM Gram block G = A A^H at M, A = mult_matrix(u0, M)."""
+        a = mult_matrix(self.u0, self.M)
+        gram = a @ a.conj().T
+        del a  # freed before the product
+        return gram @ gram  # G is Hermitian: G^2 = G^H G
 
     def gram_norm(self, kappa: float) -> float:
         """||G R0(kappa)|| at n = M for the CCM Gram block G, from G^2."""
         if kappa not in self._gram_norms:
-            if self._gram2 is None:
-                self._gram2 = _gram_squared(self.u0, self.M)
             self._gram_norms[kappa] = _scaled_norm(self._gram2,
                                                    1.0 / (np.arange(self.M) + kappa))
         return self._gram_norms[kappa]
 
-    @property
+    @cached_property
     def kappa0(self) -> float:
-        if self._kappa0 is None:
-            if self.eq.family == "BO":
-                self._kappa0 = find_kappa_zero(self.u0, self.eq, self.M)
-            else:
-                self._kappa0 = _ccm_kappa_zero(self.u0, self.M, self.gram_norm)
-                # the bound suite takes its norms before it asks for kappa0
-                self._gram2 = None
-        return self._kappa0
+        """The shift kappa0 making (L_n + kappa) uniformly invertible.
+
+        BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form
+        and does not depend on the sign, since only the Gram block enters:
+        the smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
+        the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
+        <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
+        the norm at n = M, the largest, is taken (`gram_norm`).  Either way
+        kappa0 >= 1.
+        """
+        if self.eq.family == "BO":
+            if not isinstance(self.u0, RealSpectrum):
+                raise TypeError("BO data must be a RealSpectrum")
+            return max(12.0 * l2_norm(self.u0) ** 2, 1.0)
+        if not isinstance(self.u0, HardyVector):
+            raise TypeError("CCM data must be a HardyVector")
+        kappa = next((2.0**e for e in range(_CCM_GRID_MAX_EXP + 1)
+                      if self.gram_norm(2.0**e) <= 0.5), None)
+        # the bound suite takes its norms before it asks for kappa0
+        self.__dict__.pop("_gram2", None)
+        if kappa is None:
+            raise RuntimeError(
+                "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "
+                "near or above the focusing threshold -- reduce ||u0||"
+            )
+        return kappa
 
     def eig(self, n: int) -> HermitianEig:
         """The decomposition of L_n, with the checks of `eig_hermitian`."""
@@ -167,6 +259,13 @@ class _Spectra:
         e = self.eig(n)
         q = e.eigenvectors
         return (q / (e.eigenvalues + self.kappa0)) @ q.conj().T
+
+
+def find_kappa_zero(u0, eq: Equation, M: int) -> float:
+    """kappa0 of (u0, eq, M) (`_Spectra.kappa0`); ValueError unless M >= 4."""
+    if M < 4:
+        raise ValueError("M must be >= 4")
+    return _Spectra(u0, eq, M).kappa0
 
 
 def run_bound_suite(

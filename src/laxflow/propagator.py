@@ -37,7 +37,8 @@ equal by construction.
 
 A `PropagatorCache` is a plain dict from key to decomposition with no
 lock: laxflow code runs on one thread, and the BLAS behind numpy already
-uses every core.
+uses every core.  The shift kappa0 and the operator norms of the
+convergence analysis are `diagnostics`'s.
 """
 
 from __future__ import annotations
@@ -48,15 +49,13 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .lax import Equation, LaxMatrix, _read_only, hermitian_defect, mult_matrix
-from .spectral import HardyVector, RealSpectrum, l2_norm
+from .lax import LaxMatrix, _read_only, hermitian_defect
 
 __all__ = [
     "HermitianEig",
     "PropagatorCache",
     "eig_hermitian",
     "advance",
-    "find_kappa_zero",
 ]
 
 _RECON_TOL = 1e-10
@@ -271,10 +270,11 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray,
     scale = 1.0 + float(np.max(np.abs(block), initial=0.0))
     qh = q.conj().T
     recon = np.abs((q * lam) @ qh - block)
-    if np.max(recon, initial=0.0) > _RECON_TOL * scale:
+    # written as "not <=" so that a NaN defect fails the check
+    if not np.max(recon, initial=0.0) <= _RECON_TOL * scale:
         return "eigendecomposition residual too large"
     ortho = np.abs(qh @ q - np.eye(n))
-    if np.max(ortho, initial=0.0) > _RECON_TOL:
+    if not np.max(ortho, initial=0.0) <= _RECON_TOL:
         return "eigenvectors lost orthonormality"
     if abs_q is None:
         abs_q = _SAFETY * _abs_norm(np.abs(q))
@@ -600,123 +600,3 @@ class PropagatorCache:
             oldest = next(iter(self._finished))
             del self._finished[oldest], self._store[oldest]
             self.evictions += 1
-
-
-_LANCZOS_SEED = 0x1A2  # Philox key of the start vector
-_LANCZOS_CHECK = 6  # Lanczos steps between looks at the tridiagonal
-
-
-def _hermitian_norm(a: np.ndarray) -> float:
-    """max |lambda| of a Hermitian matrix, by Lanczos with full reorthogonalization.
-
-    The start vector is a fixed Philox-seeded complex Gaussian, so equal
-    inputs give equal floats.  Every few steps the extreme eigenpairs
-    (theta, s) of the k x k tridiagonal give Ritz values with residuals
-    r = beta_k |s_k|, and each end holds an eigenvalue of a within r of its
-    theta.  The run stops when the dominant end's r is at most
-    8 u sqrt(n) |theta| and the other end's |theta| + r is no larger, and
-    returns the dominant |theta| + r, an upper bound on the eigenvalue theta
-    converged to.  beta_k = 0 is an invariant subspace, exact; at most n
-    steps are taken.  It fails only when the start vector is nearly
-    orthogonal to the dominant eigenvector (a component below delta has
-    probability about n delta^2; Kuczynski and Wozniakowski, SIAM J. Matrix
-    Anal. Appl. 13, 1992, bound the error after k steps): it then converges
-    to a smaller eigenvalue.  The basis grows with the steps, a few dozen
-    vectors in practice.
-    """
-    n = len(a)
-    if n == 0:
-        return 0.0
-    rng = np.random.Generator(np.random.Philox(key=_LANCZOS_SEED))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    basis = np.empty((min(n, _LANCZOS_CHECK), n), np.complex128)
-    basis[0] = v / np.linalg.norm(v)
-    w = a @ basis[0]
-    # the run takes a / scale, a power of two near |a| (1 for a v = 0), so
-    # the rescaling is exact and no square in a norm underflows or overflows
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w)))[1])
-    alpha, beta = np.zeros(n), np.zeros(n)
-    tol = 8.0 * _U * np.sqrt(n)
-    for k in range(1, n + 1):
-        w /= scale
-        alpha[k - 1] = np.vdot(basis[k - 1], w).real
-        w -= alpha[k - 1] * basis[k - 1]
-        if k > 1:
-            w -= beta[k - 2] * basis[k - 2]
-        w -= (basis[:k] @ w.conj()).conj() @ basis[:k]
-        beta[k - 1] = np.linalg.norm(w)
-        last = k == n or beta[k - 1] == 0.0
-        if last or k % _LANCZOS_CHECK == 0:
-            # complex like every other eigh here: the real LAPACK path raised
-            # the peak RSS of 60 diagnostics commands in one process by 0.6 MiB
-            t = np.diag(alpha[:k] + 0j) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
-            theta, s = np.linalg.eigh(t)
-            ends = np.abs(theta[[0, -1]])
-            r = beta[k - 1] * np.abs(s[-1, [0, -1]])
-            d = int(ends[1] >= ends[0])
-            if last or (r[d] <= tol * ends[d] and ends[1 - d] + r[1 - d] <= ends[d]):
-                return float(np.max(ends + r) * scale)
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis[:min(k, n - k)])])
-        basis[k] = w / beta[k - 1]
-        w = a @ basis[k]
-
-
-def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:
-    """||X diag(r)|| from the Gram matrix X^H X: sqrt of the largest
-    eigenvalue of R gram R, which is positive semidefinite, by
-    `_hermitian_norm`; 0 if empty."""
-    return float(np.sqrt(_hermitian_norm(gram * np.outer(r, r))))
-
-
-_CCM_GRID_MAX_EXP = 20
-
-
-def find_kappa_zero(u0, eq: Equation, M: int) -> float:
-    """Determine the shift kappa0 making (L_n + kappa) uniformly invertible.
-
-    BO uses the closed form max(12 ||u0||^2, 1).  CCM has no closed form
-    and does not depend on the sign, since only the Gram block enters: the
-    smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
-    the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
-    <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
-    the norm at n = M, the largest, is taken, as sqrt(lambda_max(R0 G^2 R0))
-    by Lanczos (`_scaled_norm`), with G^2 formed once (`_ccm_kappa_zero`).
-    Either way kappa0 >= 1.
-    """
-    if M < 4:
-        raise ValueError("M must be >= 4")
-    if eq.family == "BO":
-        if not isinstance(u0, RealSpectrum):
-            raise TypeError("BO data must be a RealSpectrum")
-        return max(12.0 * l2_norm(u0) ** 2, 1.0)
-    return _ccm_kappa_zero(u0, M)
-
-
-def _gram_squared(u0, M: int) -> np.ndarray:
-    """G^2 for the Gram block G = A A^H at M, A = mult_matrix(u0, M)."""
-    a = mult_matrix(u0, M)
-    gram = a @ a.conj().T
-    del a  # freed before the product
-    return gram @ gram  # G is Hermitian: G^2 = G^H G
-
-
-def _ccm_kappa_zero(u0, M: int, gram_norm: Optional[Callable[[float], float]] = None) -> float:
-    """The CCM search of `find_kappa_zero`.  gram_norm(kappa) is the norm
-    ||G_M R0(kappa)||; a caller that holds G^2 and the norms it took passes
-    its own, else G^2 is formed here."""
-    if not isinstance(u0, HardyVector):
-        raise TypeError("CCM data must be a HardyVector")
-    if gram_norm is None:
-        gram2 = _gram_squared(u0, M)
-
-        def gram_norm(kappa):
-            return _scaled_norm(gram2, 1.0 / (np.arange(M) + kappa))
-
-    for e in range(_CCM_GRID_MAX_EXP + 1):
-        if gram_norm(2.0**e) <= 0.5:
-            return float(2**e)
-    raise RuntimeError(
-        "no kappa0 up to 2^20 tames the CCM perturbation; the data norm is "
-        "near or above the focusing threshold -- reduce ||u0||"
-    )

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from laxflow.cli import (
     write_coefficients,
     write_csv,
 )
-from laxflow.propagator import find_kappa_zero
+from laxflow.diagnostics import find_kappa_zero
 from laxflow.scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
 
 # Each parser is fuzzed with arbitrary text and with text from its own
@@ -321,11 +322,22 @@ class TestEvolve:
         # at the default T = 1 the phase overflows because 1 + 2 lambda does,
         # and the message said "the time is too large"
         out = tmp_path / "x"
-        assert main(["evolve", "--K", "8", "--profile", "explicit:coeffs=[1e308,1e308]",
+        assert main(["evolve", "--K", "8", "--profile", "explicit:coeffs=[1e308]",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "overflows" in err and "time is too large" not in err
         assert "|t| up to 1 times" in err and err.rstrip().endswith("up to inf")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_eigendecomposition_is_a_check_failure(self, tmp_path, capsys):
+        # eigh gives eigenvalues of -inf here, and the NaN residual passed
+        # the reconstruction check, since NaN > tol is False
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--profile", "explicit:coeffs=[1e308,1e308]",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failure: eigendecomposition residual too large")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -547,6 +559,42 @@ def test_evolve_config_file_fuzz(config):
         assert main(["evolve", "--config", str(cfg)]) in (0, 1, 2)
 
 
+_DIAGNOSTICS_FIELDS = {
+    "M": st.sampled_from([-1, 8, 48, 64]),
+    "kappas": st.one_of(st.sampled_from(["1,10,100", "7.5", "1,1e4", "0.5", "1,nan", "1,,2", ""]),
+                        st.lists(st.floats().map(repr), min_size=1, max_size=3).map(",".join),
+                        st.text(max_size=10)),
+    "seed": st.one_of(st.integers(-2, 10), st.sampled_from([2**64, 2**128 - 1, 2**128])),
+    "T": _EVOLVE_FIELDS["T"],
+    "profile": _EVOLVE_FIELDS["profile"],
+    "equation": _EVOLVE_FIELDS["equation"],
+}
+# the output goes to the test's directory; the other fields take values of
+# their own kind, and at most one field, or a field diagnostics lacks, any
+# JSON value
+_diagnostics_configs = st.tuples(
+    st.fixed_dictionaries({}, optional=_DIAGNOSTICS_FIELDS),
+    st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from([*_DIAGNOSTICS_FIELDS, "config", "func", "K"]), _json,
+        min_size=1, max_size=1)),
+).map(lambda t: {**t[0], **t[1]})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(_diagnostics_configs)
+@example({"M": 64, "equation": "CCM-defocusing",
+          "profile": "random-sobolev:s=1,seed=0,norm=2000"})
+@example({"M": 64, "profile": {"kind": "explicit", "coeffs": [1e308, 1e308]}})
+def test_diagnostics_config_file_fuzz(config):
+    """Whatever a config file holds, diagnostics exits 0, 1 or 2 and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = str(Path(tmp) / "run")
+        assert main(["diagnostics", "--config", str(cfg), "--out", out]) in (0, 1, 2)
+
+
 REPLAYS = {
     "evolve": ["--K", "16", "--T", "0.5", "--grid-points", "11", "--schedule", "half-staircase"],
     "talbot": ["--K", "32"],
@@ -666,6 +714,20 @@ class TestConvergence:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def count_kappa0_searches(monkeypatch, calls, search=None):
+    """Append M to calls at each kappa0 search, a first read of a
+    `_Spectra`'s kappa0; search, if given, replaces the real one."""
+    real = diag._Spectra.kappa0.func
+
+    def counting(self):
+        calls.append(self.M)
+        return (search or real)(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(diag._Spectra, "kappa0")
+    monkeypatch.setattr(diag._Spectra, "kappa0", prop)
+
+
 class TestDiagnostics:
     def test_pass_run(self, tmp_path):
         out = tmp_path / "run"
@@ -757,7 +819,7 @@ class TestDiagnostics:
         calls = []
         for name in ("build_bo_lax", "build_ccm_lax"):
             monkeypatch.setattr(laxflow.lax, name, lambda *a, _n=name: calls.append(_n))
-        monkeypatch.setattr(diag, "find_kappa_zero", lambda *a: calls.append("kappa0"))
+        count_kappa0_searches(monkeypatch, calls, search=lambda self: None)
         out = tmp_path / "x"
         assert main(["diagnostics", "--M", "256", "--equation", "CCM-defocusing",
                      f"--seed={seed}", "--out", str(out)]) == 2
@@ -795,15 +857,9 @@ class TestDiagnostics:
 
     def test_kappa0_searched_once_per_suite(self, tmp_path, monkeypatch):
         # the suites share one search through their spectral context; every
-        # CCM search, through find_kappa_zero or not, calls _ccm_kappa_zero
-        calls, real = [], laxflow.propagator._ccm_kappa_zero
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        for mod in (laxflow.propagator, diag):
-            monkeypatch.setattr(mod, "_ccm_kappa_zero", counting)
+        # search, through find_kappa_zero or not, is a _Spectra's kappa0
+        calls = []
+        count_kappa0_searches(monkeypatch, calls)
         rc = main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
                    "--out", str(tmp_path / "run")])
         assert rc == 0
@@ -850,8 +906,7 @@ class TestDiagnostics:
         calls = []
         for name in ("build_bo_lax", "build_ccm_lax"):
             monkeypatch.setattr(laxflow.lax, name, lambda *a, _n=name: calls.append(_n))
-        for mod in (laxflow.propagator, diag):
-            monkeypatch.setattr(mod, "_ccm_kappa_zero", lambda *a: calls.append("kappa0"))
+        count_kappa0_searches(monkeypatch, calls, search=lambda self: None)
         out = tmp_path / "x"
         assert main(["diagnostics", "--M", str(M), "--equation", "CCM-defocusing",
                      "--out", str(out)]) == 2

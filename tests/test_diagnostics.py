@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laxflow import diagnostics as diag
 from laxflow.diagnostics import (
     BoundReport,
     ConvergenceRow,
     ConvergenceTable,
+    _hermitian_norm,
+    find_kappa_zero,
     fit_rate,
     run_bound_suite,
     run_convergence_study,
@@ -15,7 +19,6 @@ from laxflow.diagnostics import (
 )
 import laxflow.lax
 from laxflow.lax import EQUATIONS, build_bo_lax, build_ccm_lax
-from laxflow.propagator import find_kappa_zero
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
 from dense import dense_matrix
 
@@ -453,3 +456,104 @@ def test_non_finite_width_rejected_before_any_work(monkeypatch, suite, T):
     with pytest.raises(ValueError, match=r"width 2T of \[-T, T\] must be finite"):
         suite(T)
     assert calls == []
+
+
+class TestKappaZero:
+    def test_bo_small_data(self):
+        # 12 * 0.01 < 1 so the floor applies
+        u0 = bo_data(16, 0, norm=0.1)
+        k0 = find_kappa_zero(u0, EQUATIONS["BO"], 16)
+        assert type(k0) is float and k0 == 1.0
+
+    def test_bo_formula(self):
+        u0 = bo_data(16, 1, norm=np.sqrt(2.0))
+        k0 = find_kappa_zero(u0, EQUATIONS["BO"], 16)
+        assert k0 == pytest.approx(24.0, rel=1e-12)
+
+    def test_ccm_zero_data(self):
+        k0 = find_kappa_zero(HardyVector([]), EQUATIONS["CCM-defocusing"], 8)
+        assert type(k0) is float and k0 == 1.0
+
+    def test_ccm_search_tames_perturbation(self):
+        u0 = analyze_profile(
+            InitialProfile("random-sobolev", {"s": 1.0, "seed": 5, "norm": 0.8}), 32, hardy=True
+        )
+        k0 = find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
+        # verify the defining property directly at the returned shift
+        m = build_ccm_lax(u0, 32, "focusing")
+        g = np.diag(np.arange(32.0)) - dense_matrix(m, 32)
+        r0 = 1.0 / (np.arange(32) + k0)
+        assert np.linalg.norm(g * r0, ord=2) <= 0.5
+
+    @pytest.mark.parametrize("norm", [0.5, 1.0, 2.0])
+    def test_ccm_sign_does_not_matter(self, norm):
+        # the search reads only the Gram block, which both signs share
+        u0 = analyze_profile(
+            InitialProfile("random-sobolev", {"s": 1.0, "seed": 5, "norm": norm}), 32, hardy=True
+        )
+        assert (find_kappa_zero(u0, EQUATIONS["CCM-focusing"], 32)
+                == find_kappa_zero(u0, EQUATIONS["CCM-defocusing"], 32))
+
+    def test_type_checks(self):
+        with pytest.raises(TypeError):
+            find_kappa_zero(HardyVector([0.1]), EQUATIONS["BO"], 8)
+        with pytest.raises(TypeError):
+            find_kappa_zero(bo_data(8, 0), EQUATIONS["CCM-focusing"], 8)
+        with pytest.raises(ValueError):
+            find_kappa_zero(bo_data(8, 0), EQUATIONS["BO"], 3)
+
+
+def hermitian_case(kind, n, seed, dtype):
+    """A Hermitian n x n matrix of the named kind, entries of order 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "random":
+        a = x + x.conj().T
+    elif kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "rank-one":
+        a = x[:, :1] @ x[:, :1].conj().T
+    elif kind == "diagonal":
+        a = np.diag(rng.standard_normal(n))
+    else:
+        # Q diag(lam) Q^H: a dominant eigenvalue repeated, a negative one
+        # dominant, or the fast decay of the diagnostics' scaled Grams
+        q = np.linalg.qr(x)[0]
+        lam = rng.uniform(-1.0, 1.0, n)
+        if kind == "repeated":
+            lam[: n // 3 + 1] = 2.0
+        elif kind == "negative":
+            lam[:1] = -3.0
+        else:
+            lam = np.abs(lam) * 0.5 ** np.arange(n)
+        a = (q * lam) @ q.conj().T
+        a = (a + a.conj().T) / 2
+    return a.real.copy() if dtype == "real" else a.astype(np.complex128)
+
+
+class TestHermitianNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["random", "zero", "rank-one", "diagonal", "repeated", "negative",
+                            "decaying"]),
+           st.integers(0, 48), st.integers(0, 2**32 - 1), st.integers(-150, 150),
+           st.sampled_from(["complex", "real"]))
+    # unscaled, |w|^2 underflowed here and the result was 1.6e-140, not 2e-150
+    @example("repeated", 32, 372951265, -150, "complex")
+    def test_matches_eigvalsh(self, kind, n, seed, exponent, dtype):
+        a = hermitian_case(kind, n, seed, dtype) * 10.0**exponent
+        got = _hermitian_norm(a)
+        assert type(got) is float and got == _hermitian_norm(a)
+        want = float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
+        if kind == "zero" or n == 0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_diagnostics_scaled_grams(self, n):
+        # R0 G^2 R0 of CCM data: a spectrum decaying to rounding level
+        u0 = analyze_profile(
+            InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 1.0}), n, hardy=True)
+        r0 = 1.0 / (np.arange(n) + 1.0)
+        a = diag._Spectra(u0, EQUATIONS["CCM-defocusing"], n)._gram2 * np.outer(r0, r0)
+        assert _hermitian_norm(a) == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)
