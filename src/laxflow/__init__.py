@@ -33,7 +33,6 @@ from .scheme import (  # noqa: F401
     SchemeConfig,
     SchemeOutput,
     make_schedule,
-    iterate_size,
     run_scheme,
     mass,
     hardy_l2,

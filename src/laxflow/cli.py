@@ -7,11 +7,11 @@ manifest alone suffices to reproduce a run.
 
 Exit codes: 0 ok, 1 check failure, 2 config error.  `main` maps a
 `RuntimeError`, which the library raises when a check on the run fails
-(no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, an
-imaginary BO mass, a failed reference run), to exit 1 with `check
-failure: <reason>` on stderr, and `ConfigError`, `ValueError`, `TypeError`,
-`MemoryError` (`out of memory: `) and `OSError` (an output directory that
-cannot be made or written) to exit 2 with `config error: <reason>`.
+(no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, a
+failed reference run), to exit 1 with `check failure: <reason>` on stderr,
+and `ConfigError`, `ValueError`, `TypeError`, `MemoryError` (`out of
+memory: `) and `OSError` (an output directory that cannot be made or
+written) to exit 2 with `config error: <reason>`.
 """
 
 from __future__ import annotations
@@ -357,13 +357,11 @@ def cmd_diagnostics(args) -> int:
               [(r.n, r.measured, r.bound, r.passed) for r in res_rows])
     write_csv(out / "propagator_sweep.csv", ("n", "sup_error"), sweep_rows)
 
-    # the shift the suite checked the norm sandwich at; --corrupt-bounds keeps params
-    kappa0 = next(r.params["kappa"] for r in reports if r.name == "sandwich-upper")
     summary = {
         "bounds_pass": all(r.passed for r in reports),
         "resolvent_pass": all(r.passed for r in res_rows),
         "propagator_sweep_pass": not sweep_failed,
-        "kappa0": kappa0,
+        "kappa0": spectra.kappa0,
         "kappa0_method": "formula" if eq.family == "BO" else "search",
         "failed": sorted({r.name for r in reports if not r.passed}),
     }

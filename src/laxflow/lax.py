@@ -152,7 +152,6 @@ def mult_matrix(u0, n: int) -> np.ndarray:
 
 def build_bo_lax(u0: RealSpectrum, n: int) -> LaxMatrix:
     """BO Lax matrix: diag(0..n-1) minus the n x n Toeplitz block of u0."""
-    u0.check_symmetry()
     block = np.diag(np.arange(n, dtype=np.complex128)) - mult_matrix(u0, n)
     return LaxMatrix(block, EQUATIONS["BO"])
 

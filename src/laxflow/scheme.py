@@ -40,7 +40,6 @@ __all__ = [
     "SchemeConfig",
     "SchemeOutput",
     "make_schedule",
-    "iterate_size",
     "run_scheme",
     "mass",
     "hardy_l2",
@@ -117,14 +116,6 @@ def make_schedule(kind: str, K: int, custom_values: Optional[Sequence[int]] = No
     return schedule
 
 
-def iterate_size(sched: Schedule, k: int) -> int:
-    """Frequency support of the k-th iterate: max_l (n(l) - (k - l)), floored at 0."""
-    if not 0 <= k < sched.K:
-        raise ValueError("iteration index out of range")
-    ls = np.arange(k + 1)
-    return int(max(int(np.max(sched.values[: k + 1] - (k - ls))), 0))
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """One scheme run: equation, schedule, evaluation times and data."""
@@ -192,7 +183,6 @@ def _resolve_data(cfg: SchemeConfig, eq: Equation):
         return truncate(u0, K), u0
     if isinstance(u0, HardyVector):
         u0 = RealSpectrum.from_hardy_part(u0.coeffs, K)
-    u0.check_symmetry()
     return project_hardy(u0), u0
 
 
@@ -327,16 +317,6 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
 
     # u^K = S* u^{K-1}, the window one row on, in the standard basis
     regauge(K, was, M, 0)
-
-    if not eq.hardy:
-        # mass is conserved exactly real; scrub the residual rounding phase
-        bad = np.abs(coeffs[:, 0].imag) > 1e-10
-        if np.any(bad):
-            raise RuntimeError(
-                "BO zero mode acquired an imaginary part at t="
-                f"{cfg.times[bad][0]!r}; scheme bug upstream"
-            )
-        coeffs[:, 0] = coeffs[:, 0].real
 
     return SchemeOutput(
         equation=cfg.equation,

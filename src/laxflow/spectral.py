@@ -78,8 +78,10 @@ class RealSpectrum:
     """Hermitian-symmetric two-sided coefficients of a real-valued field.
 
     Stores c(k) for -K < k < K as a dense array of length 2K-1 with c(k)
-    at index k + K - 1.  Symmetry c(-k) = conj(c(k)) holds bit-exactly by
-    construction; use :meth:`from_hardy_part` or the profile builders.
+    at index k + K - 1.  The symmetry c(-k) = conj(c(k)) with a real c(0)
+    is checked bit-exactly on construction (ValueError otherwise), so every
+    RealSpectrum is a real field; :meth:`from_hardy_part` and the profile
+    builders make it by reflection.
     """
 
     coeffs: np.ndarray
@@ -90,6 +92,7 @@ class RealSpectrum:
         if self.K < 1 or len(c) != 2 * self.K - 1:
             raise ValueError("RealSpectrum needs 2K-1 coefficients, K >= 1")
         object.__setattr__(self, "coeffs", c)
+        self.check_symmetry()
 
     @classmethod
     def from_hardy_part(cls, nonneg, K: int) -> "RealSpectrum":
@@ -187,9 +190,12 @@ class InitialProfile:
             if not _is_philox_key(seed):
                 raise ValueError(f"random-sobolev seed must be an integer in [0, 2**128), "
                                  f"got {seed!r}")
-            # a negative target would negate every coefficient
-            if norm is not None and not (_is_finite_real(norm) and norm >= 0):
-                raise ValueError(f"random-sobolev norm must be finite and >= 0, got {norm!r}")
+            # a negative target would negate every coefficient; the schemes
+            # read the squared norm, so that must be finite too
+            if norm is not None and not (_is_finite_real(norm) and norm >= 0
+                                         and math.isfinite(float(norm) * float(norm))):
+                raise ValueError(f"random-sobolev norm must be >= 0 with a finite square, "
+                                 f"got {norm!r}")
 
 
 def _is_integer(v) -> bool:
@@ -226,7 +232,6 @@ Field = Union[HardyVector, RealSpectrum]
 
 def project_hardy(spec: RealSpectrum) -> HardyVector:
     """Riesz-Szego projection: keep the coefficients at k >= 0."""
-    spec.check_symmetry()
     return HardyVector(spec.hardy_part())
 
 
@@ -313,11 +318,17 @@ def analyze_profile(p: InitialProfile, bandwidth: int, hardy: bool = False) -> F
         return field(c)
 
     if p.kind == "random-sobolev":
-        c = _random_sobolev_hardy(float(p.params["s"]), int(p.params.get("seed", 0)), bandwidth)
+        s = float(p.params["s"])
+        # a steep growth (s far below 0) overflows; refuse the data, not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _random_sobolev_hardy(s, int(p.params.get("seed", 0)), bandwidth)
+            # the norm of the field: two-sided for a real one
+            cur = l2_norm(field(c)) if np.all(np.isfinite(c)) else math.inf
+        if not math.isfinite(cur):
+            raise ValueError(f"random-sobolev s={s!r} at bandwidth {bandwidth} gives "
+                             f"coefficients or a squared norm beyond the float range")
         target = p.params.get("norm")
         if target is not None:
-            # the norm of the field: two-sided for a real one
-            cur = l2_norm(field(c))
             if cur == 0.0:
                 raise ValueError("cannot rescale a zero profile")
             c = c * (float(target) / cur)

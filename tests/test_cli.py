@@ -340,6 +340,20 @@ class TestEvolve:
         assert err.startswith("check failure: eigendecomposition residual too large")
         assert not out.exists()
 
+    @pytest.mark.parametrize("profile", [
+        "random-sobolev:s=-400,seed=1",
+        "random-sobolev:s=-1e308,seed=1",
+        "random-sobolev:s=1,seed=1,norm=1e308",
+    ])
+    def test_data_beyond_the_float_range_is_refused(self, tmp_path, capsys, profile):
+        # each overflowed with a RuntimeWarning (power, or the norm's dot)
+        # before any check refused it
+        out = tmp_path / "x"
+        assert main(["evolve", "--K", "8", "--times", "1", "--profile", profile,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: random-sobolev ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--times", "sqrt()"],
         ["--times", "0", "--profile", "random-sobolev"],

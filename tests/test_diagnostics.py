@@ -502,6 +502,13 @@ class TestKappaZero:
         with pytest.raises(ValueError):
             find_kappa_zero(bo_data(8, 0), EQUATIONS["BO"], 3)
 
+    @pytest.mark.parametrize("coeffs", [[0.5, 0, 0.1, 0, 0.3], [0.3, 0, 0.1j, 0, 0.3]])
+    def test_no_kappa0_for_data_that_is_no_real_field(self, coeffs):
+        # the BO formula reads the k >= 0 half only, and returned about 4.2
+        # for the first array
+        with pytest.raises(ValueError):
+            find_kappa_zero(RealSpectrum(coeffs, K=3), EQUATIONS["BO"], 8)
+
 
 def hermitian_case(kind, n, seed, dtype):
     """A Hermitian n x n matrix of the named kind, entries of order 1."""

@@ -14,7 +14,6 @@ from laxflow.scheme import (
     SchemeConfig,
     full_l2,
     hardy_l2,
-    iterate_size,
     make_schedule,
     mass,
     run_scheme,
@@ -22,6 +21,7 @@ from laxflow.scheme import (
 from laxflow.spectral import (
     HardyVector,
     InitialProfile,
+    RealSpectrum,
     analyze_profile,
     l2_norm,
     project_hardy,
@@ -87,16 +87,6 @@ class TestSchedules:
     def test_zero_seed_truncation_warns(self):
         with pytest.warns(UserWarning, match="n\\(0\\) = 0"):
             make_schedule("custom", 2, custom_values=[0, 2])
-
-    def test_iterate_size_examples(self):
-        s = make_schedule("full-staircase", 4)  # n = [4, 3, 2, 1]
-        assert [iterate_size(s, k) for k in range(4)] == [4, 3, 2, 1]
-        s = make_schedule("linear-case", 4)  # n = [4, 0, 0, 0]
-        assert [iterate_size(s, k) for k in range(4)] == [4, 3, 2, 1]
-        s = make_schedule("constant", 3)
-        assert [iterate_size(s, k) for k in range(3)] == [3, 3, 3]
-        with pytest.raises(ValueError):
-            iterate_size(s, 3)
 
 
 class TestSchemeBasics:
@@ -385,6 +375,26 @@ class TestConservation:
         for t in (0.0, 3.3, -7.1):
             assert mass(out, t) == pytest.approx(u0.coeff(0).real, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["constant", "half-staircase", "full-staircase", "custom"])
+    @pytest.mark.parametrize("data", [
+        bo_profile(8),
+        # a zero mode within 1e-10 of real is made exactly real
+        HardyVector([0.3 + 1e-12j, -0.2j, 0.1, 0.05 + 0.05j, 0.02, 0.01j]),
+    ])
+    def test_mass_is_the_seed_zero_mode_bit_exactly(self, kind, data):
+        # a real field's zero mode is exactly real by construction, and the
+        # scheme copies it from the seed, so no rounding can reach it
+        K = 16
+        custom = [3, 5, 1, 0, 7] + [2] * (K - 5) if kind == "custom" else None
+        sched = make_schedule(kind, K, custom_values=custom)
+        times = [-1000.0, -3.7, 0.0, 0.4, 2 * math.pi, 1000.0]
+        out = run("BO", sched, times, data)
+        u0 = (analyze_profile(data, K) if isinstance(data, InitialProfile)
+              else RealSpectrum.from_hardy_part(data.coeffs, K))
+        c0 = u0.coeff(0)
+        assert c0 != 0 and c0.imag == 0.0
+        assert np.all(out.coeffs[:, 0] == c0)
+
     def test_telescoping(self):
         K = 24
         sched = make_schedule("constant", K)
@@ -421,10 +431,10 @@ class TestConservation:
 
 class TestIterateStructure:
     def test_support_bound(self):
-        """Each iterate u^k is supported in the first iterate_size(sched, k) modes.
+        """Each iterate u^k is supported in modes below max_l (n(l) - (k - l)).
 
         The run on the prefix n(0..k) ends with S* u^k as its final iterate,
-        so that vector vanishes beyond mode iterate_size(sched, k) - 1.
+        so that vector vanishes from one mode below that bound on.
         """
         K = 16
         sched = make_schedule("half-staircase", K)
@@ -432,7 +442,8 @@ class TestIterateStructure:
         for k in range(K):
             prefix = make_schedule("custom", k + 1, sched.values[: k + 1])
             out = run_scheme(SchemeConfig("BO", prefix, np.array([1.3, -2.2]), u0))
-            m = max(iterate_size(sched, k) - 1, 0)
+            size = max(sched.values[: k + 1] - (k - np.arange(k + 1)))
+            m = max(size - 1, 0)
             assert np.max(np.abs(out.final_iterate[m:, :]), initial=0.0) <= 1e-12
 
     def test_cache_shared_across_runs(self):

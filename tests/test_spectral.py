@@ -51,6 +51,21 @@ class TestProjectHardy:
             project_hardy(RealSpectrum(c, K=2))
 
 
+class TestRealSpectrumSymmetry:
+    @pytest.mark.parametrize("coeffs, message", [
+        ([0.5, 0, 0.1, 0, 0.3], "not Hermitian-symmetric"),  # c(-2) = 0.5, c(2) = 0.3
+        ([1j, 0, 0.1, 0, 1j], "not Hermitian-symmetric"),  # c(-2) = c(2), not its conjugate
+        ([0.3, 0, 0.1 + 1e-300j, 0, 0.3], "zero mode is not real"),
+    ])
+    def test_refused_on_construction(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            RealSpectrum(coeffs, K=3)
+
+    def test_symmetric_array_accepted_as_is(self):
+        c = np.array([0.5 + 0.25j, -2j, 0.1, 2j, 0.5 - 0.25j])
+        np.testing.assert_array_equal(RealSpectrum(c, K=3).coeffs, c)
+
+
 class TestTruncateShift:
     def test_truncate_basic(self):
         h = HardyVector([1.0, 2.0, 3.0])
