@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -148,23 +147,41 @@ def parse_schedule(spec, K: int):
 
 # ---------------------------------------------------------------- output
 
+_FLOAT = "%.17g"  # the one float format of every CSV
+
+
 def write_csv(path: Path, header, rows) -> None:
-    """Floats as {:.17g}, other cells as str(); one line template per row of cell
-    types, picked without a Python loop, and one format call per file."""
-    rows = list(rows)
-    kinds = list(map(tuple, map(partial(map, type), rows)))
-    lines = {k: ",".join("{:.17g}" if issubclass(c, float) else "{}" for c in k) + "\n"
-             for k in set(kinds)}
+    """Floats as %.17g, other cells as str(), through one % template per file.
+
+    A column of floats alone is %.17g in the template, any other %s with its
+    float cells formatted first, so no Python code runs per cell of a column
+    of one type.  Rows must be of one length.
+    """
+    cols = list(zip(*rows, strict=True))
+    formats = []
+    for i, col in enumerate(cols):
+        floats = [issubclass(c, float) for c in set(map(type, col))]
+        formats.append(_FLOAT if all(floats) else "%s")
+        if any(floats) and not all(floats):
+            cols[i] = [_FLOAT % v if isinstance(v, float) else v for v in col]
+    lines = (",".join(formats) + "\n") * (len(cols[0]) if cols else 0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(lines.__getitem__, kinds)).format(*chain.from_iterable(rows)))
+        fh.write(lines % tuple(chain.from_iterable(zip(*cols))))
+
+
+def _float_column(values) -> list:
+    """values as write_csv writes floats, for a column that a file repeats."""
+    return list(map(_FLOAT.__mod__, np.asarray(values, dtype=float).tolist()))
 
 
 def write_coefficients(path: Path, times, coeffs) -> None:
     """The (t, k, re, im) rows of coeffs[i, k] = uhat(times[i], k)."""
+    K = coeffs.shape[1]
     write_csv(path, ("t", "k", "re", "im"),
-              [(float(t), k, float(c.real), float(c.imag))
-               for t, row in zip(times, coeffs) for k, c in enumerate(row)])
+              zip([t for t in _float_column(times) for _ in range(K)],
+                  list(map(str, range(K))) * len(coeffs),
+                  coeffs.real.ravel().tolist(), coeffs.imag.ravel().tolist()))
 
 
 def _sha256(path: Path) -> str:
@@ -230,12 +247,15 @@ def cmd_evolve(args) -> int:
 
     out = _outdir(args)
     write_coefficients(out / "coefficients.csv", result.times, result.coeffs)
-    sample_rows = []
+    values = []
     for t in result.times:
         fld = result.real_spectrum(t) if args.equation == "BO" else result.hardy(t)
         xs, vals = sample_grid(fld, K)
-        sample_rows += [(float(t), float(x), float(v.real)) for x, v in zip(xs, vals)]
-    write_csv(out / "samples.csv", ("t", "x", "value"), sample_rows)
+        values += vals.real.tolist()
+    xcol = _float_column(xs)  # one grid for every t
+    write_csv(out / "samples.csv", ("t", "x", "value"),
+              zip([t for t in _float_column(result.times) for _ in xcol],
+                  xcol * len(result.times), values))
 
     files = [out / "coefficients.csv", out / "samples.csv"]
     write_manifest(out, _config_echo(args), {
@@ -265,13 +285,13 @@ def cmd_talbot(args) -> int:
     wall = time.perf_counter() - t0
 
     out = _outdir(args)
-    files = []
+    files, xcol = [], None
     for i, t in enumerate(times):
         for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
             xs, vals = sample_grid(result.real_spectrum(t), K)
+            xcol = xcol or _float_column(xs)  # one grid for every panel
             path = out / f"talbot_{i}_{tag}.csv"
-            write_csv(path, ("x", "value"),
-                      [(float(x), float(v.real)) for x, v in zip(xs, vals)])
+            write_csv(path, ("x", "value"), zip(xcol, vals.real.tolist()))
             files.append(path)
     for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
         path = out / f"coefficients_{tag}.csv"

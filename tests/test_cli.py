@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import laxflow
 from laxflow import diagnostics as diag
 from laxflow.cli import (
+    TALBOT_TIMES,
     ConfigError,
     main,
     parse_profile,
@@ -27,6 +28,7 @@ from laxflow.cli import (
 )
 from laxflow.diagnostics import find_kappa_zero
 from laxflow.scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
+from laxflow.spectral import sample_grid
 
 # Each parser is fuzzed with arbitrary text and with text from its own
 # grammar, which gets past the first syntax check and into the evaluation.
@@ -159,6 +161,26 @@ class TestParsing:
 
 def manifest_of(outdir):
     return json.loads((outdir / "manifest.json").read_text())
+
+
+def per_cell_csv(header, rows):
+    """A CSV formatted cell by cell: '{:.17g}' for a float, str() for the rest."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def coefficient_csv(result):
+    return per_cell_csv(("t", "k", "re", "im"),
+                        [(float(t), k, float(c.real), float(c.imag))
+                         for t, row in zip(result.times, result.coeffs)
+                         for k, c in enumerate(row)])
+
+
+def sample_rows(field, K):
+    xs, vals = sample_grid(field, K)
+    return [(float(x), float(v.real)) for x, v in zip(xs, vals)]
 
 
 class TestEvolve:
@@ -354,6 +376,15 @@ class TestEvolve:
         assert capsys.readouterr().err.startswith("config error: random-sobolev ")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("norm", ["1e100", "1e150"])
+    def test_large_ccm_data_keeps_its_bounds_finite(self, tmp_path, norm):
+        # the bounds' norm was the root of a product, which overflowed with a
+        # RuntimeWarning into an infinite bound, and the run still exited 0
+        assert main(["evolve", "--K", "8", "--times", "1", "--equation", "CCM-defocusing",
+                     "--profile", f"random-sobolev:s=1,seed=1,norm={norm}",
+                     "--out", str(tmp_path / "x")]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["--times", "sqrt()"],
         ["--times", "0", "--profile", "random-sobolev"],
@@ -432,6 +463,22 @@ class TestEvolve:
                    r.bound, r.passed) for r in reports]
         assert any(n == "" for _, n, *_ in bounds) and any(k == "" for _, _, k, *_ in bounds)
         assert (out / "bounds.csv").read_bytes() == per_cell(header, bounds)
+
+    @pytest.mark.parametrize("equation, schedule",
+                             [("BO", "constant"), ("CCM-defocusing", "full-staircase")])
+    def test_csvs_match_per_cell_formatting(self, tmp_path, equation, schedule):
+        # the writer formats each repeated t and x once; every byte must stay
+        K, exprs = 16, "0;-1.5;pi/3"
+        out = tmp_path / "run"
+        assert main(["evolve", "--K", str(K), "--equation", equation, "--schedule", schedule,
+                     "--times", exprs, "--out", str(out)]) == 0
+        times = np.array([parse_time_expr(t) for t in exprs.split(";")])
+        result = run_scheme(SchemeConfig(equation, make_schedule(schedule, K), times,
+                                         parse_profile("square-wave")))
+        samples = [(float(t), x, v) for t in result.times for x, v in sample_rows(
+            result.real_spectrum(t) if equation == "BO" else result.hardy(t), K)]
+        assert (out / "coefficients.csv").read_bytes() == coefficient_csv(result)
+        assert (out / "samples.csv").read_bytes() == per_cell_csv(("t", "x", "value"), samples)
 
     def test_empty_time_grid_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -684,6 +731,18 @@ class TestTalbot:
             assert m[key] == sum(getattr(r.cache, attr) for r in runs), key
         assert m["decompositions"] == sum(r.decompositions for r in runs)
         assert m["derived_decompositions"] == 14 and m["secular_steps"] > 0
+
+    def test_csvs_match_per_cell_formatting(self, tmp_path):
+        K, out = 16, tmp_path / "run"
+        assert main(["talbot", "--K", str(K), "--out", str(out)]) == 0
+        times = np.array([parse_time_expr(t) for t in TALBOT_TIMES])
+        for kind, tag in (("half-staircase", "nonlinear"), ("linear-case", "linear")):
+            result = run_scheme(SchemeConfig("BO", make_schedule(kind, K), times,
+                                             parse_profile("square-wave")))
+            assert (out / f"coefficients_{tag}.csv").read_bytes() == coefficient_csv(result)
+            for i, t in enumerate(times):
+                assert (out / f"talbot_{i}_{tag}.csv").read_bytes() == per_cell_csv(
+                    ("x", "value"), sample_rows(result.real_spectrum(t), K))
 
     def test_empty_times_writes_nothing(self, tmp_path, capsys):
         # an empty --times or config "times" ran the default Talbot times

@@ -373,6 +373,11 @@ def test_densely_checked_bounds_cover_abs_q(family):
         assert e.bounds.abs_q >= np.linalg.norm(np.abs(e.eigenvectors), ord=2)
 
 
+def test_abs_norm_of_huge_entries_is_finite():
+    # sqrt(||a||_1 ||a||_inf) = 4e200, though the product of the two is 1.6e401
+    assert propagator._abs_norm(np.full((4, 4), 1e200)) == pytest.approx(4e200)
+
+
 @pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
 class TestCertificate:
     """A derived decomposition accepted on its certificate passes the dense check."""
