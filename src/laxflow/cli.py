@@ -150,8 +150,16 @@ def parse_schedule(spec, K: int):
 _FLOAT = "%.17g"  # the one float format of every CSV
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Floats as %.17g, other cells as str(), through one % template per file.
+def _write(path: Path, text: str) -> str:
+    """Write text to path as UTF-8; the sha256 hex digest of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path: Path, header, rows) -> str:
+    """Floats as %.17g, other cells as str(), through one % template per file;
+    the sha256 hex digest of the file.
 
     A column of floats alone is %.17g in the template, any other %s with its
     float cells formatted first, so no Python code runs per cell of a column
@@ -165,9 +173,7 @@ def write_csv(path: Path, header, rows) -> None:
         if any(floats) and not all(floats):
             cols[i] = [_FLOAT % v if isinstance(v, float) else v for v in col]
     lines = (",".join(formats) + "\n") * (len(cols[0]) if cols else 0)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(lines % tuple(chain.from_iterable(zip(*cols))))
+    return _write(path, ",".join(header) + "\n" + lines % tuple(chain.from_iterable(zip(*cols))))
 
 
 def _float_column(values) -> list:
@@ -175,32 +181,32 @@ def _float_column(values) -> list:
     return list(map(_FLOAT.__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def write_coefficients(path: Path, times, coeffs) -> None:
-    """The (t, k, re, im) rows of coeffs[i, k] = uhat(times[i], k)."""
+def write_coefficients(path: Path, times, coeffs) -> str:
+    """The (t, k, re, im) rows of coeffs[i, k] = uhat(times[i], k); the file's
+    sha256 hex digest."""
     K = coeffs.shape[1]
-    write_csv(path, ("t", "k", "re", "im"),
-              zip([t for t in _float_column(times) for _ in range(K)],
-                  list(map(str, range(K))) * len(coeffs),
-                  coeffs.real.ravel().tolist(), coeffs.imag.ravel().tolist()))
+    return write_csv(path, ("t", "k", "re", "im"),
+                     zip([t for t in _float_column(times) for _ in range(K)],
+                         list(map(str, range(K))) * len(coeffs),
+                         coeffs.real.ravel().tolist(), coeffs.imag.ravel().tolist()))
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _write_json(path: Path, data) -> str:
+    return _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(outdir: Path, config: dict, extra: dict, files) -> Path:
+def write_manifest(outdir: Path, config: dict, extra: dict, files: dict) -> Path:
+    """Write manifest.json; files maps each output file's name to its sha256 hex digest."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "laxflow_version": __version__,
         "config": config,
         **extra,
-        "files": {f.name: _sha256(f) for f in files},
+        "files": files,
     }
     path = outdir / "manifest.json"
     tmp = outdir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(tmp, manifest)
     os.replace(tmp, path)
     return path
 
@@ -246,18 +252,17 @@ def cmd_evolve(args) -> int:
     wall = time.perf_counter() - t0
 
     out = _outdir(args)
-    write_coefficients(out / "coefficients.csv", result.times, result.coeffs)
+    files = {"coefficients.csv": write_coefficients(out / "coefficients.csv", result.times,
+                                                    result.coeffs)}
     values = []
     for t in result.times:
         fld = result.real_spectrum(t) if args.equation == "BO" else result.hardy(t)
         xs, vals = sample_grid(fld, K)
         values += vals.real.tolist()
     xcol = _float_column(xs)  # one grid for every t
-    write_csv(out / "samples.csv", ("t", "x", "value"),
-              zip([t for t in _float_column(result.times) for _ in xcol],
-                  xcol * len(result.times), values))
-
-    files = [out / "coefficients.csv", out / "samples.csv"]
+    files["samples.csv"] = write_csv(out / "samples.csv", ("t", "x", "value"),
+                                     zip([t for t in _float_column(result.times) for _ in xcol],
+                                         xcol * len(result.times), values))
     write_manifest(out, _config_echo(args), {
         **_cache_counters(result),
         "wall_time_s": wall,
@@ -285,18 +290,16 @@ def cmd_talbot(args) -> int:
     wall = time.perf_counter() - t0
 
     out = _outdir(args)
-    files, xcol = [], None
+    files, xcol = {}, None
     for i, t in enumerate(times):
         for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
             xs, vals = sample_grid(result.real_spectrum(t), K)
             xcol = xcol or _float_column(xs)  # one grid for every panel
-            path = out / f"talbot_{i}_{tag}.csv"
-            write_csv(path, ("x", "value"), zip(xcol, vals.real.tolist()))
-            files.append(path)
+            name = f"talbot_{i}_{tag}.csv"
+            files[name] = write_csv(out / name, ("x", "value"), zip(xcol, vals.real.tolist()))
     for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
-        path = out / f"coefficients_{tag}.csv"
-        write_coefficients(path, result.times, result.coeffs)
-        files.append(path)
+        name = f"coefficients_{tag}.csv"
+        files[name] = write_coefficients(out / name, result.times, result.coeffs)
 
     write_manifest(out, _config_echo(args, times=time_exprs), {
         **_cache_counters(nonlinear, linear),
@@ -318,10 +321,10 @@ def cmd_convergence(args) -> int:
     slope = diag.fit_rate(table) if len(table.rows) >= 4 else None
     out = _outdir(args)
 
-    write_csv(out / "table.csv",
-              ("K", "schedule", "error", "norm_diff", "decompositions"),
-              [(r.K, r.kind, r.error, r.norm_diff, r.decompositions)
-               for r in table.rows])
+    files = {"table.csv": write_csv(out / "table.csv",
+                                    ("K", "schedule", "error", "norm_diff", "decompositions"),
+                                    [(r.K, r.kind, r.error, r.norm_diff, r.decompositions)
+                                     for r in table.rows])}
     monotone = all(b.error <= a.error + 1e-12 for a, b in zip(table.rows, table.rows[1:]))
     norm_bounded = all(r.norm_diff <= r.error + 1e-12 for r in table.rows)
     summary = {
@@ -332,8 +335,7 @@ def cmd_convergence(args) -> int:
         "T": table.T,
         "equation": table.equation,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    files = [out / "table.csv", out / "summary.json"]
+    files["summary.json"] = _write_json(out / "summary.json", summary)
     write_manifest(out, _config_echo(args), {"wall_time_s": wall, "checks": summary}, files)
     return 0 if (monotone and norm_bounded) else 1
 
@@ -370,12 +372,15 @@ def cmd_diagnostics(args) -> int:
     wall = time.perf_counter() - t0
 
     out = _outdir(args)
-    write_csv(out / "bounds.csv", ("name", "n", "kappa", "measured", "bound", "pass"),
-              [(r.name, r.params.get("n", ""), r.params.get("kappa", ""),
-                r.measured, r.bound, r.passed) for r in reports])
-    write_csv(out / "resolvent.csv", ("n", "measured", "bound", "pass"),
-              [(r.n, r.measured, r.bound, r.passed) for r in res_rows])
-    write_csv(out / "propagator_sweep.csv", ("n", "sup_error"), sweep_rows)
+    tables = {
+        "bounds.csv": (("name", "n", "kappa", "measured", "bound", "pass"),
+                       [(r.name, r.params.get("n", ""), r.params.get("kappa", ""),
+                         r.measured, r.bound, r.passed) for r in reports]),
+        "resolvent.csv": (("n", "measured", "bound", "pass"),
+                          [(r.n, r.measured, r.bound, r.passed) for r in res_rows]),
+        "propagator_sweep.csv": (("n", "sup_error"), sweep_rows),
+    }
+    files = {name: write_csv(out / name, *table) for name, table in tables.items()}
 
     summary = {
         "bounds_pass": all(r.passed for r in reports),
@@ -385,9 +390,7 @@ def cmd_diagnostics(args) -> int:
         "kappa0_method": "formula" if eq.family == "BO" else "search",
         "failed": sorted({r.name for r in reports if not r.passed}),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    files = [out / "bounds.csv", out / "resolvent.csv",
-             out / "propagator_sweep.csv", out / "summary.json"]
+    files["summary.json"] = _write_json(out / "summary.json", summary)
     write_manifest(out, _config_echo(args), {"wall_time_s": wall, "checks": summary}, files)
     return 0 if summary["bounds_pass"] and summary["resolvent_pass"] and not sweep_failed else 1
 

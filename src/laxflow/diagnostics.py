@@ -6,12 +6,13 @@ data is embedded as a finite matrix on the frequency window [0, M).  The
 restriction can only shrink an operator norm, so the continuum upper bounds
 remain valid assertions for the measured values.
 
-No norm takes an SVD or a full eigenvalue decomposition: an operator norm
-is sqrt(lambda_max) of the smaller Gram matrix, and the norm of a
-Hermitian difference its largest |lambda|, each by Lanczos from a seeded
-start vector (`_hermitian_norm`, a few dozen matrix-vector products).  It
-stops when the dominant Ritz value theta's residual r is at most
-8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
+No norm takes an SVD: an operator norm is sqrt(lambda_max) of the smaller
+Gram matrix, and the norm of a Hermitian difference its largest |lambda|,
+each taken where it is cheapest (`_hermitian_norm`).  A matrix of n <= 64
+takes a dense `eigh`, and the norm is the computed eigenvalue.  A larger
+one takes Lanczos from a seeded start vector, a few dozen matrix-vector
+products: it stops when the dominant Ritz value theta's residual r is at
+most 8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
 eigenvalue theta converged to; it misses the largest only for a start
 nearly orthogonal to its eigenvector.  No dense M x M Lax matrix is
 formed: each L_n acts as its n x n block and, elementwise, its diagonal
@@ -113,34 +114,44 @@ def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
 
 _LANCZOS_SEED = 0x1A2  # Philox key of the start vector
 _LANCZOS_CHECK = 6  # Lanczos steps between looks at the tridiagonal
+# largest n whose norm is a dense eigh: on scaled CCM Grams (2 cores, OpenBLAS
+# 0.3.31) eigh takes 0.02 against Lanczos's 0.20 ms at n = 8, about as long at
+# n = 64 (0.57-0.80 against 0.45-0.76 ms) and 4.0-4.4 against 0.44-1.7 ms at 128
+_DENSE_MAX = 64
 
 
 def _hermitian_norm(a: np.ndarray) -> float:
-    """max |lambda| of a Hermitian matrix, by Lanczos with full reorthogonalization.
+    """max |lambda| of a Hermitian matrix: the computed eigenvalue of a dense
+    `eigh` for n <= _DENSE_MAX, else an upper bound on it by Lanczos.
 
-    The start vector is a fixed Philox-seeded complex Gaussian, so equal
-    inputs give equal floats.  Every few steps the extreme eigenpairs
-    (theta, s) of the k x k tridiagonal give Ritz values with residuals
-    r = beta_k |s_k|, and each end holds an eigenvalue of a within r of its
-    theta.  The run stops when the dominant end's r is at most
-    8 u sqrt(n) |theta| and the other end's |theta| + r is no larger, and
-    returns the dominant |theta| + r, an upper bound on the eigenvalue theta
-    converged to.  beta_k = 0 is an invariant subspace, exact; at most n
-    steps are taken.  It fails only when the start vector is nearly
+    Lanczos starts from a fixed Philox-seeded complex Gaussian, so equal
+    inputs give equal floats, and keeps its basis orthonormal by classical
+    Gram-Schmidt taken twice (CGS2) in each step.  Every few steps the
+    extreme eigenpairs (theta, s) of the k x k tridiagonal give Ritz values
+    with residuals r = beta_k |s_k|, and each end holds an eigenvalue of a
+    within r of its theta.  The run stops when the dominant end's r is at
+    most 8 u sqrt(n) |theta| and the other end's |theta| + r is no larger,
+    and returns the dominant |theta| + r, an upper bound on the eigenvalue
+    theta converged to.  beta_k = 0 is an invariant subspace, exact; at most
+    n steps are taken.  It fails only when the start vector is nearly
     orthogonal to the dominant eigenvector (a component below delta has
     probability about n delta^2; Kuczynski and Wozniakowski, SIAM J. Matrix
     Anal. Appl. 13, 1992, bound the error after k steps): it then converges
-    to a smaller eigenvalue.  The basis grows with the steps, a few dozen
-    vectors in practice.
+    to a smaller eigenvalue.  The basis holds each step's vector and its
+    conjugate, a few dozen steps in practice.
     """
     n = len(a)
-    if n == 0:
-        return 0.0
+    if n <= _DENSE_MAX:
+        return float(np.max(np.abs(np.linalg.eigh(a)[0]), initial=0.0))
     rng = np.random.Generator(np.random.Philox(key=_LANCZOS_SEED))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    basis = np.empty((min(n, _LANCZOS_CHECK), n), np.complex128)
-    basis[0] = v / np.linalg.norm(v)
-    w = a @ basis[0]
+    # basis[0, j] is the j-th Lanczos vector and basis[1, j] its conjugate,
+    # so V^H w and V c are each one product; only the rows of the steps
+    # taken are written, so only they take memory
+    basis = np.empty((2, n, n), np.complex128)
+    basis[0, 0] = v / np.linalg.norm(v)
+    np.conjugate(basis[0, 0], out=basis[1, 0])
+    w = a @ basis[0, 0]
     # the run takes a / scale, a power of two near |a| (1 for a v = 0), so
     # the rescaling is exact and no square in a norm underflows or overflows
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w)))[1])
@@ -148,12 +159,12 @@ def _hermitian_norm(a: np.ndarray) -> float:
     tol = 8.0 * _U * np.sqrt(n)
     for k in range(1, n + 1):
         w /= scale
-        alpha[k - 1] = np.vdot(basis[k - 1], w).real
-        w -= alpha[k - 1] * basis[k - 1]
-        if k > 1:
-            w -= beta[k - 2] * basis[k - 2]
-        w -= (basis[:k] @ w.conj()).conj() @ basis[:k]
-        beta[k - 1] = np.linalg.norm(w)
+        v, vh = basis[0, :k], basis[1, :k]
+        c = vh @ w
+        alpha[k - 1] = c[k - 1].real
+        w -= c @ v
+        w -= (vh @ w) @ v
+        beta[k - 1] = np.sqrt(np.vdot(w, w).real)
         last = k == n or beta[k - 1] == 0.0
         if last or k % _LANCZOS_CHECK == 0:
             # complex like every other eigh here: the real LAPACK path raised
@@ -165,10 +176,9 @@ def _hermitian_norm(a: np.ndarray) -> float:
             d = int(ends[1] >= ends[0])
             if last or (r[d] <= tol * ends[d] and ends[1 - d] + r[1 - d] <= ends[d]):
                 return float(np.max(ends + r) * scale)
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis[:min(k, n - k)])])
-        basis[k] = w / beta[k - 1]
-        w = a @ basis[k]
+        np.divide(w, beta[k - 1], out=basis[0, k])
+        np.conjugate(basis[0, k], out=basis[1, k])
+        np.matmul(a, basis[0, k], out=w)
 
 
 def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:
@@ -381,7 +391,7 @@ def run_resolvent_convergence(u0, equation: str, M: int, *,
 
     R_n = Q (Lambda + kappa0)^-1 Q^H from L_n's decomposition on the block,
     plus diag(1/(j + kappa0)) on the tail; R_n - R_M is Hermitian, so its
-    norm is its largest |eigenvalue|, by Lanczos (`_hermitian_norm`).
+    norm is its largest |eigenvalue| (`_hermitian_norm`, Lanczos at M > 64).
     spectra is the context of a `laxflow diagnostics` command; None makes
     one.
     """

@@ -1,5 +1,7 @@
+import builtins
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -689,6 +691,32 @@ def test_manifest_config_replays_the_run(tmp_path, cmd):
         assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
+@pytest.mark.parametrize("cmd", list(REPLAYS))
+def test_manifest_digests_are_the_files_on_disk(tmp_path, cmd):
+    out = tmp_path / "run"
+    assert main([cmd, *REPLAYS[cmd], "--out", str(out)]) == 0
+    files = manifest_of(out)["files"]
+    assert set(files) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in files.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_talbot_reads_no_output_file(tmp_path, monkeypatch):
+    # the manifest hashes the bytes each writer wrote; it read every file back
+    out, reads, real = tmp_path / "run", [], io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if not set("wax+") & set(mode):
+            reads.append(Path(file))
+        return real(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    assert main(["talbot", "--K", "16", "--out", str(out)]) == 0
+    assert [f for f in reads if out in f.parents] == []
+    assert len(manifest_of(out)["files"]) == 10
+
+
 class TestTalbot:
     def test_time_zero_linear_equals_nonlinear(self, tmp_path):
         out = tmp_path / "run"
@@ -801,6 +829,45 @@ def count_kappa0_searches(monkeypatch, calls, search=None):
     monkeypatch.setattr(diag._Spectra, "kappa0", prop)
 
 
+def norm_paths(monkeypatch):
+    """A list that gets (n, dense) for each diagnostics norm of an n x n
+    matrix: dense when `eigh` was taken of the matrix itself, not only of
+    Lanczos tridiagonals."""
+    paths, taken = [], set()
+    real_norm, real_eigh = diag._hermitian_norm, np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        taken.add(id(a))
+        return real_eigh(a, *args, **kwargs)
+
+    def norm(a):
+        taken.clear()
+        value = real_norm(a)
+        paths.append((len(a), id(a) in taken))
+        return value
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(diag, "_hermitian_norm", norm)
+    return paths
+
+
+def rerun_without_eigvalsh(tmp_path, monkeypatch, equation, M):
+    """Run `diagnostics --M M` twice with eigvalsh failing; both runs pass
+    and write the same bounds and resolvent bytes."""
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(np.linalg._linalg, "eigvalsh", no_eigvalsh)
+    profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["diagnostics", "--M", str(M), "--equation", equation, "--profile", profile,
+                     "--out", str(out)]) == 0
+    for name in ("bounds.csv", "resolvent.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestDiagnostics:
     def test_pass_run(self, tmp_path):
         out = tmp_path / "run"
@@ -843,20 +910,24 @@ class TestDiagnostics:
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
     def test_no_eigvalsh_is_taken_and_reruns_are_byte_identical(self, tmp_path, monkeypatch,
                                                                  equation):
-        # every Gram and resolvent-difference norm comes from Lanczos, whose
-        # start vector is seeded
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("numpy.linalg.eigvalsh was called")
+        # at M = 64 every Gram and resolvent-difference norm comes from a
+        # dense eigh of its n <= 64 matrix, never from eigvalsh
+        rerun_without_eigvalsh(tmp_path, monkeypatch, equation, 64)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        monkeypatch.setattr(np.linalg._linalg, "eigvalsh", no_eigvalsh)
-        profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main(["diagnostics", "--M", "64", "--equation", equation, "--profile", profile,
-                         "--out", str(out)]) == 0
-        for name in ("bounds.csv", "resolvent.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+    @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
+    def test_lanczos_norms_rerun_byte_identical(self, tmp_path, monkeypatch, equation):
+        # at M = 128 the n = 128 norms come from Lanczos, whose start vector
+        # is seeded
+        paths = norm_paths(monkeypatch)
+        rerun_without_eigvalsh(tmp_path, monkeypatch, equation, 128)
+        assert {n for n, dense in paths if not dense} == {128}
+
+    def test_lanczos_only_above_64(self, tmp_path, monkeypatch):
+        paths = norm_paths(monkeypatch)
+        assert main(["diagnostics", "--M", "256", "--equation", "CCM-defocusing",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert {n for n, dense in paths if not dense} == {128, 256}
+        assert {n for n, dense in paths if dense} == {1, 2, 4, 8, 16, 32, 64}
 
     def test_no_kappa0_is_a_check_failure(self, tmp_path):
         # the search's RuntimeError ended the command with a traceback

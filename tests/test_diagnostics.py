@@ -538,29 +538,61 @@ def hermitian_case(kind, n, seed, dtype):
     return a.real.copy() if dtype == "real" else a.astype(np.complex128)
 
 
+def assert_norm_matches_eigvalsh(kind, n, seed, exponent, dtype):
+    a = hermitian_case(kind, n, seed, dtype) * 10.0**exponent
+    got = _hermitian_norm(a)
+    assert type(got) is float and got == _hermitian_norm(a)
+    want = float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
+    if kind == "zero" or n == 0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def scaled_ccm_gram(n):
+    """R0 G^2 R0 of CCM data: a spectrum decaying to rounding level."""
+    u0 = analyze_profile(
+        InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 1.0}), n, hardy=True)
+    r0 = 1.0 / (np.arange(n) + 1.0)
+    return diag._Spectra(u0, EQUATIONS["CCM-defocusing"], n)._gram2 * np.outer(r0, r0)
+
+
+HERMITIAN_KINDS = st.sampled_from(["random", "zero", "rank-one", "diagonal", "repeated",
+                                   "negative", "decaying"])
+
+
 class TestHermitianNorm:
+    # n <= 64: the dense path
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["random", "zero", "rank-one", "diagonal", "repeated", "negative",
-                            "decaying"]),
-           st.integers(0, 48), st.integers(0, 2**32 - 1), st.integers(-150, 150),
-           st.sampled_from(["complex", "real"]))
-    # unscaled, |w|^2 underflowed here and the result was 1.6e-140, not 2e-150
-    @example("repeated", 32, 372951265, -150, "complex")
+    @given(HERMITIAN_KINDS, st.integers(0, 48), st.integers(0, 2**32 - 1),
+           st.integers(-150, 150), st.sampled_from(["complex", "real"]))
     def test_matches_eigvalsh(self, kind, n, seed, exponent, dtype):
-        a = hermitian_case(kind, n, seed, dtype) * 10.0**exponent
-        got = _hermitian_norm(a)
-        assert type(got) is float and got == _hermitian_norm(a)
-        want = float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
-        if kind == "zero" or n == 0:
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert_norm_matches_eigvalsh(kind, n, seed, exponent, dtype)
+
+    # n > 64: Lanczos
+    @settings(max_examples=300, deadline=None)
+    @given(HERMITIAN_KINDS, st.integers(65, 160), st.integers(0, 2**32 - 1),
+           st.integers(-150, 150), st.sampled_from(["complex", "real"]))
+    # without the exact rescaling a basis norm's square underflows (|w|^2 at
+    # 1e-156: the result was off by 2.5e-12) or overflows (1e+156: eigh of
+    # the tridiagonal did not converge); at 1e-150 and n = 32 it underflowed
+    # too, but here the squares stay in range up to about 1e+-154
+    @example("repeated", 96, 372951265, -156, "complex")
+    @example("repeated", 96, 372951265, 156, "complex")
+    def test_lanczos_matches_eigvalsh(self, kind, n, seed, exponent, dtype):
+        assert_norm_matches_eigvalsh(kind, n, seed, exponent, dtype)
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_diagnostics_scaled_grams(self, n):
-        # R0 G^2 R0 of CCM data: a spectrum decaying to rounding level
-        u0 = analyze_profile(
-            InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 1.0}), n, hardy=True)
-        r0 = 1.0 / (np.arange(n) + 1.0)
-        a = diag._Spectra(u0, EQUATIONS["CCM-defocusing"], n)._gram2 * np.outer(r0, r0)
+        a = scaled_ccm_gram(n)
         assert _hermitian_norm(a) == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)
+
+    @pytest.mark.parametrize("n, dense", [(64, True), (65, False)])
+    def test_dense_up_to_64_then_lanczos(self, monkeypatch, n, dense):
+        # the dense path takes eigh of the matrix itself, Lanczos only of
+        # its tridiagonals
+        a, taken, real = scaled_ccm_gram(n), [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda x: taken.append(x) or real(x))
+        got = _hermitian_norm(a)
+        assert any(x is a for x in taken) == dense
+        assert got == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)
