@@ -23,9 +23,10 @@ equation, M), `_Spectra`, which computes each quantity when a suite first
 asks for it: the build of L_M, of which every L_n is a slice; kappa0, the
 one implementation of the shift (`find_kappa_zero` reads it); for CCM,
 G^2 = (A A^H)^2 and the norms ||G R0(kappa)|| at n = M, which the kappa0
-search and the bound suite share; and one decomposition of each L_n,
-which gives the semibound's smallest eigenvalue, the resolvent
-R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H and the sweep's groups.
+search and the bound suite share; one decomposition of each L_n, which
+gives the semibound's smallest eigenvalue and the sweep's groups; and one
+resolvent R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H of each n, which the
+sandwich bounds and the resolvent suite share.
 `laxflow diagnostics` passes one context to all three suites; called
 alone, each suite makes its own.
 """
@@ -199,6 +200,7 @@ class _Spectra:
         self.u0, self.eq, self.M = u0, eq, M
         self._gram_norms: Dict[float, float] = {}
         self._eigs: Dict[int, HermitianEig] = {}
+        self._resolvents: Dict[int, np.ndarray] = {}
 
     @classmethod
     def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int) -> "_Spectra":
@@ -265,10 +267,13 @@ class _Spectra:
         return self._eigs[n]
 
     def resolvent(self, n: int) -> np.ndarray:
-        """R_n(kappa0)'s block (B_n + kappa0)^-1, as Q (Lambda + kappa0)^-1 Q^H."""
-        e = self.eig(n)
-        q = e.eigenvectors
-        return (q / (e.eigenvalues + self.kappa0)) @ q.conj().T
+        """R_n(kappa0)'s block (B_n + kappa0)^-1, as Q (Lambda + kappa0)^-1 Q^H, read-only."""
+        if n not in self._resolvents:
+            e = self.eig(n)
+            r = (e.eigenvectors / (e.eigenvalues + self.kappa0)) @ e.eigenvectors.conj().T
+            r.flags.writeable = False
+            self._resolvents[n] = r
+        return self._resolvents[n]
 
 
 def find_kappa_zero(u0, eq: Equation, M: int) -> float:

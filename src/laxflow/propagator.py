@@ -2,7 +2,9 @@
 
 Because the Lax matrices are Hermitian, e^{i alpha t (I + 2 L)} is computed
 through the spectral decomposition L = Q diag(lambda) Q^H once per distinct
-truncation parameter n.  Only the dense n x n block is decomposed, at
+truncation parameter n.  The group is the same for Q D, any diagonal D with
+|D| = I, so Q keeps the column phases `eigh` or the derivation below gives
+it; both are deterministic.  Only the dense n x n block is decomposed, at
 O(n^3), and a decomposition is the block's alone: the tail diag(n, n + 1,
 ...) is already diagonal, and `scheme.run_scheme` keeps it in the gauge
 e^{i alpha t j^2} (`_gauge`), where a scheme step, the shift S* and the
@@ -75,8 +77,9 @@ class _Bounds(NamedTuple):
     """Rigorous spectral-norm bounds for a decomposition Q, lambda of a block B.
 
     ortho >= ||Q^H Q - I||, residual >= ||B Q - Q diag(lambda)||,
-    abs_q >= || |Q| || (entrywise absolute values) and norm >= ||B||, which
-    also bounds every leading block of B.
+    abs_q >= || |Q| || (entrywise absolute values) of the Q stored, and
+    norm >= ||B||, which also bounds every leading block of B.  None of
+    them changes under column phases Q D, |D| = I.
     """
 
     ortho: float
@@ -156,11 +159,8 @@ def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
 
 
 def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> HermitianEig:
-    """Diagonalize the block of a Lax matrix, canonicalizing order and phases.
-
-    Columns are sorted by ascending eigenvalue and each eigenvector is
-    rotated so its largest-magnitude component is real positive, making the
-    result a deterministic function of the input matrix.  Only the block is
+    """Diagonalize the block of a Lax matrix: eigenvalues ascending, each
+    eigenvector with the phase it is computed with.  Only the block is
     decomposed and checked: the tail is exact and the caller's.  The
     reconstruction check's tolerance scales with the block's largest entry.
 
@@ -192,11 +192,11 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
             raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
     derived = _delete_last(parent) if derivable else None
     if derived is not None:
-        q, abs_q = _canonical_phases(derived.q)
-        bounds = _certify(parent, derived, abs_q) if same else None
+        q = derived.q
+        bounds = _certify(parent, derived) if same else None
         certified = bounds is not None
         if not certified:
-            bounds = _check_failure(m, derived.mu, q, abs_q)
+            bounds = _check_failure(m, derived.mu, q)
         if not isinstance(bounds, str):
             q.flags.writeable = False
             return HermitianEig(derived.mu, q, derived=True,
@@ -208,8 +208,7 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
         raise RuntimeError(
             f"eigensolver failed for {m.equation.name} Lax matrix (n={m.n})"
         ) from exc
-    q, abs_q = _canonical_phases(q)
-    bounds = _check_failure(m, lam, q, abs_q)
+    bounds = _check_failure(m, lam, q)
     if isinstance(bounds, str):
         raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n})")
     q.flags.writeable = False
@@ -229,25 +228,6 @@ def _root_ref(block: np.ndarray) -> Optional[weakref.ref]:
     return None
 
 
-def _canonical_phases(q: np.ndarray) -> Tuple[np.ndarray, float]:
-    """q with each column rotated so its largest-magnitude entry is real
-    positive, and a bound on || |q| || for the rotated q.  The bound comes
-    from the |q| the largest entries are chosen by: the rotation, by a
-    phase within 3 u of modulus 1 in one complex product, moves no modulus
-    by more than 6 u."""
-    if not q.size:
-        return q, 0.0
-    a = np.abs(q)
-    idx = np.argmax(a, axis=0)
-    abs_q = _SAFETY * (1.0 + 6 * _U) * _abs_norm(a)
-    # dropped before the small arrays that outlive it are made: one left
-    # above it on the heap keeps its memory from the rotated copy, which
-    # raises the peak by its size (2 MiB at n = 512)
-    del a
-    lead = q[idx, np.arange(q.shape[1])]
-    return q * np.conj(lead / np.abs(lead)), abs_q
-
-
 def _abs_norm(a: np.ndarray) -> float:
     """For a = |x| entrywise, sqrt(||a||_1 ||a||_inf) >= || |x| || >= ||x||; 0 if empty."""
     cols, rows = np.ones(len(a)) @ a, a @ np.ones(a.shape[1])
@@ -261,12 +241,11 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray,
-                   abs_q: Optional[float] = None) -> Union[str, _Bounds]:
+def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _Bounds]:
     """The first check (lam, q) fails as a decomposition of m's block, or the
-    bounds that the defects it measured prove, product rounding included.
-    abs_q >= || |q| || is the bound `_canonical_phases` returned for q; it
-    is taken from q when not given."""
+    bounds that the defects it measured prove: each measured norm plus the
+    rounding of its product, gamma_{n+2} || |q| ||^2 (times max |lam| for
+    the reconstruction), || |q| || bounded from q itself."""
     block, n = m.block, m.n
     scale = 1.0 + float(np.max(np.abs(block), initial=0.0))
     qh = q.conj().T
@@ -277,8 +256,7 @@ def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray,
     ortho = np.abs(qh @ q - np.eye(n))
     if not np.max(ortho, initial=0.0) <= _RECON_TOL:
         return "eigenvectors lost orthonormality"
-    if abs_q is None:
-        abs_q = _SAFETY * _abs_norm(np.abs(q))
+    abs_q = _SAFETY * _abs_norm(np.abs(q))
     lam_max = float(np.max(np.abs(lam), initial=0.0))
     # a product's rounding is at most gamma times |q| |lambda| |q^H|
     rounding = _gamma(n + 2) * abs_q**2
@@ -422,11 +400,10 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     return _Derivation(lam[k], tau, q, s.T, zhat, nu, phase, steps)
 
 
-def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bounds]:
-    """Bounds for the derived pairs (d.mu, q), q = d.q with canonical phases
-    and abs_q >= || |q| || as `_canonical_phases` returns them, or None
-    unless they prove the dense checks pass with half their tolerance to
-    spare.  O(n^2) but the one real product s^T s.
+def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
+    """Bounds for the derived pairs (d.mu, d.q), or None unless they prove
+    the dense checks pass with half their tolerance to spare.  O(n^2) but
+    the one real product s^T s.
 
     With P = [I 0] dropping the last row, l = Q[-1] and D = diag(phase)
     (|D| = I up to rounding), q is Y = P Q D s up to rounding Delta, and
@@ -446,10 +423,11 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
       + 8 u ||zhat||) / nu_j + |g_j| ||(lam - c) l||: O(1) per column
       once g is known.
 
-    Delta covers D's rounding and Q[:-1] D (6 u |Q|: two divisions, then
-    a complex product), the real product of that with s (gamma_n |Q| |s|)
-    and the canonical phases (6 u |q|); its spectral norm is bounded
-    through || |Q| || and || |s| ||.  The stored mu is origin + tau to
+    Delta covers two terms: D's rounding and Q[:-1] D (6 u |Q|: two
+    divisions, then a complex product), and the real product of that with
+    s (gamma_n |Q| |s|); its spectral norm is at most (gamma_n + 6 u)
+    || |Q| || || |s| ||.  No rotation follows: q is stored as the product
+    gives it, with the phases of D s.  The stored mu is origin + tau to
     u |mu|.  `_Bounds.recon` then bounds the reconstruction defect, and
     the maximum entry of a matrix is at most its spectral norm.  The dense
     check scales its tolerance by 1 + max |C|; the certificate by 1 + max
@@ -472,7 +450,7 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
     f = _SAFETY * ((np.ones(len(sts)) @ np.abs(sts)).max(initial=0.0) + gam * abs_s**2)
     sig = np.sqrt(1.0 + f)  # >= ||s|| up to the roundings _UP covers
     y = row * sig  # >= ||Y||
-    delta = abs_q_p * abs_s * (gam + 12 * _U)  # >= ||Delta||
+    delta = abs_q_p * abs_s * (gam + 6 * _U)  # >= ||Delta||
     ortho = _UP * sig**2 * e_p + f + _SAFETY * (g_norm**2 + 2 * y * delta + delta**2)
     h = min(float(np.linalg.norm(Q[:-1] @ np.conj(ell))) + gam * abs_q_p * row, e_p)
     dz = float(np.linalg.norm(d.zhat - np.conj(v))) + 6 * _U * row
@@ -485,7 +463,7 @@ def _certify(parent: HermitianEig, d: _Derivation, abs_q: float) -> Optional[_Bo
     residual = _UP * rho_p * (sig + row * g_norm) + _SAFETY * (
         row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
         + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
-    bounds = _Bounds(ortho, residual, abs_q, b)
+    bounds = _Bounds(ortho, residual, _SAFETY * _abs_norm(np.abs(d.q)), b)
     scale = 1.0 + float(np.max(np.abs(np.diagonal(parent.block)[:-1]), initial=0.0))
     if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * scale:
         return bounds

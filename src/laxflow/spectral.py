@@ -293,13 +293,20 @@ def analyze_profile(p: InitialProfile, bandwidth: int, hardy: bool = False) -> F
     Each kind yields its coefficients c at k = 0..m-1, m <= bandwidth, the
     only ones the schemes read.  Returns ``HardyVector(c)`` if ``hardy`` is
     set (CCM data), else the real field with c(-k) = conj(c(k)) as a
-    RealSpectrum (BO data).
+    RealSpectrum (BO data).  Data with a coefficient or a squared norm that is
+    not finite is refused (the schemes read that norm), with no warning.
     """
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
 
     def field(c) -> Field:
-        return HardyVector(c) if hardy else RealSpectrum.from_hardy_part(c, bandwidth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.all(np.isfinite(c)):
+                f = HardyVector(c) if hardy else RealSpectrum.from_hardy_part(c, bandwidth)
+                if math.isfinite(l2_norm(f)):
+                    return f
+        raise ValueError(f"{p.kind} data at bandwidth {bandwidth} has a coefficient or "
+                         f"a squared norm that is not finite")
 
     if p.kind == "square-wave":
         return field([square_wave_coefficient(k) for k in range(bandwidth)])
@@ -318,17 +325,13 @@ def analyze_profile(p: InitialProfile, bandwidth: int, hardy: bool = False) -> F
         return field(c)
 
     if p.kind == "random-sobolev":
-        s = float(p.params["s"])
-        # a steep growth (s far below 0) overflows; refuse the data, not warn
+        # a steep growth (s far below 0) overflows; `field` refuses the data
         with np.errstate(over="ignore", invalid="ignore"):
-            c = _random_sobolev_hardy(s, int(p.params.get("seed", 0)), bandwidth)
-            # the norm of the field: two-sided for a real one
-            cur = l2_norm(field(c)) if np.all(np.isfinite(c)) else math.inf
-        if not math.isfinite(cur):
-            raise ValueError(f"random-sobolev s={s!r} at bandwidth {bandwidth} gives "
-                             f"coefficients or a squared norm beyond the float range")
+            c = _random_sobolev_hardy(float(p.params["s"]), int(p.params.get("seed", 0)),
+                                      bandwidth)
         target = p.params.get("norm")
         if target is not None:
+            cur = l2_norm(field(c))
             if cur == 0.0:
                 raise ValueError("cannot rescale a zero profile")
             c = c * (float(target) / cur)

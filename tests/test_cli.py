@@ -340,26 +340,32 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
-    # numpy warns of the overflows on the way; the exit code and message are tested
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_eigenvalue_is_not_blamed_on_the_time(self, tmp_path, capsys):
-        # at the default T = 1 the phase overflows because 1 + 2 lambda does,
-        # and the message said "the time is too large"
+        # the message said "the time is too large"; it names the largest |t|
+        # and the largest rate 1 + 2 lambda, here about 1e150 from the data
         out = tmp_path / "x"
-        assert main(["evolve", "--K", "8", "--profile", "explicit:coeffs=[1e308]",
-                     "--out", str(out)]) == 2
+        assert main(["evolve", "--K", "8", "--times", "1e300",
+                     "--profile", "explicit:coeffs=[1e150]", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "overflows" in err and "time is too large" not in err
-        assert "|t| up to 1 times" in err and err.rstrip().endswith("up to inf")
+        assert "|t| up to 1e+300 times" in err and "e+150" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_eigendecomposition_is_a_check_failure(self, tmp_path, capsys):
-        # eigh gives eigenvalues of -inf here, and the NaN residual passed
-        # the reconstruction check, since NaN > tol is False
+    def test_non_finite_eigendecomposition_is_a_check_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # eigh gave eigenvalues of -inf on data near 1e308 (now refused as
+        # data), and the NaN residual passed the reconstruction check, since
+        # NaN > tol is False
+        real_eigh = np.linalg.eigh
+
+        def infinite_eigh(a):
+            lam, q = real_eigh(a)
+            return np.full_like(lam, -np.inf), q
+
+        monkeypatch.setattr(np.linalg, "eigh", infinite_eigh)
         out = tmp_path / "x"
-        assert main(["evolve", "--K", "8", "--profile", "explicit:coeffs=[1e308,1e308]",
-                     "--out", str(out)]) == 1
+        assert main(["evolve", "--K", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("check failure: eigendecomposition residual too large")
         assert not out.exists()
@@ -368,15 +374,28 @@ class TestEvolve:
         "random-sobolev:s=-400,seed=1",
         "random-sobolev:s=-1e308,seed=1",
         "random-sobolev:s=1,seed=1,norm=1e308",
+        "explicit:coeffs=[1e200,1e200]",
+        "explicit:coeffs=[1e200]",
+        "single-mode:k0=1,amplitude=1e200",
+        "single-mode:k0=1,amplitude=1e308",
     ])
     def test_data_beyond_the_float_range_is_refused(self, tmp_path, capsys, profile):
-        # each overflowed with a RuntimeWarning (power, or the norm's dot)
-        # before any check refused it
+        # each overflowed with a RuntimeWarning (power, or the norm's dot),
+        # an error under this suite's warning filter, before any check
+        # refused it; outside it the explicit and single-mode data exited 0,
+        # or 1 on the residual at 1e308
         out = tmp_path / "x"
         assert main(["evolve", "--K", "8", "--times", "1", "--profile", profile,
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: random-sobolev ")
+        kind = profile.split(":")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {kind} ")
         assert not out.exists()
+
+    def test_data_with_a_finite_squared_norm_runs(self, tmp_path):
+        # 3e300, the squared norm of the real field, is within the float range
+        assert main(["evolve", "--K", "8", "--times", "1",
+                     "--profile", "explicit:coeffs=[1e150,1e150]",
+                     "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("norm", ["1e100", "1e150"])
@@ -810,6 +829,21 @@ class TestConvergence:
         for name in ("table.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("equation", ["CCM-defocusing", "CCM-focusing"])
+    def test_ccm_study(self, tmp_path, equation):
+        # the one-sided (Hardy) errors of `_per_time_errors`, which no BO run reaches
+        out = tmp_path / "run"
+        assert main(["convergence", "--equation", equation, "--Ks", "8,16,32,64",
+                     "--kref", "256", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["monotone"] is True
+        assert summary["norm_diff_bounded_by_error"] is True
+        errors = [float(line.split(",")[2])
+                  for line in (out / "table.csv").read_text().splitlines()[1:]]
+        # about 0.17 / 0.16 at K = 8 down to 0.051 / 0.049 at K = 64
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[0] > 0.1 and errors[-1] < 0.06
+
     def test_bad_kref_is_config_error(self, tmp_path):
         assert main(["convergence", "--Ks", "8,64", "--kref", "128",
                      "--out", str(tmp_path / "x")]) == 2
@@ -921,6 +955,37 @@ class TestDiagnostics:
         paths = norm_paths(monkeypatch)
         rerun_without_eigvalsh(tmp_path, monkeypatch, equation, 128)
         assert {n for n, dense in paths if not dense} == {128}
+
+    def test_each_resolvent_is_formed_once(self, tmp_path, monkeypatch):
+        """One command forms each R_n(kappa0) once, read-only, though the
+        bound suite and the resolvent suite both read R_M and R_{M/2}, and
+        writes the bytes a run forming R_n at each read writes."""
+        argv = ["diagnostics", "--M", "128", "--equation", "CCM-defocusing"]
+
+        def forming(self, n):
+            e = self.eig(n)
+            q = e.eigenvectors
+            return (q / (e.eigenvalues + self.kappa0)) @ q.conj().T
+
+        fresh, cached = tmp_path / "fresh", tmp_path / "cached"
+        with monkeypatch.context() as m:
+            m.setattr(diag._Spectra, "resolvent", forming)
+            assert main(argv + ["--out", str(fresh)]) == 0
+        reads, real = {}, diag._Spectra.resolvent
+
+        def spy(self, n):
+            r = real(self, n)
+            reads.setdefault(n, []).append(r)
+            return r
+
+        monkeypatch.setattr(diag._Spectra, "resolvent", spy)
+        assert main(argv + ["--out", str(cached)]) == 0
+        assert sorted(reads) == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert len(reads[64]) == len(reads[128]) == 2
+        for rs in reads.values():
+            assert all(r is rs[0] for r in rs) and not rs[0].flags.writeable
+        for name in ("bounds.csv", "resolvent.csv"):
+            assert (cached / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_lanczos_only_above_64(self, tmp_path, monkeypatch):
         paths = norm_paths(monkeypatch)

@@ -52,8 +52,8 @@ def run(cfg, declined):
     """run_scheme with the certificate declining every derived L_n, n in declined."""
     certify = propagator._certify
 
-    def declining(parent, d, q):
-        return None if len(d.mu) in declined else certify(parent, d, q)
+    def declining(parent, d):
+        return None if len(d.mu) in declined else certify(parent, d)
 
     with mock.patch.object(propagator, "_certify", declining):
         return run_scheme(cfg)
