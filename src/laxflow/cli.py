@@ -214,8 +214,7 @@ def write_manifest(outdir: Path, config: dict, extra: dict, files: dict) -> Path
 def _resolve_times(args) -> np.ndarray:
     if args.times is not None:  # "" is no time, not the --T grid
         return np.array([parse_time_expr(t) for t in args.times.split(";")])
-    T = float(args.T)
-    return np.linspace(-T, T, int(args.grid_points))
+    return diag._time_grid(float(args.T), int(args.grid_points))
 
 
 def _outdir(args) -> Path:
@@ -359,6 +358,7 @@ def cmd_diagnostics(args) -> int:
     reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed),
                                    spectra=spectra)
     res_rows = diag.run_resolvent_convergence(u0, args.equation, M, spectra=spectra)
+    spectra._resolvents.clear()  # their last reader: the sweep needs the decompositions only
     sweep_failed = False
     try:
         sweep_rows = diag.run_propagator_sweep(u0, args.equation, M, float(args.T),

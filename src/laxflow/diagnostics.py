@@ -9,7 +9,7 @@ remain valid assertions for the measured values.
 No norm takes an SVD: an operator norm is sqrt(lambda_max) of the smaller
 Gram matrix, and the norm of a Hermitian difference its largest |lambda|,
 each taken where it is cheapest (`_hermitian_norm`).  A matrix of n <= 64
-takes a dense `eigh`, and the norm is the computed eigenvalue.  A larger
+takes a dense `eigvalsh`, and the norm is the computed eigenvalue.  A larger
 one takes Lanczos from a seeded start vector, a few dozen matrix-vector
 products: it stops when the dominant Ritz value theta's residual r is at
 most 8 u sqrt(n) |theta| and returns |theta| + r, an upper bound on the
@@ -83,18 +83,23 @@ class BoundReport:
 
 
 def _time_grid(T: float, points: int) -> np.ndarray:
-    """points equispaced times on [-T, T]; ValueError unless 2T is finite."""
+    """points equispaced times on [-T, T]; ValueError unless 2T is finite
+    and points is a count an array can have."""
     # a Python float: 2 * np.float64(1e308) would overflow with a warning
     if not math.isfinite(2.0 * float(T)):
         raise ValueError(f"T and the width 2T of [-T, T] must be finite; got {T!r}")
+    # past intp, linspace's arange wraps to no points and it fails with an IndexError
+    if points > np.iinfo(np.intp).max:
+        raise ValueError(f"grid_points must be at most {np.iinfo(np.intp).max}; got {points}")
     return np.linspace(-T, T, points)
 
 
-# M x M complex arrays a diagnostics command holds at once, at its peak, the
-# bound suite's decomposition of L_M: L_M, q, q^H, q diag(lambda) and their
-# product (5.9 and 5.5 by tracemalloc at M = 512 and 1024), or L_M, q and the
-# copy and workspace of `eigh`; a Lanczos basis holds a few dozen vectors
-_HELD_ARRAYS = 6
+# M x M complex arrays' worth a diagnostics command holds at its peak, by
+# tracemalloc over one command, imports warm, each equation: 10.6-10.8 at
+# M = 128, where the sweep's three (21 times, M, 16 vectors) blocks add about
+# 1000 / M, 6.8 at 256, 6.7 at 512 and 1024: the resolvent suite's L_M, the
+# decompositions at M and M/2, R_M, a difference and a Lanczos basis (2 M^2)
+_HELD_ARRAYS = 12
 
 
 def _check_memory(M: int) -> None:
@@ -115,15 +120,14 @@ def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
 
 _LANCZOS_SEED = 0x1A2  # Philox key of the start vector
 _LANCZOS_CHECK = 6  # Lanczos steps between looks at the tridiagonal
-# largest n whose norm is a dense eigh: on scaled CCM Grams (2 cores, OpenBLAS
-# 0.3.31) eigh takes 0.02 against Lanczos's 0.20 ms at n = 8, about as long at
-# n = 64 (0.57-0.80 against 0.45-0.76 ms) and 4.0-4.4 against 0.44-1.7 ms at 128
+# largest n whose norm is a dense eigvalsh: on scaled CCM Grams (2 cores, OpenBLAS
+# 0.3.31) 0.013, 0.32 and 1.2 ms at n = 8, 64, 128 against Lanczos's 0.26, 0.38, 0.34
 _DENSE_MAX = 64
 
 
 def _hermitian_norm(a: np.ndarray) -> float:
     """max |lambda| of a Hermitian matrix: the computed eigenvalue of a dense
-    `eigh` for n <= _DENSE_MAX, else an upper bound on it by Lanczos.
+    `eigvalsh` for n <= _DENSE_MAX, else an upper bound on it by Lanczos.
 
     Lanczos starts from a fixed Philox-seeded complex Gaussian, so equal
     inputs give equal floats, and keeps its basis orthonormal by classical
@@ -143,7 +147,7 @@ def _hermitian_norm(a: np.ndarray) -> float:
     """
     n = len(a)
     if n <= _DENSE_MAX:
-        return float(np.max(np.abs(np.linalg.eigh(a)[0]), initial=0.0))
+        return float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
     rng = np.random.Generator(np.random.Philox(key=_LANCZOS_SEED))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # basis[0, j] is the j-th Lanczos vector and basis[1, j] its conjugate,
@@ -168,7 +172,7 @@ def _hermitian_norm(a: np.ndarray) -> float:
         beta[k - 1] = np.sqrt(np.vdot(w, w).real)
         last = k == n or beta[k - 1] == 0.0
         if last or k % _LANCZOS_CHECK == 0:
-            # complex like every other eigh here: the real LAPACK path raised
+            # complex like every other decomposition here: the real LAPACK path raised
             # the peak RSS of 60 diagnostics commands in one process by 0.6 MiB
             t = np.diag(alpha[:k] + 0j) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
             theta, s = np.linalg.eigh(t)
@@ -489,7 +493,7 @@ def run_convergence_study(
     ref_cfg = SchemeConfig(equation, make_schedule("constant", K_ref), times, u0)
     try:
         ref = run_scheme(ref_cfg)
-    except Exception as exc:
+    except RuntimeError as exc:  # a config error of the data stays one
         raise RuntimeError(f"reference run at K_ref={K_ref} failed: {exc}") from exc
 
     rows = []

@@ -27,20 +27,21 @@ about its nearer pole, where most roots already meet the stopping test, and
 the rest take about one rational step; every evaluation is a matrix-vector
 product.  An `eigh` result passes the dense reconstruction and
 orthonormality checks, two complex n x n products, the reconstruction
-scaled by the block's largest entry.  A derived one is accepted on a
-certificate instead: spectral-norm bounds on its defects, rounding
-included, carried from the parent's in O(n^2) plus one real n x n product,
-that prove the dense checks would pass with half their tolerance to spare
-(scaled by the block's diagonal, a lower bound of its largest entry).  When
-the bounds grow past that the dense check runs and restarts the chain from
-what it measures; where the derived pairs fail it, `eigh` is taken instead.
-Two slices of one read-only build need no block compare: their blocks are
-equal by construction.
+scaled by the block's largest entry.  A derived one whose block and whose
+parent's block are leading blocks of one live read-only build, and so
+equal by construction, is accepted on a certificate instead: spectral-norm
+bounds on its defects, rounding included, carried from the parent's in
+O(n^2) plus one real n x n product, that prove the dense checks would pass
+with half their tolerance to spare (scaled by the block's diagonal, a lower
+bound of its largest entry).  Any other derived one, and one whose bounds
+grow past that, takes the dense check, which restarts the chain from what
+it measures; where the derived pairs fail it, `eigh` is taken instead.
 
-A `PropagatorCache` is a plain dict from key to decomposition with no
-lock: laxflow code runs on one thread, and the BLAS behind numpy already
-uses every core.  The shift kappa0 and the operator norms of the
-convergence analysis are `diagnostics`'s.
+A `PropagatorCache` is a memo bounded in bytes, a plain dict from key to
+decomposition with no lock: laxflow code runs on one thread, and the BLAS
+behind numpy already uses every core.  What a run still needs, the run
+holds itself.  The shift kappa0 and the operator norms of the convergence
+analysis are `diagnostics`'s.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ class HermitianEig:
     certified iff they were accepted on their certificate rather than on
     the dense check; secular_steps counts the rational steps the
     derivation's roots took.  `eig_hermitian` also keeps the bounds its
-    checks proved and a weak reference to the array whose leading block it
-    decomposed, which a decomposition derived from this one builds on.
+    checks proved and `_root`, a weak reference to the read-only array
+    whose leading block it decomposed (a whole build, for
+    `LaxMatrix.truncated` slices) or None, so that a cached decomposition
+    keeps no build alive.
     """
 
     eigenvalues: np.ndarray
@@ -118,14 +121,6 @@ class HermitianEig:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues, np.float64))
         object.__setattr__(self, "eigenvectors", _read_only(self.eigenvectors, np.complex128))
-
-    @property
-    def block(self) -> Optional[np.ndarray]:
-        """The read-only block decomposed, while the array it is the leading
-        block of (a whole build, for `LaxMatrix.truncated` slices) lives; a
-        cached decomposition keeps no build alive."""
-        root = self._root() if self._root is not None else None
-        return None if root is None else root[: self.n, : self.n]
 
     @property
     def n(self) -> int:
@@ -154,7 +149,7 @@ def _gauge(ts, alpha: int, m: np.ndarray) -> np.ndarray:
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
     """True iff the parent is one size up, so that m's block may be its
-    block less the last row and column (`eig_hermitian` checks that it is)."""
+    block less the last row and column (`eig_hermitian`'s checks find out)."""
     return parent is not None and parent.n == m.n + 1 >= 2
 
 
@@ -166,34 +161,31 @@ def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> Hermit
 
     With `parent`, the decomposition of the same operator at n + 1, the
     block's eigenpairs are derived from the parent's (`_delete_last`) and
-    marked `derived`.  When the parent's block less its last row and
-    column is m's block, m's block needs no Hermitian check, since the
-    parent's passed it.  Two leading blocks of one read-only array (two
-    slices of one `LaxMatrix` build, while the build lives) are that by
-    construction; other blocks are compared bit for bit.  The derived
-    pairs are then accepted on a certificate (`_certify`): bounds carried
-    down the chain from the last dense check that prove, in O(n^2) plus
-    one real n x n product, that the dense reconstruction and
-    orthonormality checks pass with half their tolerance to spare.
-    Otherwise, or when the bounds grow past that, the dense check
-    (`_check_failure`) runs, and the chain restarts from what it measures.
-    `eigh` is the fallback when the derivation declines or its pairs fail
-    that check.
+    marked `derived`.  When m's block and the parent's are leading blocks
+    of one live read-only array (two slices of one `LaxMatrix` build), m's
+    block is the parent's less its last row and column by construction: it
+    needs no Hermitian check, since the parent's passed it, and the derived
+    pairs are accepted on a certificate (`_certify`): bounds carried down
+    the chain from the last dense check that prove, in O(n^2) plus one real
+    n x n product, that the dense reconstruction and orthonormality checks
+    pass with half their tolerance to spare.  Any other block (an equal
+    copy, a separate build) takes the Hermitian check, and its derived
+    pairs the dense check (`_check_failure`), as do pairs whose bounds grow
+    past that; the chain restarts from what it measures.  `eigh` is the
+    fallback when the derivation declines or its pairs fail that check.
     """
     root = _root_ref(m.block)
     derivable = _derivable(m, parent)
-    block = parent.block if derivable and parent.bounds is not None else None
-    # two leading blocks of one read-only array are equal by construction
-    shared = block is not None and root is not None and root() is parent._root()
-    same = shared or (block is not None and np.array_equal(m.block, block[:-1, :-1]))
-    if not same:
+    shared = (derivable and root is not None and parent._root is not None
+              and root() is parent._root() and parent.bounds is not None)
+    if not shared:
         defect = hermitian_defect(m)
         if defect != 0.0:
             raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
     derived = _delete_last(parent) if derivable else None
     if derived is not None:
         q = derived.q
-        bounds = _certify(parent, derived) if same else None
+        bounds = _certify(parent, derived) if shared else None
         certified = bounds is not None
         if not certified:
             bounds = _check_failure(m, derived.mu, q)
@@ -431,7 +423,8 @@ def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
     u |mu|.  `_Bounds.recon` then bounds the reconstruction defect, and
     the maximum entry of a matrix is at most its spectral norm.  The dense
     check scales its tolerance by 1 + max |C|; the certificate by 1 + max
-    |diag(C)|, an O(n) lower bound on it.
+    |diag(C)|, an O(n) lower bound on it, read from the build that the
+    parent's `_root` names, alive whenever `eig_hermitian` certifies.
     """
     Q, (e_p, rho_p, abs_q_p, b) = parent.eigenvectors, parent.bounds
     n = parent.n
@@ -464,7 +457,7 @@ def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
         row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
         + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
     bounds = _Bounds(ortho, residual, _SAFETY * _abs_norm(np.abs(d.q)), b)
-    scale = 1.0 + float(np.max(np.abs(np.diagonal(parent.block)[:-1]), initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(np.diagonal(parent._root())[: n - 1]), initial=0.0))
     if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * scale:
         return bounds
     return None
@@ -511,9 +504,9 @@ def advance(e: HermitianEig, ts, alpha: int, X: np.ndarray, steps: int) -> np.nd
     return rows
 
 
-# the bytes of finished decompositions a cache keeps for a later run to hit:
-# room for reruns at small K on a shared cache (a full staircase at K = 64
-# leaves 1.3 MiB); no command reuses a cache across runs
+# the bytes of decompositions a cache keeps for a later run to hit: room for
+# reruns at small K on a shared cache (a full staircase at K = 64 leaves
+# 1.3 MiB; at K = 256 it keeps n = 1..72); no command reuses a cache across runs
 _CACHE_BUDGET = 2 << 20
 
 
@@ -523,7 +516,8 @@ def _nbytes(e: HermitianEig) -> int:
 
 @dataclass
 class PropagatorCache:
-    """At-most-once eigendecomposition per (equation, n, digest).
+    """At-most-once eigendecomposition per (equation, n, digest), a memo
+    bounded in bytes.
 
     A decomposition built with a `parent` one size up is derived from it
     when it can be (`derived`; `certified` of those were accepted on their
@@ -531,16 +525,15 @@ class PropagatorCache:
     steps their roots took) and otherwise taken by `eigh` (`fallbacks`);
     either way it counts as one decomposition.
 
-    An entry is *live* from its build until `release(key)` marks it
-    *finished*; `run_scheme` releases each n after its last run.  A live
-    entry is never evicted.  Finished entries stay resident, for a later
-    run to hit, while they take at most `_CACHE_BUDGET` bytes in all; past
-    that the one released longest ago is *evicted*, dropped from the cache
-    (`evictions`).  A hit on a finished entry makes it live again.
+    After each build, while the entries take more than `_CACHE_BUDGET`
+    bytes in all, the largest, the oldest of equal size first, is
+    *evicted*, dropped from the cache (`evictions`); that may be the entry
+    just built, which is still returned.  A staircase on its own cache so
+    ends holding its smallest decompositions, the last a rerun reaches.
+    The cache does not know what a run still needs: the run holds that.
     """
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
-    _finished: Dict[Tuple, int] = field(default_factory=dict)  # key -> bytes, oldest first
     decompositions: int = 0
     hits: int = 0
     derived: int = 0
@@ -559,7 +552,6 @@ class PropagatorCache:
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1
-            self._finished.pop(key, None)
             return cached
         m = factory()
         built = self._store[key] = eig_hermitian(m, parent)
@@ -570,14 +562,8 @@ class PropagatorCache:
             self.secular_steps += built.secular_steps
         elif _derivable(m, parent):
             self.fallbacks += 1
-        return built
-
-    def release(self, key: Tuple) -> None:
-        """Mark the entry finished, then evict the finished entries released
-        longest ago until the rest fit the budget."""
-        self._finished.pop(key, None)
-        self._finished[key] = _nbytes(self._store[key])
-        while sum(self._finished.values()) > _CACHE_BUDGET:
-            oldest = next(iter(self._finished))
-            del self._finished[oldest], self._store[oldest]
+        while self.nbytes > _CACHE_BUDGET:
+            # max takes the first of equal sizes, and a dict iterates oldest first
+            del self._store[max(self._store, key=lambda k: _nbytes(self._store[k]))]
             self.evictions += 1
+        return built

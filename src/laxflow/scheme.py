@@ -245,11 +245,10 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     Gauge phases are within a few u of exact at any t for M <= 2^13
     (`propagator._gauge`); the block's round t (1 + 2 lambda) once a step.
 
-    After the last run of each n the cache is told that the entry is
-    finished (`PropagatorCache.release`), so it keeps finished entries
-    only within its byte budget: a staircase holds at most two live
-    decompositions, the one in use and its parent, plus 2 MiB of finished
-    ones (`propagator._CACHE_BUDGET`).  Before any work, ValueError when
+    The cache is a memo within a byte budget (`propagator._CACHE_BUDGET`,
+    2 MiB); the run itself holds what its schedule still needs: the
+    decomposition in use, which is the next run's parent, and one of each
+    n that a later run returns to.  Before any work, ValueError when
     the least the run must hold at once, the Lax build and one
     decomposition at the largest n(k), the buffer and the coefficients,
     exceeds the memory the process may use (`_physical_memory`: physical
@@ -298,21 +297,21 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     lax = functools.cache(lambda: eq.build_lax(u0, n_max))
     runs = [(n, len(list(run))) for n, run in itertools.groupby(sched.values[1:].tolist())]
     last = {n: i for i, (n, _) in enumerate(runs)}
+    held = {}  # n -> the decomposition a later run at n needs again
     k, eig, was = 1, None, int(sched.values[0])
     for i, (n, steps) in enumerate(runs):
         regauge(k, was, n, steps)
         if n == 0:
             coeffs[:, k : k + steps] = buf[k : k + steps].T
         else:
-            # each run's decomposition is the next one's parent, derived from
-            # it on a staircase n -> n - 1 and kept alive by eig past evictions;
-            # the block depends on the data and n alone, so runs of any K share it
-            key = (eq.name, n, digest)
-            eig = cache.get_or_build(key, lambda: lax().truncated(n), parent=eig)
+            # the run before's decomposition is this one's parent, derived from on a
+            # staircase n -> n - 1; keys hold no K, so runs of any K share them
+            eig = held.pop(n) if n in held else cache.get_or_build(
+                (eq.name, n, digest), lambda: lax().truncated(n), parent=eig)
+            if last[n] > i:
+                held[n] = eig
             coeffs[:, k : k + steps] = advance(eig, cfg.times, eq.alpha,
                                                buf[k - 1 : k - 1 + n + steps], steps)
-            if last[n] == i:
-                cache.release(key)
         k, was = k + steps, n
 
     # u^K = S* u^{K-1}, the window one row on, in the standard basis

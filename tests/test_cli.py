@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,7 @@ _evolve_configs = st.tuples(
 @example({"out": "run", "K": 8, "times": "1", "profile": "random-sobolev:s=-400,seed=1"})
 @example({"out": "run", "K": 8, "profile": {"kind": "explicit", "coeffs": [1e308, 1e308]}})
 @example({"out": "cfg.json", "K": 8, "times": "0"})
+@example({"out": "run", "grid_points": 2**63})
 def test_evolve_config_file_fuzz(config):
     """Whatever a config file holds, evolve exits 0, 1 or 2 and raises nothing."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -694,6 +696,16 @@ def test_time_grid_must_be_finite(tmp_path, capsys, cmd, T):
     assert main([cmd, f"--T={T}", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "2T of [-T, T] must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["evolve", "convergence"])
+def test_grid_points_past_intp_is_config_error(tmp_path, capsys, cmd):
+    # linspace wrapped 2**63 points to none and failed with an IndexError
+    out = tmp_path / "x"
+    assert main([cmd, "--grid-points", str(2**63), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid_points must be at most") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -848,6 +860,24 @@ class TestConvergence:
         assert main(["convergence", "--Ks", "8,64", "--kref", "128",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_focusing_data_over_the_threshold_is_config_error(self, tmp_path, capsys):
+        # the reference run refuses the data as `evolve` does: exit 2, not 1
+        assert main(["convergence", "--equation", "CCM-focusing",
+                     "--profile", "random-sobolev:s=1,seed=0,norm=2", "--Ks", "8,16,32,64",
+                     "--kref", "256", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: focusing CCM requires ||u0|| < 1")
+
+    def test_failed_reference_run_is_check_failure(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg, cache=None):
+            raise RuntimeError("eigensolver failed")
+
+        monkeypatch.setattr(diag, "run_scheme", fail)
+        assert main(["convergence", "--Ks", "8,16,32,64", "--kref", "256",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "check failure: reference run at K_ref=256 failed: eigensolver failed\n")
+
 
 def count_kappa0_searches(monkeypatch, calls, search=None):
     """Append M to calls at each kappa0 search, a first read of a
@@ -864,35 +894,33 @@ def count_kappa0_searches(monkeypatch, calls, search=None):
 
 
 def norm_paths(monkeypatch):
-    """A list that gets (n, dense) for each diagnostics norm of an n x n
-    matrix: dense when `eigh` was taken of the matrix itself, not only of
-    Lanczos tridiagonals."""
-    paths, taken = [], set()
-    real_norm, real_eigh = diag._hermitian_norm, np.linalg.eigh
+    """A list that gets (n, path) for each diagnostics norm of an n x n
+    matrix: "eigvalsh" when `eigvalsh` was taken of the matrix itself,
+    "eigh" when `eigh` was, else "lanczos" (`eigh` of tridiagonals only)."""
+    paths, taken = [], {}
+    real_norm = diag._hermitian_norm
 
-    def eigh(a, *args, **kwargs):
-        taken.add(id(a))
-        return real_eigh(a, *args, **kwargs)
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            taken[id(a)] = name
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
 
     def norm(a):
         taken.clear()
         value = real_norm(a)
-        paths.append((len(a), id(a) in taken))
+        paths.append((len(a), taken.get(id(a), "lanczos")))
         return value
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    spy("eigh", np.linalg.eigh)
+    spy("eigvalsh", np.linalg.eigvalsh)
     monkeypatch.setattr(diag, "_hermitian_norm", norm)
     return paths
 
 
-def rerun_without_eigvalsh(tmp_path, monkeypatch, equation, M):
-    """Run `diagnostics --M M` twice with eigvalsh failing; both runs pass
-    and write the same bounds and resolvent bytes."""
-    def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("numpy.linalg.eigvalsh was called")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    monkeypatch.setattr(np.linalg._linalg, "eigvalsh", no_eigvalsh)
+def rerun_identical(tmp_path, equation, M):
+    """Run `diagnostics --M M` twice; both runs pass and write the same
+    bounds and resolvent bytes."""
     profile = "random-sobolev:s=1,seed=1,norm=" + ("0.5" if equation == "CCM-focusing" else "1")
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -928,7 +956,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
     def test_no_svd_is_taken(self, tmp_path, monkeypatch, equation):
-        # every norm comes from eigvalsh; np.linalg.norm(ord=2) reaches svd
+        # no norm comes from an SVD; np.linalg.norm(ord=2) reaches svd
         # through the module that defines it, so both names are replaced
         def no_svd(*args, **kwargs):
             raise AssertionError("numpy.linalg.svd was called")
@@ -942,19 +970,22 @@ class TestDiagnostics:
                      "--out", str(tmp_path / "run")]) == 0
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
-    def test_no_eigvalsh_is_taken_and_reruns_are_byte_identical(self, tmp_path, monkeypatch,
-                                                                 equation):
+    def test_dense_norms_take_eigvalsh_and_rerun_byte_identical(self, tmp_path, monkeypatch,
+                                                                equation):
         # at M = 64 every Gram and resolvent-difference norm comes from a
-        # dense eigh of its n <= 64 matrix, never from eigvalsh
-        rerun_without_eigvalsh(tmp_path, monkeypatch, equation, 64)
+        # dense eigvalsh of its n <= 64 matrix, never from eigh
+        paths = norm_paths(monkeypatch)
+        rerun_identical(tmp_path, equation, 64)
+        assert paths and {path for _, path in paths} == {"eigvalsh"}
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing", "CCM-defocusing"])
     def test_lanczos_norms_rerun_byte_identical(self, tmp_path, monkeypatch, equation):
         # at M = 128 the n = 128 norms come from Lanczos, whose start vector
         # is seeded
         paths = norm_paths(monkeypatch)
-        rerun_without_eigvalsh(tmp_path, monkeypatch, equation, 128)
-        assert {n for n, dense in paths if not dense} == {128}
+        rerun_identical(tmp_path, equation, 128)
+        assert {n for n, path in paths if path == "lanczos"} == {128}
+        assert {path for n, path in paths if n < 128} == {"eigvalsh"}
 
     def test_each_resolvent_is_formed_once(self, tmp_path, monkeypatch):
         """One command forms each R_n(kappa0) once, read-only, though the
@@ -991,8 +1022,9 @@ class TestDiagnostics:
         paths = norm_paths(monkeypatch)
         assert main(["diagnostics", "--M", "256", "--equation", "CCM-defocusing",
                      "--out", str(tmp_path / "run")]) == 0
-        assert {n for n, dense in paths if not dense} == {128, 256}
-        assert {n for n, dense in paths if dense} == {1, 2, 4, 8, 16, 32, 64}
+        assert {n for n, path in paths if path == "lanczos"} == {128, 256}
+        assert {n for n, path in paths if path == "eigvalsh"} == {1, 2, 4, 8, 16, 32, 64}
+        assert "eigh" not in {path for _, path in paths}
 
     def test_no_kappa0_is_a_check_failure(self, tmp_path):
         # the search's RuntimeError ended the command with a traceback
@@ -1123,6 +1155,21 @@ class TestDiagnostics:
         assert "physical memory" in err and "Traceback" not in err
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_preflight_counts_the_peak(self, tmp_path, M):
+        # tracemalloc's peak over one command is within the M x M arrays the
+        # preflight counts; a first command's lazy imports are taken apart
+        argv = ["diagnostics", "--equation", "CCM-defocusing",
+                "--profile", "random-sobolev:s=1,seed=3,norm=1"]
+        assert main(argv + ["--M", "64", "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--M", str(M), "--out", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * diag._HELD_ARRAYS * M * M, peak / (16 * M * M)
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-focusing"])
     def test_bounds_csv_rows_are_the_suites_reports(self, tmp_path, equation):

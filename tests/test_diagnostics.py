@@ -19,6 +19,7 @@ from laxflow.diagnostics import (
 )
 import laxflow.lax
 from laxflow.lax import EQUATIONS, build_bo_lax, build_ccm_lax
+from laxflow.propagator import HermitianEig
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
 from dense import dense_matrix
 
@@ -390,6 +391,21 @@ class TestConvergenceStudy:
             run_convergence_study(InitialProfile("square-wave"), "BO", Ks=[8, 64],
                                   schedule_kind="constant", T=0.5, grid_points=11, K_ref=128)
 
+    def test_grid_points_guard(self):
+        with pytest.raises(ValueError, match="grid_points must be >= 11"):
+            run_convergence_study(InitialProfile("square-wave"), "BO", Ks=[8, 16],
+                                  schedule_kind="constant", T=0.5, grid_points=10, K_ref=128)
+
+    def test_growing_error_fails_the_check(self, monkeypatch):
+        # errors that grow with K: check=True raises, check=False returns them
+        monkeypatch.setattr(diag, "_per_time_errors",
+                            lambda out, ref: (np.array([float(out.schedule.K)]), np.zeros(1)))
+        args = dict(u0=InitialProfile("square-wave"), equation="BO", Ks=[8, 16],
+                    schedule_kind="constant", T=0.5, grid_points=11, K_ref=64)
+        with pytest.raises(RuntimeError, match="error not non-increasing: K=8 -> 8.000e"):
+            run_convergence_study(**args)
+        assert [r.error for r in run_convergence_study(**args, check=False).rows] == [8.0, 16.0]
+
 
 class TestFitRate:
     def _table(self, errors, Ks=(8, 16, 32, 64)):
@@ -438,6 +454,19 @@ class TestPropagatorSweep:
         u0 = bo_data(64) if equation == "BO" else ccm_data(64)
         with pytest.raises(RuntimeError, match="not finite"):
             run_propagator_sweep(u0, equation, 64, T=1e307)
+
+    def test_an_error_that_grows_fails(self, monkeypatch):
+        # zero data: every L_n is diagonal and agrees with L_M, so every error
+        # is 0 but the one at n = M/2, whose eigenvalues are moved by 1/2
+        real = diag._Spectra.eig
+
+        def eig(self, n):
+            e = real(self, n)
+            return HermitianEig(e.eigenvalues + 0.5, e.eigenvectors) if n == self.M // 2 else e
+
+        monkeypatch.setattr(diag._Spectra, "eig", eig)
+        with pytest.raises(RuntimeError, match="failed to decrease from n=4 to n=M/2"):
+            run_propagator_sweep(RealSpectrum.from_hardy_part([], K=64), "BO", 64, T=1.0)
 
     def test_requires_large_power_of_two(self):
         with pytest.raises(ValueError):
@@ -589,10 +618,14 @@ class TestHermitianNorm:
 
     @pytest.mark.parametrize("n, dense", [(64, True), (65, False)])
     def test_dense_up_to_64_then_lanczos(self, monkeypatch, n, dense):
-        # the dense path takes eigh of the matrix itself, Lanczos only of
-        # its tridiagonals
-        a, taken, real = scaled_ccm_gram(n), [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda x: taken.append(x) or real(x))
+        # the dense path takes eigvalsh of the matrix itself, Lanczos eigh
+        # only of its tridiagonals
+        a, taken = scaled_ccm_gram(n), []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda x, name=name, real=real: taken.append((name, x)) or real(x))
         got = _hermitian_norm(a)
-        assert any(x is a for x in taken) == dense
+        assert [name for name, x in taken if x is a] == (["eigvalsh"] if dense else [])
+        assert {name for name, _ in taken} == ({"eigvalsh"} if dense else {"eigh"})
         assert got == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)

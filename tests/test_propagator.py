@@ -223,34 +223,34 @@ class TestCache:
         b = cache.get_or_build(k, lambda: build_bo_lax(u0, 2))
         assert a is b
 
-    def test_evicts_finished_entries_released_longest_ago(self, monkeypatch):
-        # three entries of 16 * 3^2 + 8 * 3 = 168 bytes, a budget for two
+    def test_evicts_the_largest_then_the_oldest_of_equal_size(self, monkeypatch):
+        # entries of 16 * 3^2 + 8 * 3 = 168 and 16 * 5^2 + 8 * 5 = 440 bytes,
+        # a budget for one of each
         u0 = random_spectrum(8, 0)
         cache = PropagatorCache()
-        key = lambda d: ("BO", 3, d)
-        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 2 * 168)
-        for d in "abc":
-            cache.get_or_build(key(d), lambda: build_bo_lax(u0, 3))
-        cache.release(key("b"))
-        cache.release(key("a"))
-        cache.release(key("c"))
-        assert (list(cache._store), cache.evictions) == ([key("a"), key("c")], 1)
+        key = lambda n, d: ("BO", n, d)
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 168 + 440)
+        for n, d in ((3, "a"), (5, "b"), (5, "c")):
+            cache.get_or_build(key(n, d), lambda: build_bo_lax(u0, n))
+        assert (list(cache._store), cache.evictions) == ([key(3, "a"), key(5, "c")], 1)
+        cache.get_or_build(key(3, "d"), lambda: build_bo_lax(u0, 3))
+        assert (list(cache._store), cache.evictions) == ([key(3, "a"), key(3, "d")], 2)
         assert cache.nbytes == 2 * 168
 
-    def test_live_entries_are_never_evicted(self, monkeypatch):
+    def test_the_entry_just_built_may_be_evicted(self, monkeypatch):
         u0 = random_spectrum(8, 0)
         cache = PropagatorCache()
         key = lambda n: ("BO", n, "d")
         cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
-        cache.release(key(3))
-        # a hit makes a finished entry live again
-        cache.get_or_build(key(3), lambda: build_bo_lax(u0, 3))
-        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
-        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 0)
-        cache.release(key(5))
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 400)
+        # the largest is the new entry itself: it is evicted and still returned
+        e = cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
+        assert e.n == 5
         assert (list(cache._store), cache.evictions) == ([key(3)], 1)
-        cache.release(key(3))
-        assert (cache._store, cache.evictions, cache.nbytes) == ({}, 2, 0)
+        monkeypatch.setattr(propagator, "_CACHE_BUDGET", 0)
+        cache.get_or_build(key(5), lambda: build_bo_lax(u0, 5))
+        assert (cache._store, cache.evictions, cache.nbytes) == ({}, 3, 0)
+        assert (cache.decompositions, cache.hits) == (3, 0)
 
 
 K_CHAIN = 64
@@ -398,7 +398,7 @@ class TestCertificate:
         for seed in range(1000, 1010):
             for m, _, e in self.sliced_chain(family, seed):
                 assert e.derived == (m.n < self.K - 1)
-                assert e.block.base is m.block.base  # both views of the one build
+                assert e._root() is m.block.base  # both views of the one build
                 if not e.certified:
                     continue
                 certified += 1
@@ -419,12 +419,12 @@ class TestCertificate:
         p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 1000, "norm": 0.5})
         u0 = analyze_profile(p, 16, hardy=eq.hardy)
         parent = eig_hermitian(eq.build_lax(u0, 16).truncated(9))
-        assert parent.block is None
+        assert parent._root() is None
         child = eig_hermitian(eq.build_lax(u0, 16).truncated(8), parent)
         assert child.derived and not child.certified
         out = run_scheme(SchemeConfig(family, make_schedule("full-staircase", 16), [1.0], u0))
         assert out.cache.certified == 14
-        assert all(e.block is None for e in out.cache._store.values())
+        assert all(e._root() is None for e in out.cache._store.values())
 
     def test_derivation_is_phase_agnostic(self, family):
         """A parent whose columns are rotated by random unit phases, its
@@ -472,9 +472,9 @@ class TestCertificate:
 
 
 class TestSharedBuild:
-    """Two leading blocks of one read-only build are equal by construction:
-    a child of such a parent skips the bit-for-bit block compare (a check
-    change), and every other child still takes it."""
+    """Two leading blocks of one live read-only build are equal by
+    construction: a child of such a parent skips the Hermitian and dense
+    checks and is certified, and every other child takes both checks."""
 
     K = 24
 
@@ -492,26 +492,24 @@ class TestSharedBuild:
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
         return calls
 
-    def test_views_of_one_build_skip_the_compare(self, monkeypatch):
+    def test_views_of_one_build_skip_the_checks(self, monkeypatch):
         lax = self.build()
         parent = eig_hermitian(lax.truncated(self.K - 2))
         parent = eig_hermitian(lax.truncated(self.K - 3), parent)
-
-        def refuse(*args):
-            raise AssertionError("np.array_equal called on a shared build")
-
-        monkeypatch.setattr(np, "array_equal", refuse)
+        calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
         child = eig_hermitian(lax.truncated(self.K - 4), parent)
+        assert calls == []
         assert child.derived and child.certified
 
-    def test_an_equal_copy_is_compared_and_certified(self, monkeypatch):
+    def test_an_equal_copy_is_derived_and_dense_checked(self, monkeypatch):
         lax = self.build()
         parent = eig_hermitian(lax.truncated(self.K - 2))
         copy = LaxMatrix(lax.truncated(self.K - 3).block.copy(), lax.equation)
-        calls = self.counting(monkeypatch, ["array_equal"], np)
+        calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
+        np_calls = self.counting(monkeypatch, ["array_equal"], np)
         child = eig_hermitian(copy, parent)
-        assert calls == ["array_equal"]
-        assert child.derived and child.certified
+        assert (calls, np_calls) == (["hermitian_defect", "_check_failure"], [])
+        assert child.derived and not child.certified
 
     def test_a_copy_one_ulp_off_takes_the_checks(self, monkeypatch):
         lax = self.build()
@@ -535,7 +533,7 @@ class TestSharedBuild:
             views.append(LaxMatrix(view, EQUATIONS["CCM-defocusing"]))
         assert views[1].block.base is root and root.flags.writeable
         parent = eig_hermitian(views[0])
-        assert parent.block is None
+        assert parent._root is None
         calls = self.counting(monkeypatch, ["hermitian_defect", "_check_failure"])
         child = eig_hermitian(views[1], parent)
         assert calls == ["hermitian_defect", "_check_failure"]

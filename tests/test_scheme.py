@@ -266,12 +266,13 @@ class TestDerivedStaircase:
 
 
 class TestCacheLifetime:
-    """The cache keeps finished decompositions within its budget only."""
+    """The cache keeps decompositions within its budget only; the run holds
+    what its schedule still needs."""
 
     def test_full_staircase_holds_a_few_blocks(self, monkeypatch):
-        # with nothing kept after its last run, the peak is the build, the
-        # live entry and its parent and the derivation's temporaries; all
-        # K - 1 entries held would be about 44 blocks
+        # with nothing cached, the peak is the build, the decomposition in
+        # use and its parent, which the run holds, and the derivation's
+        # temporaries; all K - 1 entries held would be about 44 blocks
         K = 128
         monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
         cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
@@ -303,12 +304,30 @@ class TestCacheLifetime:
         np.testing.assert_array_equal(first.final_iterate, again.final_iterate)
 
     def test_returning_schedule_decomposes_each_n_once(self, monkeypatch):
-        # 8 is needed again after 4: it stays live through the run at 4
+        # 8 is needed again after 4: the run holds it through the run at 4,
+        # though the cache evicts every entry as soon as it is built
         monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
         sched = make_schedule("custom", 8, [8, 8, 4, 4, 8, 8, 2, 2])
         out = run("BO", sched, [0.3, 1.7], bo_profile(6))
-        assert (out.decompositions, out.cache.hits) == (3, 1)
+        assert (out.decompositions, out.cache.hits) == (3, 0)
         assert (out.cache.evictions, out.cache.nbytes) == (3, 0)
+
+    def test_rerun_on_its_own_cache_hits_every_kept_entry(self):
+        # a K = 128 full staircase overflows the 2 MiB budget; the cache keeps
+        # the smallest decompositions, which a rerun reaches last
+        K = 128
+        u0 = analyze_profile(bo_profile(7, norm=0.4), K, hardy=True)
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
+                           np.array([-0.7, 1.3]), u0)
+        first = run_scheme(cfg)
+        cache = first.cache
+        kept = sorted(key[1] for key in cache._store)
+        assert first.decompositions == K - 1 and cache.evictions > 0
+        assert kept == list(range(1, len(kept) + 1))
+        again = run_scheme(cfg, cache=cache)
+        assert (again.decompositions, cache.hits) == (K - 1 - len(kept), len(kept))
+        np.testing.assert_array_equal(first.coeffs, again.coeffs)
+        np.testing.assert_array_equal(first.final_iterate, again.final_iterate)
 
 
 class TestPreflight:
