@@ -229,7 +229,6 @@ def _cache_counters(*results) -> dict:
     return {
         "decompositions": sum(r.decompositions for r in results),
         "derived_decompositions": sum(c.derived for c in caches),
-        "certified_decompositions": sum(c.certified for c in caches),
         "fallbacks": sum(c.fallbacks for c in caches),
         "secular_steps": sum(c.secular_steps for c in caches),
         "evictions": sum(c.evictions for c in caches),

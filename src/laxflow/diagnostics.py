@@ -95,11 +95,11 @@ def _time_grid(T: float, points: int) -> np.ndarray:
 
 
 # M x M complex arrays' worth a diagnostics command holds at its peak, by
-# tracemalloc over one command, imports warm, each equation: 10.6-10.8 at
-# M = 128, where the sweep's three (21 times, M, 16 vectors) blocks add about
-# 1000 / M, 6.8 at 256, 6.7 at 512 and 1024: the resolvent suite's L_M, the
-# decompositions at M and M/2, R_M, a difference and a Lanczos basis (2 M^2)
-_HELD_ARRAYS = 12
+# tracemalloc over one command, imports warm, each equation: 8.5 at M = 128,
+# in the bound suite, 6.8-6.9 at 256, 6.7-6.8 at 512 and 1024: the resolvent
+# suite's L_M, the decompositions at M and M/2, R_M, a difference and a
+# Lanczos basis (2 M^2); the sweep, one time at a time, peaks below both
+_HELD_ARRAYS = 9
 
 
 def _check_memory(M: int) -> None:
@@ -537,10 +537,11 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float, *,
     Each L_n is decomposed once through `eig_hermitian` (its n x n block
     only, with that call's checks) by the spectral context: spectra, a
     `laxflow diagnostics` command's, or a new one when None.  e^{i (t/2)(I
-    + 2 L_n)} = e^{it/2} e^{itL_n} is applied at all 21 times through one
-    Q^H F[:n], phased per time and taken back by one batched product with
-    Q, the tail phased elementwise; the global phase cancels in the
-    difference.  Raises RuntimeError when a phase t lambda overflows.
+    + 2 L_n)} = e^{it/2} e^{itL_n} is applied through one Q^H F[:n] per n,
+    then one time at a time: at each time the reference and each n's
+    evolution, M x 16, are that product phased and taken back by Q, the
+    tail phased elementwise; the global phase cancels in the difference.
+    Raises RuntimeError when a phase t lambda overflows.
     """
     eq = Equation.named(equation)
     if M < 64 or (M & (M - 1)) != 0:
@@ -551,22 +552,28 @@ def run_propagator_sweep(u0, equation: str, M: int, T: float, *,
                   + [_random_unit_vectors(M, 1, s) for s in range(8)])
 
     def evolve(n):
+        """F evolved by L_n at each time in turn: Q^H F[:n] once, then one
+        M x 16 array a time."""
         e = spectra.eig(n)
         try:
             # L_n's eigenvalues: the block's, then the tail's n..M-1
             rates = 1.0 + 2.0 * np.concatenate([e.eigenvalues, np.arange(n, M)])
-            phases = _phases(rates, tgrid / 2, 1).T[:, :, None]  # (times, M, 1)
+            phases = _phases(rates, tgrid / 2, 1)
         except ValueError as exc:
             raise RuntimeError("propagator sweep error is not finite") from exc
-        q = e.eigenvectors
-        out = phases * F
-        out[:, :n] = q @ (phases[:, :n] * (q.conj().T @ F[:n]))
-        return out
+        q, qf = e.eigenvectors, e.eigenvectors.conj().T @ F[:n]
+        for i in range(len(tgrid)):
+            out = phases[:, i, None] * F
+            out[:n] = q @ (phases[:n, i, None] * qf)
+            yield out
 
-    ref = evolve(M)
-    rows = []
-    for n in [2**e for e in range(2, int(math.log2(M)))]:  # 4, 8, ..., M/2
-        rows.append((n, float(np.max(np.linalg.norm(evolve(n) - ref, axis=1)))))
+    sizes = [2**e for e in range(2, int(math.log2(M)))]  # 4, 8, ..., M/2
+    errors = np.zeros(len(sizes))
+    # zip takes L_M's evolution first, then each n's, one time at a time
+    for ref, *outs in zip(evolve(M), *map(evolve, sizes)):
+        # np.maximum keeps a NaN error
+        errors = np.maximum(errors, [np.max(np.linalg.norm(o - ref, axis=0)) for o in outs])
+    rows = [(n, float(err)) for n, err in zip(sizes, errors)]
     if rows and rows[-1][1] > rows[0][1] + 1e-12:
         raise RuntimeError("propagator error failed to decrease from n=4 to n=M/2")
     return rows

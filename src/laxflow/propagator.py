@@ -25,17 +25,17 @@ eigenvalues and forms the eigenvectors with one real product, instead of a
 fresh O(n^3) `eigh`.  Each root starts at the root of a one-pole model
 about its nearer pole, where most roots already meet the stopping test, and
 the rest take about one rational step; every evaluation is a matrix-vector
-product.  An `eigh` result passes the dense reconstruction and
-orthonormality checks, two complex n x n products, the reconstruction
-scaled by the block's largest entry.  A derived one whose block and whose
-parent's block are leading blocks of one live read-only build, and so
-equal by construction, is accepted on a certificate instead: spectral-norm
-bounds on its defects, rounding included, carried from the parent's in
-O(n^2) plus one real n x n product, that prove the dense checks would pass
-with half their tolerance to spare (scaled by the block's diagonal, a lower
-bound of its largest entry).  Any other derived one, and one whose bounds
-grow past that, takes the dense check, which restarts the chain from what
-it measures; where the derived pairs fail it, `eigh` is taken instead.
+product.  A decomposition is accepted in one of two ways.  A derived one,
+tried only when its block and its parent's are leading blocks of one live
+read-only build, and so equal by construction, is accepted on a
+certificate: spectral-norm bounds on its defects, rounding included,
+carried from the parent's in O(n^2) plus one real n x n product, that
+prove the dense checks would pass with half their tolerance to spare
+(scaled by the block's diagonal, a lower bound of its largest entry).
+Everything else, a certificate that declines included, is an `eigh`
+result, which passes the dense reconstruction and orthonormality checks,
+two complex n x n products, the reconstruction scaled by the block's
+largest entry; the chain restarts from the bounds those checks measure.
 
 A `PropagatorCache` is a memo bounded in bytes, a plain dict from key to
 decomposition with no lock: laxflow code runs on one thread, and the BLAS
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,20 +100,18 @@ class HermitianEig:
     eigenvectors is the n x n matrix Q with block = Q diag(lambda) Q^H and
     eigenvalues the n lambdas, ascending; the tail diag(n, n + 1, ...) is
     its own decomposition, left to the caller.  derived is True iff the
-    pairs came from the decomposition at n + 1 rather than from `eigh`, and
-    certified iff they were accepted on their certificate rather than on
-    the dense check; secular_steps counts the rational steps the
-    derivation's roots took.  `eig_hermitian` also keeps the bounds its
-    checks proved and `_root`, a weak reference to the read-only array
-    whose leading block it decomposed (a whole build, for
-    `LaxMatrix.truncated` slices) or None, so that a cached decomposition
-    keeps no build alive.
+    pairs came from the decomposition at n + 1, accepted on their
+    certificate, rather than from `eigh`; secular_steps counts the rational
+    steps the derivation's roots took.  `eig_hermitian` also keeps the
+    bounds its certificate or dense check proved and `_root`, a weak
+    reference to the read-only array whose leading block it decomposed (a
+    whole build, for `LaxMatrix.truncated` slices) or None, so that a
+    cached decomposition keeps no build alive.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     derived: bool = False
-    certified: bool = False
     secular_steps: int = 0
     bounds: Optional[_Bounds] = field(default=None, repr=False)
     _root: Optional[weakref.ref] = field(default=None, repr=False)
@@ -149,60 +147,49 @@ def _gauge(ts, alpha: int, m: np.ndarray) -> np.ndarray:
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
     """True iff the parent is one size up, so that m's block may be its
-    block less the last row and column (`eig_hermitian`'s checks find out)."""
+    block less the last row and column."""
     return parent is not None and parent.n == m.n + 1 >= 2
 
 
 def eig_hermitian(m: LaxMatrix, parent: Optional[HermitianEig] = None) -> HermitianEig:
     """Diagonalize the block of a Lax matrix: eigenvalues ascending, each
     eigenvector with the phase it is computed with.  Only the block is
-    decomposed and checked: the tail is exact and the caller's.  The
-    reconstruction check's tolerance scales with the block's largest entry.
+    decomposed and checked: the tail is exact and the caller's.
 
-    With `parent`, the decomposition of the same operator at n + 1, the
-    block's eigenpairs are derived from the parent's (`_delete_last`) and
-    marked `derived`.  When m's block and the parent's are leading blocks
-    of one live read-only array (two slices of one `LaxMatrix` build), m's
-    block is the parent's less its last row and column by construction: it
-    needs no Hermitian check, since the parent's passed it, and the derived
-    pairs are accepted on a certificate (`_certify`): bounds carried down
-    the chain from the last dense check that prove, in O(n^2) plus one real
-    n x n product, that the dense reconstruction and orthonormality checks
-    pass with half their tolerance to spare.  Any other block (an equal
-    copy, a separate build) takes the Hermitian check, and its derived
-    pairs the dense check (`_check_failure`), as do pairs whose bounds grow
-    past that; the chain restarts from what it measures.  `eigh` is the
-    fallback when the derivation declines or its pairs fail that check.
+    With `parent`, the decomposition of the same operator at n + 1, whose
+    block and m's are leading blocks of one live read-only array (two
+    slices of one `LaxMatrix` build), m's block is the parent's less its
+    last row and column by construction.  It needs no Hermitian check, the
+    parent's passed it, and its eigenpairs are derived from the parent's
+    (`_delete_last`) and accepted on a certificate (`_certify`): bounds
+    carried down the chain that prove, in O(n^2) plus one real n x n
+    product, that the dense checks pass with half their tolerance to spare.
+    Those are marked `derived`.  Every other decomposition, one whose
+    derivation or certificate declines, or whose block is an equal copy or
+    a separate build, is taken by `eigh` after the Hermitian check (unless
+    the build is shared) and accepted on the dense check (`_dense_check`),
+    whose tolerance scales with the block's largest entry.
     """
     root = _root_ref(m.block)
-    derivable = _derivable(m, parent)
-    shared = (derivable and root is not None and parent._root is not None
-              and root() is parent._root() and parent.bounds is not None)
-    if not shared:
+    if (_derivable(m, parent) and root is not None and parent._root is not None
+            and root() is parent._root() and parent.bounds is not None):
+        derived = _delete_last(parent)
+        bounds = None if derived is None else _certify(parent, derived)
+        if bounds is not None:
+            derived.q.flags.writeable = False
+            return HermitianEig(derived.mu, derived.q, derived=True,
+                                secular_steps=derived.steps, bounds=bounds, _root=root)
+    else:
         defect = hermitian_defect(m)
         if defect != 0.0:
             raise ValueError(f"matrix is not exactly Hermitian (defect {defect:g})")
-    derived = _delete_last(parent) if derivable else None
-    if derived is not None:
-        q = derived.q
-        bounds = _certify(parent, derived) if shared else None
-        certified = bounds is not None
-        if not certified:
-            bounds = _check_failure(m, derived.mu, q)
-        if not isinstance(bounds, str):
-            q.flags.writeable = False
-            return HermitianEig(derived.mu, q, derived=True,
-                                certified=certified, secular_steps=derived.steps,
-                                bounds=bounds, _root=root)
     try:
         lam, q = np.linalg.eigh(m.block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolver failed for {m.equation.name} Lax matrix (n={m.n})"
         ) from exc
-    bounds = _check_failure(m, lam, q)
-    if isinstance(bounds, str):
-        raise RuntimeError(f"{bounds} for {m.equation.name} (n={m.n})")
+    bounds = _dense_check(m, lam, q)
     q.flags.writeable = False
     return HermitianEig(lam, q, bounds=bounds, _root=root)
 
@@ -233,21 +220,22 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _check_failure(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> Union[str, _Bounds]:
-    """The first check (lam, q) fails as a decomposition of m's block, or the
-    bounds that the defects it measured prove: each measured norm plus the
-    rounding of its product, gamma_{n+2} || |q| ||^2 (times max |lam| for
-    the reconstruction), || |q| || bounded from q itself."""
+def _dense_check(m: LaxMatrix, lam: np.ndarray, q: np.ndarray) -> _Bounds:
+    """The bounds that the defects of (lam, q) as a decomposition of m's
+    block prove: each measured norm plus the rounding of its product,
+    gamma_{n+2} || |q| ||^2 (times max |lam| for the reconstruction),
+    || |q| || bounded from q itself.  RuntimeError when a defect, the
+    reconstruction's scaled by 1 + max |block|, exceeds _RECON_TOL."""
     block, n = m.block, m.n
     scale = 1.0 + float(np.max(np.abs(block), initial=0.0))
     qh = q.conj().T
     recon = np.abs((q * lam) @ qh - block)
     # written as "not <=" so that a NaN defect fails the check
     if not np.max(recon, initial=0.0) <= _RECON_TOL * scale:
-        return "eigendecomposition residual too large"
+        raise RuntimeError(f"eigendecomposition residual too large for {m.equation.name} (n={n})")
     ortho = np.abs(qh @ q - np.eye(n))
     if not np.max(ortho, initial=0.0) <= _RECON_TOL:
-        return "eigenvectors lost orthonormality"
+        raise RuntimeError(f"eigenvectors lost orthonormality for {m.equation.name} (n={n})")
     abs_q = _SAFETY * _abs_norm(np.abs(q))
     lam_max = float(np.max(np.abs(lam), initial=0.0))
     # a product's rounding is at most gamma times |q| |lambda| |q^H|
@@ -395,7 +383,8 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
 def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
     """Bounds for the derived pairs (d.mu, d.q), or None unless they prove
     the dense checks pass with half their tolerance to spare.  O(n^2) but
-    the one real product s^T s.
+    the one real product s^T s.  This is the only way derived pairs are
+    accepted: on None, `eig_hermitian` takes `eigh` instead.
 
     With P = [I 0] dropping the last row, l = Q[-1] and D = diag(phase)
     (|D| = I up to rounding), q is Y = P Q D s up to rounding Delta, and
@@ -520,9 +509,9 @@ class PropagatorCache:
     bounded in bytes.
 
     A decomposition built with a `parent` one size up is derived from it
-    when it can be (`derived`; `certified` of those were accepted on their
-    certificate, with no dense check; `secular_steps` sums the rational
-    steps their roots took) and otherwise taken by `eigh` (`fallbacks`);
+    and accepted on its certificate when it can be (`derived`;
+    `secular_steps` sums the rational steps their roots took) and otherwise
+    taken by `eigh` (`fallbacks`, a certificate's declines included);
     either way it counts as one decomposition.
 
     After each build, while the entries take more than `_CACHE_BUDGET`
@@ -537,7 +526,6 @@ class PropagatorCache:
     decompositions: int = 0
     hits: int = 0
     derived: int = 0
-    certified: int = 0
     fallbacks: int = 0
     secular_steps: int = 0
     evictions: int = 0
@@ -556,12 +544,9 @@ class PropagatorCache:
         m = factory()
         built = self._store[key] = eig_hermitian(m, parent)
         self.decompositions += 1
-        if built.derived:
-            self.derived += 1
-            self.certified += built.certified
-            self.secular_steps += built.secular_steps
-        elif _derivable(m, parent):
-            self.fallbacks += 1
+        self.derived += built.derived
+        self.secular_steps += built.secular_steps  # 0 unless derived
+        self.fallbacks += _derivable(m, parent) and not built.derived
         while self.nbytes > _CACHE_BUDGET:
             # max takes the first of equal sizes, and a dict iterates oldest first
             del self._store[max(self._store, key=lambda k: _nbytes(self._store[k]))]

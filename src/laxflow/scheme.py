@@ -129,8 +129,8 @@ class SchemeConfig:
     def __post_init__(self):
         Equation.named(self.equation)
         t = np.array(self.times, dtype=np.float64)
-        if t.size == 0:
-            raise ValueError("times must not be empty")
+        if t.ndim != 1 or t.size == 0:
+            raise ValueError(f"times must be one-dimensional and not empty, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         # outputs are looked up by exact time, so each time must name one column

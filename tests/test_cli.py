@@ -238,9 +238,9 @@ class TestEvolve:
         for name in ("coefficients.csv", "samples.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         m = manifest_of(a)
-        assert (m["decompositions"], m["derived_decompositions"]) == (31, 30)
-        # every derived decomposition was accepted on its certificate
-        assert m["certified_decompositions"] == 30
+        assert (m["decompositions"], m["derived_decompositions"], m["fallbacks"]) == (31, 30, 0)
+        # a derived decomposition is accepted on its certificate: no separate count
+        assert "certified_decompositions" not in m
 
     @pytest.mark.parametrize("budget, evictions", [(16 << 20, 0), (0, 15)])
     def test_manifest_reports_cache_evictions_and_bytes(self, tmp_path, monkeypatch,
@@ -783,13 +783,14 @@ class TestTalbot:
         runs = [run_scheme(SchemeConfig("BO", make_schedule(kind, 16), times,
                                         parse_profile(m["config"]["profile"])))
                 for kind in ("full-staircase", "linear-case")]
-        counters = {"derived_decompositions": "derived", "certified_decompositions": "certified",
-                    "fallbacks": "fallbacks", "secular_steps": "secular_steps",
-                    "evictions": "evictions", "cache_bytes": "nbytes"}
+        counters = {"derived_decompositions": "derived", "fallbacks": "fallbacks",
+                    "secular_steps": "secular_steps", "evictions": "evictions",
+                    "cache_bytes": "nbytes"}
         for key, attr in counters.items():
             assert m[key] == sum(getattr(r.cache, attr) for r in runs), key
         assert m["decompositions"] == sum(r.decompositions for r in runs)
         assert m["derived_decompositions"] == 14 and m["secular_steps"] > 0
+        assert "certified_decompositions" not in m
 
     def test_csvs_match_per_cell_formatting(self, tmp_path):
         K, out = 16, tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,15 @@ class TestSchemeBasics:
     def test_empty_times_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             SchemeConfig("BO", make_schedule("constant", 2), np.array([]), bo_profile(0))
+
+    @pytest.mark.parametrize("times, shape", [([[1.0], [2.0]], (2, 1)),
+                                              (np.array(1.0), ()),
+                                              ([[1.0, 2.0]], (1, 2))])
+    def test_times_of_other_shapes_rejected(self, times, shape):
+        # a column ran with one output row per time, a scalar failed in len()
+        # and a row was called not distinct
+        with pytest.raises(ValueError, match=f"one-dimensional.*{re.escape(str(shape))}"):
+            SchemeConfig("BO", make_schedule("constant", 2), times, bo_profile(0))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_times_rejected(self, bad):
