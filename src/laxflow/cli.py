@@ -357,7 +357,6 @@ def cmd_diagnostics(args) -> int:
     reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed),
                                    spectra=spectra)
     res_rows = diag.run_resolvent_convergence(u0, args.equation, M, spectra=spectra)
-    spectra._resolvents.clear()  # their last reader: the sweep needs the decompositions only
     sweep_failed = False
     try:
         sweep_rows = diag.run_propagator_sweep(u0, args.equation, M, float(args.T),

@@ -94,18 +94,24 @@ def _time_grid(T: float, points: int) -> np.ndarray:
     return np.linspace(-T, T, points)
 
 
-# M x M complex arrays' worth a diagnostics command holds at its peak, by
-# tracemalloc over one command, imports warm, each equation: 8.5 at M = 128,
-# in the bound suite, 6.8-6.9 at 256, 6.7-6.8 at 512 and 1024: the resolvent
-# suite's L_M, the decompositions at M and M/2, R_M, a difference and a
-# Lanczos basis (2 M^2); the sweep, one time at a time, peaks below both
-_HELD_ARRAYS = 9
+# a diagnostics command's peak, by tracemalloc over one command (imports
+# warm, each equation), in M x M complex arrays: 17.0-17.3 at M = 64 and 8.5
+# at 128 in the bound suite, whose F, its block and tail products and their
+# concatenation are M x 200 each; 6.5 at 256, 5.95 at 512 and 5.7 at 1024 in
+# the resolvent suite (L_M, the decompositions at M and M/2, R_M, a
+# difference, a Lanczos basis); the sweep peaks below both.  Counted: 7 M x M
+# arrays and 4 M-vectors per sandwich vector, the fourth for what does not
+# grow with M
+_HELD_ARRAYS = 7
+_HELD_PER_VECTOR = 4
+_SANDWICH_VECTORS = 200
 
 
 def _check_memory(M: int) -> None:
     """ValueError when the arrays a diagnostics command at M holds at once
     exceed the memory the process may use (`scheme._physical_memory`)."""
-    need, have = 16 * _HELD_ARRAYS * M**2, scheme._physical_memory()
+    need = 16 * M * (_HELD_ARRAYS * M + _HELD_PER_VECTOR * _SANDWICH_VECTORS)
+    have = scheme._physical_memory()
     if need > have:
         raise ValueError(f"diagnostics at M={M} needs at least {need / 2**30:.3g} GiB at once, "
                          f"more than the {have / 2**30:.3g} GiB of physical memory or "
@@ -142,21 +148,19 @@ def _hermitian_norm(a: np.ndarray) -> float:
     orthogonal to the dominant eigenvector (a component below delta has
     probability about n delta^2; Kuczynski and Wozniakowski, SIAM J. Matrix
     Anal. Appl. 13, 1992, bound the error after k steps): it then converges
-    to a smaller eigenvalue.  The basis holds each step's vector and its
-    conjugate, a few dozen steps in practice.
+    to a smaller eigenvalue.  The basis holds each step's vector, a few
+    dozen steps in practice.
     """
     n = len(a)
     if n <= _DENSE_MAX:
         return float(np.max(np.abs(np.linalg.eigvalsh(a)), initial=0.0))
     rng = np.random.Generator(np.random.Philox(key=_LANCZOS_SEED))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    # basis[0, j] is the j-th Lanczos vector and basis[1, j] its conjugate,
-    # so V^H w and V c are each one product; only the rows of the steps
-    # taken are written, so only they take memory
-    basis = np.empty((2, n, n), np.complex128)
-    basis[0, 0] = v / np.linalg.norm(v)
-    np.conjugate(basis[0, 0], out=basis[1, 0])
-    w = a @ basis[0, 0]
+    # basis[j] is the j-th Lanczos vector; only the rows of the steps taken
+    # are written, so only they take memory
+    basis = np.empty((n, n), np.complex128)
+    basis[0] = v / np.linalg.norm(v)
+    w = a @ basis[0]
     # the run takes a / scale, a power of two near |a| (1 for a v = 0), so
     # the rescaling is exact and no square in a norm underflows or overflows
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(w)))[1])
@@ -164,11 +168,12 @@ def _hermitian_norm(a: np.ndarray) -> float:
     tol = 8.0 * _U * np.sqrt(n)
     for k in range(1, n + 1):
         w /= scale
-        v, vh = basis[0, :k], basis[1, :k]
-        c = vh @ w
+        v = basis[:k]
+        # V^H w as the conjugate of V conj(w): one product, no conjugated V
+        c = (v @ w.conj()).conj()
         alpha[k - 1] = c[k - 1].real
         w -= c @ v
-        w -= (vh @ w) @ v
+        w -= (v @ w.conj()).conj() @ v
         beta[k - 1] = np.sqrt(np.vdot(w, w).real)
         last = k == n or beta[k - 1] == 0.0
         if last or k % _LANCZOS_CHECK == 0:
@@ -181,9 +186,8 @@ def _hermitian_norm(a: np.ndarray) -> float:
             d = int(ends[1] >= ends[0])
             if last or (r[d] <= tol * ends[d] and ends[1 - d] + r[1 - d] <= ends[d]):
                 return float(np.max(ends + r) * scale)
-        np.divide(w, beta[k - 1], out=basis[0, k])
-        np.conjugate(basis[0, k], out=basis[1, k])
-        np.matmul(a, basis[0, k], out=w)
+        np.divide(w, beta[k - 1], out=basis[k])
+        np.matmul(a, basis[k], out=w)
 
 
 def _scaled_norm(gram: np.ndarray, r: np.ndarray) -> float:
@@ -225,7 +229,6 @@ class _Spectra:
         """G^2 for the CCM Gram block G = A A^H at M, A = mult_matrix(u0, M)."""
         a = mult_matrix(self.u0, self.M)
         gram = a @ a.conj().T
-        del a  # freed before the product
         return gram @ gram  # G is Hermitian: G^2 = G^H G
 
     def gram_norm(self, kappa: float) -> float:
@@ -293,7 +296,7 @@ def run_bound_suite(
     M: int,
     kappas: Sequence[float],
     ns: Sequence[int],
-    n_vectors: int = 200,
+    n_vectors: int = _SANDWICH_VECTORS,
     seed: int = 0,
     *,
     spectra: Optional[_Spectra] = None,
@@ -516,12 +519,14 @@ def run_convergence_study(
 
 
 def fit_rate(table: ConvergenceTable) -> Optional[float]:
-    """Least-squares slope of log(error) against log(K); None if degenerate."""
-    pts = [(r.K, r.error) for r in table.rows if r.error > 0.0]
-    if not pts:
-        return None
+    """Least-squares slope of log(error) against log(K) over the positive
+    errors; None when fewer than two are positive.  ValueError for a table
+    of fewer than 4 rows."""
     if len(table.rows) < 4:
         raise ValueError("need at least 4 rows to fit a rate")
+    pts = [(r.K, r.error) for r in table.rows if r.error > 0.0]
+    if len(pts) < 2:
+        return None
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope = np.polyfit(x, y, 1)[0]

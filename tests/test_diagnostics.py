@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -423,6 +425,10 @@ class TestFitRate:
     def test_all_zero_returns_none(self):
         assert fit_rate(self._table([0.0, 0.0, 0.0, 0.0])) is None
 
+    def test_one_positive_error_returns_none(self):
+        # no line through one point: a rank-deficient fit gave -0.83
+        assert fit_rate(self._table([0.0, 0.0, 0.0, 1e-3])) is None
+
     def test_constant_errors_give_zero_slope(self):
         assert fit_rate(self._table([0.5, 0.5, 0.5, 0.5])) == pytest.approx(0.0, abs=1e-12)
 
@@ -430,6 +436,11 @@ class TestFitRate:
         t = self._table([1.0, 0.5], Ks=(8, 16))
         with pytest.raises(ValueError):
             fit_rate(t)
+
+    @pytest.mark.parametrize("error", [0.0, 1e-3])
+    def test_one_row_is_too_few_whatever_its_error(self, error):
+        with pytest.raises(ValueError, match="need at least 4 rows"):
+            fit_rate(self._table([error], Ks=(8,)))
 
 
 class TestPropagatorSweep:
@@ -629,3 +640,18 @@ class TestHermitianNorm:
         assert [name for name, x in taken if x is a] == (["eigvalsh"] if dense else [])
         assert {name for name, _ in taken} == ({"eigvalsh"} if dense else {"eigh"})
         assert got == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-13)
+
+
+def test_lanczos_holds_one_basis():
+    # one n x n basis of the Lanczos vectors and no conjugated copy: the
+    # peak of one norm at n = 512 is one such array and a fraction
+    n = 512
+    a = hermitian_case("random", n, 0, "complex")
+    _hermitian_norm(a[:80, :80].copy())  # the first call's lazy imports are taken apart
+    tracemalloc.start()
+    try:
+        _hermitian_norm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n * n, peak / (16 * n * n)

@@ -35,6 +35,10 @@ def group_on_vector(e, t, alpha, v):
     return q @ (_phases(1.0 + 2.0 * lam, [t], alpha)[:, 0] * (q.conj().T @ np.asarray(v)))
 
 
+def eigh_not_converging(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestEig:
     def test_free_operator(self):
         # n = 0: an empty block, so the decomposition is empty; the tail is the caller's
@@ -62,6 +66,17 @@ class TestEig:
         ent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             eig_hermitian(LaxMatrix(ent, EQUATIONS["BO"]))
+
+    @pytest.mark.parametrize("eigh, message", [
+        (eigh_not_converging, r"eigensolver failed for BO Lax matrix \(n=2\)"),
+        # the zero block is reconstructed by any eigenvectors, orthonormal or not
+        (lambda a: (np.zeros(2), 2.0 * np.eye(2, dtype=complex)),
+         r"eigenvectors lost orthonormality for BO \(n=2\)"),
+    ])
+    def test_eigensolver_failures_are_runtime_errors(self, monkeypatch, eigh, message):
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(RuntimeError, match=message):
+            eig_hermitian(LaxMatrix(np.zeros((2, 2), complex), EQUATIONS["BO"]))
 
 
 class TestPhases:

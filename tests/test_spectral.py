@@ -239,6 +239,14 @@ class TestAnalyzeProfile:
         p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 1, "norm": 0.75})
         assert l2_norm(analyze_profile(p, 64, hardy=True)) == pytest.approx(0.75)
 
+    def test_zero_profile_is_not_rescaled(self, monkeypatch):
+        # a draw of all zeros: no factor takes it to the target norm
+        monkeypatch.setattr("laxflow.spectral._random_sobolev_hardy",
+                            lambda s, seed, bandwidth: np.zeros(bandwidth, complex))
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 1, "norm": 0.75})
+        with pytest.raises(ValueError, match="cannot rescale a zero profile"):
+            analyze_profile(p, 8)
+
 
 class TestHermitianSymmetrize:
     """Reflecting Hardy coefficients into a real-field spectrum."""
