@@ -5,6 +5,13 @@ plot-ready CSV data plus a manifest that records the effective config, the
 eigendecomposition count and the sha256 digest of every file written, so a
 manifest alone suffices to reproduce a run.
 
+Each `cmd_*` checks its config, computes and returns `(files, extra, code)`:
+`files` maps each output name to a `(header, rows)` table or, for
+`summary.json`, a dict; `extra` holds the command's manifest fields; `code`
+is its exit code.  `main` times the command (`wall_time_s`, the writes
+excluded), makes `--out`, writes and hashes every file and writes the
+manifest, so a command that raises writes nothing.
+
 Exit codes: 0 ok, 1 check failure, 2 config error.  `main` maps a
 `RuntimeError`, which the library raises when a check on the run fails
 (no CCM kappa0 up to 2^20, an eigendecomposition failing its checks, a
@@ -181,14 +188,13 @@ def _float_column(values) -> list:
     return list(map(_FLOAT.__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def write_coefficients(path: Path, times, coeffs) -> str:
-    """The (t, k, re, im) rows of coeffs[i, k] = uhat(times[i], k); the file's
-    sha256 hex digest."""
+def coefficient_table(times, coeffs) -> tuple:
+    """The (t, k, re, im) table of coeffs[i, k] = uhat(times[i], k)."""
     K = coeffs.shape[1]
-    return write_csv(path, ("t", "k", "re", "im"),
-                     zip([t for t in _float_column(times) for _ in range(K)],
-                         list(map(str, range(K))) * len(coeffs),
-                         coeffs.real.ravel().tolist(), coeffs.imag.ravel().tolist()))
+    return ("t", "k", "re", "im"), zip([t for t in _float_column(times) for _ in range(K)],
+                                       list(map(str, range(K))) * len(coeffs),
+                                       coeffs.real.ravel().tolist(),
+                                       coeffs.imag.ravel().tolist())
 
 
 def _write_json(path: Path, data) -> str:
@@ -217,10 +223,12 @@ def _resolve_times(args) -> np.ndarray:
     return diag._time_grid(float(args.T), int(args.grid_points))
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _samples(result, K: int):
+    """sample_grid's x column, one for every time, and the run's real field
+    sampled on it at each of its times."""
+    field = result.real_spectrum if result.equation == "BO" else result.hardy
+    grids = [sample_grid(field(t), K) for t in result.times]
+    return _float_column(grids[0][0]), [vals.real.tolist() for _, vals in grids]
 
 
 def _cache_counters(*results) -> dict:
@@ -238,107 +246,78 @@ def _cache_counters(*results) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args):
     K = int(args.K)
     times = _resolve_times(args)
     schedule = parse_schedule(args.schedule, K)
-    profile = parse_profile(args.profile)
-    cfg = SchemeConfig(args.equation, schedule, times, profile,
-                       override_focusing_threshold=args.override_focusing_threshold)
-    t0 = time.perf_counter()
-    result = run_scheme(cfg)
-    wall = time.perf_counter() - t0
-
-    out = _outdir(args)
-    files = {"coefficients.csv": write_coefficients(out / "coefficients.csv", result.times,
-                                                    result.coeffs)}
-    values = []
-    for t in result.times:
-        fld = result.real_spectrum(t) if args.equation == "BO" else result.hardy(t)
-        xs, vals = sample_grid(fld, K)
-        values += vals.real.tolist()
-    xcol = _float_column(xs)  # one grid for every t
-    files["samples.csv"] = write_csv(out / "samples.csv", ("t", "x", "value"),
-                                     zip([t for t in _float_column(result.times) for _ in xcol],
-                                         xcol * len(result.times), values))
-    write_manifest(out, _config_echo(args), {
+    result = run_scheme(SchemeConfig(
+        args.equation, schedule, times, parse_profile(args.profile),
+        override_focusing_threshold=args.override_focusing_threshold))
+    xcol, values = _samples(result, K)
+    files = {
+        "coefficients.csv": coefficient_table(result.times, result.coeffs),
+        "samples.csv": (("t", "x", "value"),
+                        zip([t for t in _float_column(result.times) for _ in xcol],
+                            xcol * len(values), chain.from_iterable(values))),
+    }
+    return files, {
         **_cache_counters(result),
-        "wall_time_s": wall,
         "l2_preserving_schedule": schedule.l2_preserving,
         "n0_zero": bool(schedule.values[0] == 0),
         "data_digest": result.data_digest,
-    }, files)
-    return 0
+    }, 0
 
 
 TALBOT_TIMES = ("pi/2", "pi/3", "pi/6", "sqrt2*pi")
 
 
-def cmd_talbot(args) -> int:
+def cmd_talbot(args):
     if args.equation != "BO":
         raise ConfigError("the Talbot experiment is defined for the BO equation")
     K = int(args.K)
-    time_exprs = args.times.split(";") if args.times is not None else list(TALBOT_TIMES)
-    times = np.array([parse_time_expr(t) for t in time_exprs])
+    # the manifest echoes the times run, as a list of expressions
+    args.times = args.times.split(";") if args.times is not None else list(TALBOT_TIMES)
+    times = np.array([parse_time_expr(t) for t in args.times])
     profile = parse_profile(args.profile)
 
-    t0 = time.perf_counter()
     nonlinear = run_scheme(SchemeConfig("BO", parse_schedule(args.schedule, K), times, profile))
     linear = run_scheme(SchemeConfig("BO", make_schedule("linear-case", K), times, profile))
-    wall = time.perf_counter() - t0
 
-    out = _outdir(args)
-    files, xcol = {}, None
-    for i, t in enumerate(times):
-        for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
-            xs, vals = sample_grid(result.real_spectrum(t), K)
-            xcol = xcol or _float_column(xs)  # one grid for every panel
-            name = f"talbot_{i}_{tag}.csv"
-            files[name] = write_csv(out / name, ("x", "value"), zip(xcol, vals.real.tolist()))
+    files = {}
     for tag, result in (("nonlinear", nonlinear), ("linear", linear)):
-        name = f"coefficients_{tag}.csv"
-        files[name] = write_coefficients(out / name, result.times, result.coeffs)
-
-    write_manifest(out, _config_echo(args, times=time_exprs), {
-        **_cache_counters(nonlinear, linear),
-        "wall_time_s": wall,
-        "panels": len(times),
-    }, files)
-    return 0
+        xcol, values = _samples(result, K)
+        for i, vals in enumerate(values):
+            files[f"talbot_{i}_{tag}.csv"] = (("x", "value"), zip(xcol, vals))
+        files[f"coefficients_{tag}.csv"] = coefficient_table(result.times, result.coeffs)
+    return files, {**_cache_counters(nonlinear, linear), "panels": len(times)}, 0
 
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(args):
     Ks = [int(k) for k in args.Ks.split(",")]
     profile = parse_profile(args.profile)
-    t0 = time.perf_counter()
     table = diag.run_convergence_study(
         profile, args.equation, Ks, args.schedule, float(args.T),
         int(args.grid_points), int(args.kref), check=False,
     )
-    wall = time.perf_counter() - t0
-    slope = diag.fit_rate(table) if len(table.rows) >= 4 else None
-    out = _outdir(args)
-
-    files = {"table.csv": write_csv(out / "table.csv",
-                                    ("K", "schedule", "error", "norm_diff", "decompositions"),
-                                    [(r.K, r.kind, r.error, r.norm_diff, r.decompositions)
-                                     for r in table.rows])}
-    monotone = all(b.error <= a.error + 1e-12 for a, b in zip(table.rows, table.rows[1:]))
     norm_bounded = all(r.norm_diff <= r.error + 1e-12 for r in table.rows)
     summary = {
-        "slope": slope,
-        "monotone": monotone,
+        "slope": diag.fit_rate(table) if len(table.rows) >= 4 else None,
+        "monotone": table.monotone,
         "norm_diff_bounded_by_error": norm_bounded,
         "K_ref": table.K_ref,
         "T": table.T,
         "equation": table.equation,
     }
-    files["summary.json"] = _write_json(out / "summary.json", summary)
-    write_manifest(out, _config_echo(args), {"wall_time_s": wall, "checks": summary}, files)
-    return 0 if (monotone and norm_bounded) else 1
+    files = {
+        "table.csv": (("K", "schedule", "error", "norm_diff", "decompositions"),
+                      [(r.K, r.kind, r.error, r.norm_diff, r.decompositions)
+                       for r in table.rows]),
+        "summary.json": summary,
+    }
+    return files, {"checks": summary}, 0 if (table.monotone and norm_bounded) else 1
 
 
-def cmd_diagnostics(args) -> int:
+def cmd_diagnostics(args):
     M = int(args.M)
     # the strictest suite's rule (the propagator sweep's), checked before any suite runs
     if M < 64 or M & (M - 1):
@@ -350,7 +329,6 @@ def cmd_diagnostics(args) -> int:
     kappas = [float(k) for k in args.kappas.split(",")]
     ns = [2**e for e in range(0, int(math.log2(M)) + 1)]
 
-    t0 = time.perf_counter()
     # one suite after another, BLAS already uses every core; all three read
     # one spectral context, so each quantity is computed once
     spectra = diag._Spectra(u0, eq, M)
@@ -367,18 +345,6 @@ def cmd_diagnostics(args) -> int:
     if args.corrupt_bounds:
         # harness self-test: a zeroed bound must be reported as a failure
         reports = [diag.BoundReport(r.name, r.params, r.measured, 0.0) for r in reports]
-    wall = time.perf_counter() - t0
-
-    out = _outdir(args)
-    tables = {
-        "bounds.csv": (("name", "n", "kappa", "measured", "bound", "pass"),
-                       [(r.name, r.params.get("n", ""), r.params.get("kappa", ""),
-                         r.measured, r.bound, r.passed) for r in reports]),
-        "resolvent.csv": (("n", "measured", "bound", "pass"),
-                          [(r.n, r.measured, r.bound, r.passed) for r in res_rows]),
-        "propagator_sweep.csv": (("n", "sup_error"), sweep_rows),
-    }
-    files = {name: write_csv(out / name, *table) for name, table in tables.items()}
 
     summary = {
         "bounds_pass": all(r.passed for r in reports),
@@ -388,17 +354,24 @@ def cmd_diagnostics(args) -> int:
         "kappa0_method": "formula" if eq.family == "BO" else "search",
         "failed": sorted({r.name for r in reports if not r.passed}),
     }
-    files["summary.json"] = _write_json(out / "summary.json", summary)
-    write_manifest(out, _config_echo(args), {"wall_time_s": wall, "checks": summary}, files)
-    return 0 if summary["bounds_pass"] and summary["resolvent_pass"] and not sweep_failed else 1
+    files = {
+        "bounds.csv": (("name", "n", "kappa", "measured", "bound", "pass"),
+                       [(r.name, r.params.get("n", ""), r.params.get("kappa", ""),
+                         r.measured, r.bound, r.passed) for r in reports]),
+        "resolvent.csv": (("n", "measured", "bound", "pass"),
+                          [(r.n, r.measured, r.bound, r.passed) for r in res_rows]),
+        "propagator_sweep.csv": (("n", "sup_error"), sweep_rows),
+        "summary.json": summary,
+    }
+    passed = summary["bounds_pass"] and summary["resolvent_pass"] and not sweep_failed
+    return files, {"checks": summary}, 0 if passed else 1
 
 
 # ---------------------------------------------------------------- wiring
 
-def _config_echo(args, **overrides) -> dict:
+def _config_echo(args) -> dict:
     echo = {k: v for k, v in vars(args).items()
             if k not in ("func", "config") and v is not None}
-    echo.update(overrides)
     echo["schema_version"] = SCHEMA_VERSION
     return echo
 
@@ -507,7 +480,15 @@ def main(argv=None) -> int:
             args.T = parse_time_expr(args.T)
             if not math.isfinite(2.0 * args.T):
                 raise ConfigError(f"T and the width 2T of [-T, T] must be finite; got {args.T!r}")
-        return args.func(args)
+        t0 = time.perf_counter()
+        files, extra, code = args.func(args)
+        extra["wall_time_s"] = time.perf_counter() - t0
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        digests = {name: _write_json(out / name, table) if isinstance(table, dict)
+                   else write_csv(out / name, *table) for name, table in files.items()}
+        write_manifest(out, _config_echo(args), extra, digests)
+        return code
     except (ConfigError, ValueError, TypeError, MemoryError, OSError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"config error: {oom}{exc}", file=sys.stderr)

@@ -446,6 +446,11 @@ class ConvergenceTable:
     T: float
     equation: str
 
+    @property
+    def monotone(self) -> bool:
+        """The error does not grow with K, within 1e-12; a NaN error fails."""
+        return all(b.error <= a.error + 1e-12 for a, b in zip(self.rows, self.rows[1:]))
+
 
 def _per_time_errors(out: SchemeOutput, ref: SchemeOutput) -> Tuple[np.ndarray, np.ndarray]:
     """L2 error and norm difference against the reference, per time point."""
@@ -489,6 +494,7 @@ def run_convergence_study(
         raise ValueError("K_ref must be >= 4 * max(Ks)")
     if grid_points < 11:
         raise ValueError("grid_points must be >= 11")
+    schedules = [make_schedule(schedule_kind, K) for K in Ks]  # before any run
     times = _time_grid(T, grid_points)
     if isinstance(u0, InitialProfile):
         u0 = analyze_profile(u0, K_ref, hardy=eq.hardy)
@@ -500,22 +506,18 @@ def run_convergence_study(
         raise RuntimeError(f"reference run at K_ref={K_ref} failed: {exc}") from exc
 
     rows = []
-    for K in Ks:
-        cfg = SchemeConfig(equation, make_schedule(schedule_kind, K), times, u0)
-        out = run_scheme(cfg)
+    for schedule in schedules:
+        out = run_scheme(SchemeConfig(equation, schedule, times, u0))
         err, nd = _per_time_errors(out, ref)
         rows.append(
-            ConvergenceRow(K, schedule_kind, float(np.max(err)), float(np.max(nd)),
+            ConvergenceRow(schedule.K, schedule_kind, float(np.max(err)), float(np.max(nd)),
                            out.decompositions)
         )
-    if check:
-        for a, b in zip(rows, rows[1:]):
-            if b.error > a.error + 1e-12:
-                raise RuntimeError(
-                    f"error not non-increasing: K={a.K} -> {a.error:.3e}, "
-                    f"K={b.K} -> {b.error:.3e}"
-                )
-    return ConvergenceTable(rows, K_ref, T, equation)
+    table = ConvergenceTable(rows, K_ref, T, equation)
+    if check and not table.monotone:
+        raise RuntimeError("error not non-increasing: "
+                           + ", ".join(f"K={r.K} -> {r.error:.3e}" for r in rows))
+    return table
 
 
 def fit_rate(table: ConvergenceTable) -> Optional[float]:

@@ -25,8 +25,8 @@ from laxflow.cli import (
     main,
     parse_profile,
     parse_schedule,
+    coefficient_table,
     parse_time_expr,
-    write_coefficients,
     write_csv,
 )
 from laxflow.diagnostics import find_kappa_zero
@@ -461,7 +461,7 @@ class TestEvolve:
         rows = [(float(t), k, float(coeffs[i, k].real), float(coeffs[i, k].imag))
                 for i, t in enumerate(times) for k in range(6)]
         write_csv(tmp_path / "a.csv", ("t", "k", "re", "im"), rows)
-        write_coefficients(tmp_path / "b.csv", times, coeffs)
+        write_csv(tmp_path / "b.csv", *coefficient_table(times, coeffs))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_write_csv_bytes_match_per_cell_formatting(self, tmp_path):
@@ -734,6 +734,14 @@ def test_manifest_config_replays_the_run(tmp_path, cmd):
 
 
 @pytest.mark.parametrize("cmd", list(REPLAYS))
+def test_manifest_records_wall_time(tmp_path, cmd):
+    out = tmp_path / "run"
+    assert main([cmd, *REPLAYS[cmd], "--out", str(out)]) == 0
+    wall = manifest_of(out)["wall_time_s"]
+    assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0.0
+
+
+@pytest.mark.parametrize("cmd", list(REPLAYS))
 def test_manifest_digests_are_the_files_on_disk(tmp_path, cmd):
     out = tmp_path / "run"
     assert main([cmd, *REPLAYS[cmd], "--out", str(out)]) == 0
@@ -889,6 +897,18 @@ class TestConvergence:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == (
             "check failure: reference run at K_ref=256 failed: eigensolver failed\n")
+
+    @pytest.mark.parametrize("flags", [["--schedule", "bogus", "--Ks", "8,16,32,64"],
+                                       ["--Ks", "0,8,16,32"]])
+    def test_bad_schedule_refused_before_any_run(self, tmp_path, monkeypatch, capsys, flags):
+        # each K's schedule is made before the reference run, not after it
+        calls = []
+        monkeypatch.setattr(diag, "run_scheme", lambda cfg, cache=None: calls.append(cfg))
+        out = tmp_path / "x"
+        assert main(["convergence", *flags, "--kref", "256", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
+        assert not out.exists()
 
 
 def count_kappa0_searches(monkeypatch, calls, search=None):

@@ -398,15 +398,19 @@ class TestConvergenceStudy:
             run_convergence_study(InitialProfile("square-wave"), "BO", Ks=[8, 16],
                                   schedule_kind="constant", T=0.5, grid_points=10, K_ref=128)
 
-    def test_growing_error_fails_the_check(self, monkeypatch):
-        # errors that grow with K: check=True raises, check=False returns them
-        monkeypatch.setattr(diag, "_per_time_errors",
-                            lambda out, ref: (np.array([float(out.schedule.K)]), np.zeros(1)))
+    @pytest.mark.parametrize("second", [16.0, float("nan")])
+    def test_growing_error_fails_the_check(self, monkeypatch, second):
+        # errors that grow with K, or are NaN: check=True raises, check=False
+        # returns them, and the table says they are not monotone
+        monkeypatch.setattr(diag, "_per_time_errors", lambda out, ref: (
+            np.array([8.0 if out.schedule.K == 8 else second]), np.zeros(1)))
         args = dict(u0=InitialProfile("square-wave"), equation="BO", Ks=[8, 16],
                     schedule_kind="constant", T=0.5, grid_points=11, K_ref=64)
         with pytest.raises(RuntimeError, match="error not non-increasing: K=8 -> 8.000e"):
             run_convergence_study(**args)
-        assert [r.error for r in run_convergence_study(**args, check=False).rows] == [8.0, 16.0]
+        table = run_convergence_study(**args, check=False)
+        np.testing.assert_array_equal([r.error for r in table.rows], [8.0, second])
+        assert table.monotone is False
 
 
 class TestFitRate:
