@@ -40,7 +40,7 @@ from . import __version__
 from . import diagnostics as diag
 from .lax import EQUATIONS, Equation
 from .scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
-from .spectral import InitialProfile, analyze_profile, sample_grid
+from .spectral import InitialProfile, sample_grid
 
 SCHEMA_VERSION = 1
 
@@ -322,16 +322,15 @@ def cmd_diagnostics(args):
     # the strictest suite's rule (the propagator sweep's), checked before any suite runs
     if M < 64 or M & (M - 1):
         raise ConfigError("M must be a power of two >= 64")
-    diag._check_memory(M)
     eq = Equation.named(args.equation)
     profile = parse_profile(args.profile)
-    u0 = analyze_profile(profile, M, hardy=eq.hardy)
     kappas = [float(k) for k in args.kappas.split(",")]
     ns = [2**e for e in range(0, int(math.log2(M)) + 1)]
 
-    # one suite after another, BLAS already uses every core; all three read
-    # one spectral context, so each quantity is computed once
-    spectra = diag._Spectra(u0, eq, M)
+    # one suite after another, BLAS already uses every core, on one spectral context,
+    # which computes each quantity once and refuses an M that would not fit first
+    spectra = diag._Spectra.of(None, profile, eq, M)
+    u0 = spectra.u0
     reports = diag.run_bound_suite(u0, args.equation, M, kappas, ns, seed=int(args.seed),
                                    spectra=spectra)
     res_rows = diag.run_resolvent_convergence(u0, args.equation, M, spectra=spectra)

@@ -22,13 +22,14 @@ The three Lax-operator suites read one spectral context per (data,
 equation, M), `_Spectra`, which computes each quantity when a suite first
 asks for it: the build of L_M, of which every L_n is a slice; kappa0, the
 one implementation of the shift (`find_kappa_zero` reads it); for CCM,
-G^2 = (A A^H)^2 and the norms ||G R0(kappa)|| at n = M, which the kappa0
-search and the bound suite share; one decomposition of each L_n, which
+G^2 = (A A^H)^2, from which the kappa0 search and the bound suite each take
+their norms ||G R0(kappa)|| at n = M; one decomposition of each L_n, which
 gives the semibound's smallest eigenvalue and the sweep's groups; and one
 resolvent R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H of each n, which the
 sandwich bounds and the resolvent suite share.
 `laxflow diagnostics` passes one context to all three suites; called
-alone, each suite makes its own.
+alone, each suite makes its own; either way `_Spectra.of` first refuses
+an M whose arrays would not fit in memory (`_check_memory`).
 """
 
 from __future__ import annotations
@@ -109,13 +110,9 @@ _SANDWICH_VECTORS = 200
 
 def _check_memory(M: int) -> None:
     """ValueError when the arrays a diagnostics command at M holds at once
-    exceed the memory the process may use (`scheme._physical_memory`)."""
-    need = 16 * M * (_HELD_ARRAYS * M + _HELD_PER_VECTOR * _SANDWICH_VECTORS)
-    have = scheme._physical_memory()
-    if need > have:
-        raise ValueError(f"diagnostics at M={M} needs at least {need / 2**30:.3g} GiB at once, "
-                         f"more than the {have / 2**30:.3g} GiB of physical memory or "
-                         f"cgroup limit")
+    exceed the memory the process may use (`scheme._check_memory`)."""
+    scheme._check_memory(16 * M * (_HELD_ARRAYS * M + _HELD_PER_VECTOR * _SANDWICH_VECTORS),
+                         f"diagnostics at M={M}")
 
 
 def _random_unit_vectors(M: int, count: int, seed: int) -> np.ndarray:
@@ -206,14 +203,17 @@ class _Spectra:
 
     def __init__(self, u0, eq: Equation, M: int):
         self.u0, self.eq, self.M = u0, eq, M
-        self._gram_norms: Dict[float, float] = {}
         self._eigs: Dict[int, HermitianEig] = {}
         self._resolvents: Dict[int, np.ndarray] = {}
 
     @classmethod
     def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int) -> "_Spectra":
-        """spectra if it is the context of (u0, eq, M), a new context if None."""
+        """spectra if it is the context of (u0, eq, M), a new one (of u0 sampled at M
+        if a profile) if None; first, ValueError for an M that would not fit."""
+        _check_memory(M)
         if spectra is None:
+            if isinstance(u0, InitialProfile):
+                u0 = analyze_profile(u0, M, hardy=eq.hardy)
             return cls(u0, eq, M)
         if spectra.u0 is not u0 or spectra.eq is not eq or spectra.M != M:
             raise ValueError("the spectral context belongs to other data, equation or M")
@@ -231,13 +231,6 @@ class _Spectra:
         gram = a @ a.conj().T
         return gram @ gram  # G is Hermitian: G^2 = G^H G
 
-    def gram_norm(self, kappa: float) -> float:
-        """||G R0(kappa)|| at n = M for the CCM Gram block G, from G^2."""
-        if kappa not in self._gram_norms:
-            self._gram_norms[kappa] = _scaled_norm(self._gram2,
-                                                   1.0 / (np.arange(self.M) + kappa))
-        return self._gram_norms[kappa]
-
     @cached_property
     def kappa0(self) -> float:
         """The shift kappa0 making (L_n + kappa) uniformly invertible.
@@ -247,7 +240,7 @@ class _Spectra:
         the smallest kappa on the geometric grid {1, 2, ..., 2^20} for which
         the Galerkin perturbation norm ||G_n R0(kappa)|| is <= 1/2 for all n
         <= M is used.  G_n R0 = Pi_n (G_M R0) Pi_n is a compression, so only
-        the norm at n = M, the largest, is taken (`gram_norm`).  Either way
+        the norm at n = M, the largest, is taken (from `_gram2`).  Either way
         kappa0 >= 1.
         """
         if self.eq.family == "BO":
@@ -256,8 +249,8 @@ class _Spectra:
             return max(12.0 * l2_norm(self.u0) ** 2, 1.0)
         if not isinstance(self.u0, HardyVector):
             raise TypeError("CCM data must be a HardyVector")
-        kappa = next((2.0**e for e in range(_CCM_GRID_MAX_EXP + 1)
-                      if self.gram_norm(2.0**e) <= 0.5), None)
+        kappa = next((2.0**e for e in range(_CCM_GRID_MAX_EXP + 1) if _scaled_norm(
+            self._gram2, 1.0 / (np.arange(self.M) + 2.0**e)) <= 0.5), None)
         # the bound suite takes its norms before it asks for kappa0
         self.__dict__.pop("_gram2", None)
         if kappa is None:
@@ -333,7 +326,7 @@ def run_bound_suite(
     # for Hardy data the multiplication matrix is the lower-triangular
     # Toeplitz factor A itself; A Pi_n A^H Pi_n has the Gram A_n G_n A_n^H
     cores = ({n: U[:n, :n] @ G[:n, :n] @ U[:n, :n].conj().T for n in ns if n < M}
-             if eq.family == "CCM" else {})
+             | {M: spectra._gram2} if eq.family == "CCM" else {})
     hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
 
     for kappa in kappas:
@@ -343,9 +336,8 @@ def run_bound_suite(
             report("mult-resolvent", _scaled_norm(G[:n, :n], r0[:n]),
                    np.sqrt(3.0) / np.sqrt(kappa) * norm_u, n=n, kappa=kappa)
             if eq.family == "CCM":
-                report("gram-resolvent",
-                       spectra.gram_norm(kappa) if n == M else _scaled_norm(cores[n], r0[:n]),
-                       2.0 * norm_u**2, n=n, kappa=kappa)
+                report("gram-resolvent", _scaled_norm(cores[n], r0[:n]), 2.0 * norm_u**2,
+                       n=n, kappa=kappa)
             if n >= 1:
                 # projection bound: the diagonal maximum is exact; it is
                 # zero once the truncation covers the whole window
@@ -355,8 +347,8 @@ def run_bound_suite(
     if eq.family == "CCM":
         # decay of the Gram-resolvent operator norm as kappa grows (to 10^4)
         big_kappa = 1.0e4
-        report("gram-resolvent-decay", spectra.gram_norm(big_kappa), 0.1 * 2.0 * norm_u**2,
-               n=M, kappa=big_kappa)
+        report("gram-resolvent-decay", _scaled_norm(cores[M], 1.0 / (np.arange(M) + big_kappa)),
+               0.1 * 2.0 * norm_u**2, n=M, kappa=big_kappa)
     del U, G, cores  # freed before the kappa0 search and the decompositions
 
     # Hardy-inequality check on the nonnegative modes

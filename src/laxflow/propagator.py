@@ -46,6 +46,7 @@ analysis are `diagnostics`'s.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -137,12 +138,19 @@ def _phases(rates, ts, alpha: int) -> np.ndarray:
 
 
 def _gauge(ts, alpha: int, m: np.ndarray) -> np.ndarray:
-    """e^{i alpha t m}, shape (len(m), len(ts)), for integers m; ValueError on overflow.
-    t's leading 26 bits and its other 27 times |m| < 2^26 are exact, so each
-    phase is within a few u of exact at any t (one rounding of t m: u |t m|)."""
-    mant, ex = np.frexp(ts)
-    hi = np.ldexp(np.trunc(np.ldexp(mant, 26)), ex - 26)
-    return _phases(m, hi, alpha) * _phases(m, ts - hi, alpha)
+    """e^{i alpha t m}, shape (len(m), len(ts)), for integers m; ValueError on
+    overflow or |m| >= 2^52.  For |m| < 2^b, t's leading w = min(26, 53 - b) bits
+    are peeled ceil(b / w) times (at least once), so each chunk times m is exact and
+    each phase is within a few u of exact at any t (one rounding of t m: u |t m|)."""
+    b = int(np.max(np.abs(m), initial=0)).bit_length()
+    if (w := min(26, 53 - b)) < 1:
+        raise ValueError("gauge exponents |m| >= 2^52 are not exact in float64")
+    his, rest = [], ts
+    for _ in range(max(1, -(-b // w))):
+        mant, ex = np.frexp(rest)
+        his.append(np.ldexp(np.trunc(np.ldexp(mant, w)), ex - w))
+        rest = rest - his[-1]
+    return functools.reduce(np.multiply, (_phases(m, c, alpha) for c in [*his, rest]))
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:

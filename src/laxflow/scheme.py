@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import spectral
+from . import propagator, spectral
 from .lax import Equation, data_digest
 from .propagator import PropagatorCache, _gauge, advance
 from .spectral import (
@@ -197,6 +197,14 @@ def _physical_memory() -> float:
     return min(phys, _cgroup_memory_limit())
 
 
+def _check_memory(need: float, what: str) -> None:
+    """ValueError when `what` needs more bytes at once than `_physical_memory`."""
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"{what} needs at least {need / 2**30:.3g} GiB at once, more than "
+                         f"the {have / 2**30:.3g} GiB of physical memory or cgroup limit")
+
+
 def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
     """The lowest memory limit set on this process's cgroup or an ancestor:
     `memory.max` (v2, mounted at root or root/unified) or
@@ -242,28 +250,26 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     is the shift alone (j^2 + 1 + 2j = (j + 1)^2), and change basis only
     where n does, in one multiply per run (none on a full staircase).  A run
     at n = 0 reads its zero modes off the buffer and decomposes nothing.
-    Gauge phases are within a few u of exact at any t for M <= 2^13
+    Gauge phases are within a few u of exact at any t for M <= 2^26
     (`propagator._gauge`); the block's round t (1 + 2 lambda) once a step.
 
     The cache is a memo within a byte budget (`propagator._CACHE_BUDGET`,
     2 MiB); the run itself holds what its schedule still needs: the
     decomposition in use, which is the next run's parent, and one of each
-    n that a later run returns to.  Before any work, ValueError when
-    the least the run must hold at once, the Lax build and one
-    decomposition at the largest n(k), the buffer and the coefficients,
-    exceeds the memory the process may use (`_physical_memory`: physical
-    memory, or the cgroup limit when lower).
+    n that a later run returns to.  Before any work, ValueError when the
+    run's measured peak, 8 n x n complex arrays at the largest n(k), 4
+    (M + K) x T and the cache's budget, exceeds the memory the process may
+    use (`_check_memory`: physical memory, or the cgroup limit when lower).
     """
     sched = cfg.schedule
     K = sched.K
     M = sched.ambient_size
     T = len(cfg.times)
     n_max = int(sched.values[1:].max(initial=0))
-    need, have = 16 * (2 * n_max**2 + (M + K) * T + T * K), _physical_memory()
-    if need > have:
-        raise ValueError(f"the run needs at least {need / 2**30:.3g} GiB at once, more "
-                         f"than the {have / 2**30:.3g} GiB of physical memory or "
-                         f"cgroup limit")
+    # the peak by tracemalloc (each family and kind, K = 16..512, T = 1..4000): 5.5 n x n
+    # complex arrays at n_max, 3.85 (M + K) x T (the buffer, the coefficients, gauge phases)
+    # and the cache; counted with 2 n x n more for zheevd's workspace, which it does not see
+    _check_memory(16 * (8 * n_max**2 + 4 * (M + K) * T) + propagator._CACHE_BUDGET, "the run")
     eq = Equation.named(cfg.equation)
     hardy0, u0 = _resolve_data(cfg, eq)
 

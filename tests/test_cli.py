@@ -1188,6 +1188,19 @@ class TestDiagnostics:
         assert calls == []
         assert not out.exists()
 
+    def test_M_beyond_physical_memory_rejected_before_the_profile_is_sampled(
+            self, tmp_path, capsys, monkeypatch):
+        # sampling a square wave at M = 2^22 took 0.7 s and 400 MiB; the
+        # refusal comes first
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: 1 << 30)
+        calls = []
+        monkeypatch.setattr(diag, "analyze_profile", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "x"
+        assert main(["diagnostics", "--M", str(1 << 22), "--out", str(out)]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("M", [64, 128, 256, 512])
     def test_preflight_counts_the_peak(self, tmp_path, monkeypatch, M):
         # tracemalloc's peak over one command is within what the preflight

@@ -20,6 +20,7 @@ from laxflow.diagnostics import (
     run_resolvent_convergence,
 )
 import laxflow.lax
+import laxflow.scheme
 from laxflow.lax import EQUATIONS, build_bo_lax, build_ccm_lax
 from laxflow.propagator import HermitianEig
 from laxflow.spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile, l2_norm
@@ -500,6 +501,41 @@ def test_non_finite_width_rejected_before_any_work(monkeypatch, suite, T):
     with pytest.raises(ValueError, match=r"width 2T of \[-T, T\] must be finite"):
         suite(T)
     assert calls == []
+
+
+class TestMemoryPreflight:
+    """Every suite takes its context through `_Spectra.of`, which refuses an
+    M whose arrays would not fit before any work, called alone or not."""
+
+    SUITES = {
+        "bound": lambda u0, eq, M: run_bound_suite(u0, eq, M, [1.0], [1, M]),
+        "resolvent": run_resolvent_convergence,
+        "sweep": lambda u0, eq, M: run_propagator_sweep(u0, eq, M, 1.0),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("equation", ["BO", "CCM-defocusing"])
+    def test_suite_alone_refuses_before_any_work(self, monkeypatch, suite, equation):
+        M = 64
+        u0 = bo_data(M) if equation == "BO" else ccm_data(M)
+        calls = []
+        for module, name in ((diag, "mult_matrix"), (laxflow.lax, "build_bo_lax"),
+                             (laxflow.lax, "build_ccm_lax")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name: calls.append(_n))
+        need = 16 * M * (diag._HELD_ARRAYS * M + diag._HELD_PER_VECTOR * diag._SANDWICH_VECTORS)
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="diagnostics at M=64 needs .* physical memory"):
+            self.SUITES[suite](u0, equation, M)
+        assert calls == []
+
+    def test_passed_context_is_checked_too(self, monkeypatch):
+        M = 64
+        u0 = bo_data(M)
+        spectra = diag._Spectra(u0, EQUATIONS["BO"], M)
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: 1 << 20)
+        with pytest.raises(ValueError, match="physical memory"):
+            run_resolvent_convergence(u0, "BO", M, spectra=spectra)
+        assert "lax" not in spectra.__dict__
 
 
 class TestKappaZero:

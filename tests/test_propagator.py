@@ -96,6 +96,30 @@ class TestPhases:
         assert f"{max(map(abs, ts)):g}" in str(info.value) and "2e+10" in str(info.value)
 
 
+class TestGauge:
+    def test_within_a_few_u_at_any_t(self):
+        # |m| up to 2^52 - 1 peels t into up to 52 chunks; each product is
+        # exact, so the error is a few roundings of the factors: 6e-16 seen
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.array([1000 - 1 / 3, -1e6 / 3, 1e6 + 0.1, 0.7, -2.5e-3, 0.0])
+        m = np.array([0, 1, 3, 2**26 - 1, 2**26, 12345678901, 2**40 + 7, 2**52 - 1])
+        with mpmath.workdps(60):
+            expect = [[complex(mpmath.expj(-mpmath.mpf(t) * int(k))) for t in ts] for k in m]
+        assert np.max(np.abs(propagator._gauge(ts, -1, m) - expect)) <= 2e-15
+
+    def test_split_below_2_to_26_is_26_and_27_bits(self):
+        # the one split of t for |m| < 2^26, which every run at M <= 8192 takes
+        ts = np.array([1000 - 1 / 3, -3.7, 2.5e-17])
+        m = np.arange(0, 8192) ** 2
+        hi = np.ldexp(np.trunc(np.ldexp(np.frexp(ts)[0], 26)), np.frexp(ts)[1] - 26)
+        expect = _phases(m, hi, 1) * _phases(m, ts - hi, 1)
+        np.testing.assert_array_equal(propagator._gauge(ts, 1, m), expect)
+
+    def test_exponent_past_2_to_52_raises(self):
+        with pytest.raises(ValueError, match="2\\^52"):
+            propagator._gauge([1.0], 1, np.array([3, 2**52]))
+
+
 class TestApplyGroup:
     def test_against_series_oracle(self):
         m = build_bo_lax(random_spectrum(10, 1), 7)

@@ -192,10 +192,57 @@ class TestLinearCase:
             expect = [complex(mpmath.expj(mpmath.mpf(t) * k * k) * c[k]) for k in range(K)]
         assert np.max(np.abs(out.coeffs[0] - expect)) <= 1e-15
 
+    @pytest.mark.parametrize("K", [1 << 14, 1 << 15])
+    def test_free_flow_to_rounding_past_j_squared_2_to_26(self, K):
+        # j^2 passes 2^26 above K = 8192: t's 27 low bits times j^2 were
+        # rounded, which put K = 32768 3.9e-7 off (a phase error of 3.1e-5);
+        # the gauge takes t in as many chunks as keep each product exact
+        mpmath = pytest.importorskip("mpmath")
+        t = 1000 - 1 / 3
+        p = InitialProfile("random-sobolev", {"s": -0.49, "seed": 1, "norm": 1.0})
+        out = run("BO", make_schedule("linear-case", K), [t], p)
+        c = project_hardy(analyze_profile(p, K)).padded(K)
+        with mpmath.workdps(40):
+            expect = [complex(mpmath.expj(mpmath.mpf(t) * k * k) * c[k]) for k in range(K)]
+        assert np.all(np.abs(out.coeffs[0] - expect) <= 1e-14 * np.abs(c))
+
     def test_runs_at_zero_decompose_nothing(self):
         lin = run("BO", make_schedule("linear-case", 16), [0.5, 2.0], bo_profile(1))
         half = run("BO", make_schedule("half-staircase", 16), [0.5, 2.0], bo_profile(1))
         assert (lin.decompositions, half.decompositions) == (0, 1)
+
+
+class TestTravelingWave:
+    """BO data with Hardy coefficients q^k, k >= 1, and mean 0 is a traveling
+    wave, an exact nonlinear solution: q^k e^{i k t (1 - 3 q^2) / (1 - q^2)}."""
+
+    TIMES = [-1000.0, -0.7, 0.7, 10.0, 100.0, 1000.0]
+
+    @staticmethod
+    def wave(q, K, times):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mq = mpmath.mpf(q)
+            speed = (1 - 3 * mq**2) / (1 - mq**2)
+            return np.array([[complex(mq**k * mpmath.expj(mpmath.mpf(t) * k * speed)) if k else 0
+                              for k in range(K)] for t in times])
+
+    @pytest.mark.parametrize("q, kind, K", [
+        (q, kind, K) for q in (0.2, 0.3, 0.5, 0.6)
+        for kind, K in (("constant", 64), ("constant", 256), ("half-staircase", 128),
+                        ("half-staircase", 256), ("full-staircase", 128))]
+        + [(0.5, "full-staircase", 256)])
+    def test_scheme_is_the_wave(self, q, kind, K):
+        # largest Hardy L2 error seen: 4.9e-13 (q = 0.6, half-staircase, K = 256,
+        # |t| = 1000), growing about linearly in |t| as phase rounding does; the
+        # half-staircase's truncation q^(K/2) is below 1e-28 from K = 128
+        k = np.arange(K)
+        u0 = RealSpectrum.from_hardy_part(np.where(k >= 1, q**k, 0.0), K)
+        out = run("BO", make_schedule(kind, K), self.TIMES, u0)
+        err = np.linalg.norm(out.coeffs - self.wave(q, K, self.TIMES), axis=1)
+        assert np.max(err) <= 1e-12, err
+        # the staircase derives some of its decompositions from the one before
+        assert out.cache.derived > 0 or kind != "full-staircase"
 
 
 class TestBruteForceOracle:
@@ -348,13 +395,36 @@ class TestPreflight:
         cfg = SchemeConfig("CCM-defocusing", make_schedule("full-staircase", K),
                            np.linspace(-1.0, 1.0, T), bo_profile(2))
         calls = count_ccm_builds(monkeypatch)
-        need = 16 * (2 * 15**2 + (K + K) * T + T * K)  # M = K
+        # 8 blocks at n_max = 15, 4 (M + K) x T columns (M = K) and the cache's budget
+        need = 16 * (8 * 15**2 + 4 * (K + K) * T) + laxflow.propagator._CACHE_BUDGET
         monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             run_scheme(cfg)
         assert calls == []
         monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need)
         assert run_scheme(cfg).decompositions == K - 1
+
+    @pytest.mark.parametrize("equation, kind, K, T", [
+        ("BO", "constant", 256, 41), ("BO", "half-staircase", 256, 4),
+        ("BO", "linear-case", 256, 41), ("CCM-defocusing", "full-staircase", 256, 41),
+        # the cache's 1.3 MiB is most of this peak, 24 blocks of 16 n_max^2
+        ("CCM-defocusing", "full-staircase", 64, 41)])
+    def test_preflight_counts_the_peak(self, monkeypatch, equation, kind, K, T):
+        # tracemalloc's peak over one run is within what the preflight
+        # counts: given one byte less, it refuses; a first run's lazy imports
+        # are taken apart
+        cfg = SchemeConfig(equation, make_schedule(kind, K), np.linspace(-1.0, 1.0, T),
+                           bo_profile(3))
+        run_scheme(cfg)
+        tracemalloc.start()
+        try:
+            run_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            run_scheme(cfg)
 
     def test_physical_memory_is_positive(self):
         assert laxflow.scheme._physical_memory() > 0
