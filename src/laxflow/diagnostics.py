@@ -29,7 +29,9 @@ resolvent R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H of each n, which the
 sandwich bounds and the resolvent suite share.
 `laxflow diagnostics` passes one context to all three suites; called
 alone, each suite makes its own; either way `_Spectra.of` first refuses
-an M whose arrays would not fit in memory (`_check_memory`).
+an M whose arrays would not fit in memory (`_check_memory`).  Every entry
+point reads its data through `Equation.data`, a profile sampled at M (at
+K_ref for the convergence study), before any build.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,14 +47,7 @@ from . import scheme
 from .lax import Equation, LaxMatrix, mult_matrix
 from .propagator import HermitianEig, _phases, eig_hermitian
 from .scheme import SchemeConfig, SchemeOutput, make_schedule, run_scheme
-from .spectral import (
-    HardyVector,
-    InitialProfile,
-    RealSpectrum,
-    _is_philox_key,
-    analyze_profile,
-    l2_norm,
-)
+from .spectral import _is_integer, _is_philox_key, l2_norm
 
 __all__ = [
     "BoundReport",
@@ -208,13 +203,12 @@ class _Spectra:
 
     @classmethod
     def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int) -> "_Spectra":
-        """spectra if it is the context of (u0, eq, M), a new one (of u0 sampled at M
-        if a profile) if None; first, ValueError for an M that would not fit."""
+        """spectra if it is the context of (u0, eq, M), a new one of `eq.data(u0, M)`
+        if None (TypeError for the other equation's field); first, ValueError for an
+        M that would not fit."""
         _check_memory(M)
         if spectra is None:
-            if isinstance(u0, InitialProfile):
-                u0 = analyze_profile(u0, M, hardy=eq.hardy)
-            return cls(u0, eq, M)
+            return cls(eq.data(u0, M), eq, M)
         if spectra.u0 is not u0 or spectra.eq is not eq or spectra.M != M:
             raise ValueError("the spectral context belongs to other data, equation or M")
         return spectra
@@ -244,11 +238,7 @@ class _Spectra:
         kappa0 >= 1.
         """
         if self.eq.family == "BO":
-            if not isinstance(self.u0, RealSpectrum):
-                raise TypeError("BO data must be a RealSpectrum")
             return max(12.0 * l2_norm(self.u0) ** 2, 1.0)
-        if not isinstance(self.u0, HardyVector):
-            raise TypeError("CCM data must be a HardyVector")
         kappa = next((2.0**e for e in range(_CCM_GRID_MAX_EXP + 1) if _scaled_norm(
             self._gram2, 1.0 / (np.arange(self.M) + 2.0**e)) <= 0.5), None)
         # the bound suite takes its norms before it asks for kappa0
@@ -277,10 +267,11 @@ class _Spectra:
 
 
 def find_kappa_zero(u0, eq: Equation, M: int) -> float:
-    """kappa0 of (u0, eq, M) (`_Spectra.kappa0`); ValueError unless M >= 4."""
+    """kappa0 of (u0, eq, M) (`_Spectra.kappa0`), a profile sampled at M;
+    ValueError unless M >= 4."""
     if M < 4:
         raise ValueError("M must be >= 4")
-    return _Spectra(u0, eq, M).kappa0
+    return _Spectra(eq.data(u0, M), eq, M).kappa0
 
 
 def run_bound_suite(
@@ -302,7 +293,8 @@ def run_bound_suite(
     norm of X R0 is taken from the n x n Gram of those columns scaled by R0:
     G[:n, :n] of G = U^H U, or for CCM the kappa-free A_n G[:n, :n] A_n^H,
     which at n = M is the context's G^2.  spectra is the context of a
-    `laxflow diagnostics` command; None makes one.
+    `laxflow diagnostics` command; None makes one.  ValueError for a bad
+    argument (n_vectors must be an integer >= 1) before any work.
     """
     eq = Equation.named(equation)
     if M < 8:
@@ -311,9 +303,12 @@ def run_bound_suite(
         raise ValueError("kappas must be finite and >= 1")
     if not all(0 <= n <= M for n in ns):
         raise ValueError(f"every n must lie in [0, M={M}]")
+    if not (_is_integer(n_vectors) and n_vectors >= 1):
+        raise ValueError(f"n_vectors must be an integer >= 1, got {n_vectors!r}")
     if not _is_philox_key(seed):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     spectra = _Spectra.of(spectra, u0, eq, M)
+    u0 = spectra.u0
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []
 
@@ -327,7 +322,7 @@ def run_bound_suite(
     # Toeplitz factor A itself; A Pi_n A^H Pi_n has the Gram A_n G_n A_n^H
     cores = ({n: U[:n, :n] @ G[:n, :n] @ U[:n, :n].conj().T for n in ns if n < M}
              | {M: spectra._gram2} if eq.family == "CCM" else {})
-    hardy_coeffs = u0.hardy_part() if isinstance(u0, RealSpectrum) else u0.padded(M)
+    hardy_coeffs = u0.padded(M) if eq.hardy else u0.hardy_part()
 
     for kappa in kappas:
         r0 = 1.0 / (np.arange(M) + kappa)
@@ -404,7 +399,7 @@ def run_resolvent_convergence(u0, equation: str, M: int, *,
         raise ValueError("M must be a power of two >= 32")
     spectra = _Spectra.of(spectra, u0, eq, M)
     kappa = spectra.kappa0
-    norm_u = l2_norm(u0)
+    norm_u = l2_norm(spectra.u0)
     r_full = spectra.resolvent(M)
     r_tail = 1.0 / (np.arange(M) + kappa)
     rows = []
@@ -463,7 +458,7 @@ def _per_time_errors(out: SchemeOutput, ref: SchemeOutput) -> Tuple[np.ndarray, 
 
 
 def run_convergence_study(
-    u0: Union[InitialProfile, RealSpectrum, HardyVector],
+    u0,
     equation: str,
     Ks: Sequence[int],
     schedule_kind: str,
@@ -475,8 +470,8 @@ def run_convergence_study(
     """Errors of the K-frequency scheme against the K_ref reference run.
 
     The continuum solution is proxied by the scheme itself at K_ref with a
-    constant schedule; all runs share the same initial data materialized at
-    bandwidth K_ref.
+    constant schedule; all runs share the same initial data, `Equation.data`
+    at bandwidth K_ref.
     """
     eq = Equation.named(equation)
     Ks = list(Ks)
@@ -488,8 +483,7 @@ def run_convergence_study(
         raise ValueError("grid_points must be >= 11")
     schedules = [make_schedule(schedule_kind, K) for K in Ks]  # before any run
     times = _time_grid(T, grid_points)
-    if isinstance(u0, InitialProfile):
-        u0 = analyze_profile(u0, K_ref, hardy=eq.hardy)
+    u0 = eq.data(u0, K_ref)
 
     ref_cfg = SchemeConfig(equation, make_schedule("constant", K_ref), times, u0)
     try:

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import HardyVector, RealSpectrum
+from .spectral import HardyVector, InitialProfile, RealSpectrum, analyze_profile
 
 __all__ = [
     "Equation",
@@ -65,6 +65,19 @@ class Equation:
     def hardy(self) -> bool:
         """True iff the data live in the Hardy space rather than real L2."""
         return self.family == "CCM"
+
+    def data(self, u0, bandwidth: int):
+        """The data every entry point reads, resolved once before any build: a
+        profile sampled at bandwidth in the data space, a RealSpectrum (BO) or
+        HardyVector (CCM) as it is; TypeError for any other type, the other
+        field included."""
+        if isinstance(u0, InitialProfile):
+            return analyze_profile(u0, bandwidth, hardy=self.hardy)
+        field = HardyVector if self.hardy else RealSpectrum
+        if not isinstance(u0, field):
+            raise TypeError(f"{self.name} data must be a {field.__name__} or an "
+                            f"InitialProfile, got {type(u0).__name__}")
+        return u0
 
     def build_lax(self, u0, n: int) -> "LaxMatrix":
         # the builders are looked up by name at each call, so a wrapper

@@ -14,7 +14,6 @@ exact-in-time evaluation; there is no time stepping.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import warnings
@@ -60,13 +59,16 @@ class Schedule:
     values: np.ndarray
 
     def __post_init__(self):
-        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
-        # a cast would run 2.5 as 2, "3" as 3 and True as 1
-        if not all(map(spectral._is_integer, values)):
-            raise ValueError(f"truncation parameters must be integers, got {self.values!r}")
+        values = self.values
+        # a cast would run 2.5 as 2, "3" as 3 and True as 1: an int array passes by its
+        # dtype, in O(1) Python work at any K, anything else value by value (a list too,
+        # since np.asarray([1, True]) is an int array)
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+                or all(map(spectral._is_integer, values))):
+            raise ValueError(f"truncation parameters must be integers, got {values!r}")
         v = np.array(values, dtype=np.int64)
-        if self.K < 1 or len(v) != self.K:
-            raise ValueError("schedule needs exactly K values, K >= 1")
+        if self.K < 1 or v.ndim != 1 or len(v) != self.K:
+            raise ValueError("schedule needs exactly K values, K >= 1, in one dimension")
         if np.any(v < 0):
             raise ValueError("truncation parameters must be nonnegative")
         v.flags.writeable = False
@@ -81,6 +83,14 @@ class Schedule:
     @property
     def ambient_size(self) -> int:
         return int(max(self.values.max(), 1))
+
+    @property
+    def runs(self) -> tuple:
+        """The maximal runs of equal n(k), k >= 1: two int arrays, each run's n and its
+        number of steps, found in numpy at any K."""
+        v = self.values[1:]
+        starts = np.flatnonzero(np.diff(v, prepend=-1))
+        return v[starts], np.diff(starts, append=len(v))
 
 
 def make_schedule(kind: str, K: int, custom_values: Optional[Sequence[int]] = None) -> Schedule:
@@ -118,7 +128,8 @@ def make_schedule(kind: str, K: int, custom_values: Optional[Sequence[int]] = No
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """One scheme run: equation, schedule, evaluation times and data."""
+    """One scheme run: equation, schedule, evaluation times and data, which
+    `run_scheme` reads through `Equation.data` at the schedule's K."""
 
     equation: str  # "BO", "CCM-focusing", "CCM-defocusing"
     schedule: Schedule
@@ -169,21 +180,6 @@ class SchemeOutput:
         if self.equation != "BO":
             raise ValueError("real_spectrum is only defined for BO output")
         return RealSpectrum.from_hardy_part(self.coeffs[self.time_index(t)], self.schedule.K)
-
-
-def _resolve_data(cfg: SchemeConfig, eq: Equation):
-    """Materialize initial data; returns (hardy seed source, lax data)."""
-    K = cfg.schedule.K
-    u0 = cfg.u0
-    if isinstance(u0, InitialProfile):
-        u0 = spectral.analyze_profile(u0, K, hardy=eq.hardy)
-    if eq.hardy:
-        if isinstance(u0, RealSpectrum):
-            raise TypeError("CCM data must live in the Hardy space")
-        return truncate(u0, K), u0
-    if isinstance(u0, HardyVector):
-        u0 = RealSpectrum.from_hardy_part(u0.coeffs, K)
-    return project_hardy(u0), u0
 
 
 def _physical_memory() -> float:
@@ -258,20 +254,37 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     decomposition in use, which is the next run's parent, and one of each
     n that a later run returns to.  Before any work, ValueError when the
     run's measured peak, 8 n x n complex arrays at the largest n(k), 4
-    (M + K) x T and the cache's budget, exceeds the memory the process may
-    use (`_check_memory`: physical memory, or the cgroup limit when lower).
+    (M + K) x T, the cache's budget and the most that the held
+    decompositions take at once (16 n^2 + 8 n bytes each), exceeds the
+    memory the process may use (`_check_memory`: physical memory, or the
+    cgroup limit when lower).
     """
     sched = cfg.schedule
     K = sched.K
     M = sched.ambient_size
     T = len(cfg.times)
     n_max = int(sched.values[1:].max(initial=0))
+    ns, lengths = sched.runs
+    # `held` keeps a decomposition of n, 16 n^2 + 8 n bytes, from n's first run to its
+    # last; found in numpy, in O(1) Python work and a few arrays of K (hence the `del`),
+    # so an absurd K is refused at once
+    order = np.argsort(ns, kind="stable")
+    edges = np.flatnonzero(np.diff(ns[order], prepend=-1, append=-1))
+    first, last = order[edges[:-1]], order[edges[1:] - 1]
+    del order, edges
+    size = ns[first].astype(float)
+    size *= 16.0 * size + 8.0
+    change = np.zeros(len(ns) + 1)
+    change[first] += size
+    change[last] -= size
     # the peak by tracemalloc (each family and kind, K = 16..512, T = 1..4000): 5.5 n x n
-    # complex arrays at n_max, 3.85 (M + K) x T (the buffer, the coefficients, gauge phases)
-    # and the cache; counted with 2 n x n more for zheevd's workspace, which it does not see
-    _check_memory(16 * (8 * n_max**2 + 4 * (M + K) * T) + propagator._CACHE_BUDGET, "the run")
+    # complex arrays at n_max, 3.85 (M + K) x T (the buffer, the coefficients, gauge phases),
+    # the cache and what `held` keeps; counted with 2 n x n more for zheevd's workspace,
+    # which it does not see
+    _check_memory(16 * (8 * n_max**2 + 4 * (M + K) * T) + propagator._CACHE_BUDGET
+                  + int(change.cumsum(out=change).max()), "the run")
     eq = Equation.named(cfg.equation)
-    hardy0, u0 = _resolve_data(cfg, eq)
+    u0 = eq.data(cfg.u0, K)
 
     if eq.sign == "focusing" and not cfg.override_focusing_threshold:
         if l2_norm(u0) >= 1.0 - FOCUSING_MARGIN:
@@ -285,7 +298,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
         cache = PropagatorCache()
     decomp_before = cache.decompositions
 
-    seed = truncate(hardy0, int(sched.values[0]))
+    seed = truncate(truncate(u0, K) if eq.hardy else project_hardy(u0), int(sched.values[0]))
     seed_norm = l2_norm(seed)
 
     coeffs = np.zeros((T, K), dtype=np.complex128)
@@ -301,11 +314,11 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
     lax = functools.cache(lambda: eq.build_lax(u0, n_max))
-    runs = [(n, len(list(run))) for n, run in itertools.groupby(sched.values[1:].tolist())]
-    last = {n: i for i, (n, _) in enumerate(runs)}
+    again = np.ones(len(ns), dtype=bool)  # a later run returns to this run's n
+    again[last] = False
     held = {}  # n -> the decomposition a later run at n needs again
     k, eig, was = 1, None, int(sched.values[0])
-    for i, (n, steps) in enumerate(runs):
+    for n, steps, keep in zip(ns.tolist(), lengths.tolist(), again.tolist()):
         regauge(k, was, n, steps)
         if n == 0:
             coeffs[:, k : k + steps] = buf[k : k + steps].T
@@ -314,7 +327,7 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
             # staircase n -> n - 1; keys hold no K, so runs of any K share them
             eig = held.pop(n) if n in held else cache.get_or_build(
                 (eq.name, n, digest), lambda: lax().truncated(n), parent=eig)
-            if last[n] > i:
+            if keep:
                 held[n] = eig
             coeffs[:, k : k + steps] = advance(eig, cfg.times, eq.alpha,
                                                buf[k - 1 : k - 1 + n + steps], steps)

@@ -1194,7 +1194,7 @@ class TestDiagnostics:
         # refusal comes first
         monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: 1 << 30)
         calls = []
-        monkeypatch.setattr(diag, "analyze_profile", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(laxflow.lax, "analyze_profile", lambda *a, **kw: calls.append(a))
         out = tmp_path / "x"
         assert main(["diagnostics", "--M", str(1 << 22), "--out", str(out)]) == 2
         assert "physical memory" in capsys.readouterr().err

@@ -66,6 +66,15 @@ class TestBoundSuite:
         failed = [r for r in reports if not r.passed]
         assert failed == []
 
+    @pytest.mark.parametrize("n_vectors", [0, -1, 2.5, True])
+    def test_bad_n_vectors_refused_before_any_work(self, monkeypatch, n_vectors):
+        # numpy refused these after every bound cell and kappa0
+        calls = []
+        monkeypatch.setattr(diag, "mult_matrix", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="n_vectors must be an integer >= 1"):
+            run_bound_suite(bo_data(16), "BO", 16, [1.0], [4], n_vectors=n_vectors)
+        assert calls == []
+
     def test_projection_bound_is_exact(self):
         reports = run_bound_suite(bo_data(16), "BO", 16, kappas=[2.0], ns=[4], n_vectors=10)
         (r,) = [r for r in reports if r.name == "projection"]
@@ -536,6 +545,55 @@ class TestMemoryPreflight:
         with pytest.raises(ValueError, match="physical memory"):
             run_resolvent_convergence(u0, "BO", M, spectra=spectra)
         assert "lax" not in spectra.__dict__
+
+
+class TestDataContract:
+    """Every entry point reads its data through `Equation.data`: the other
+    equation's field is one TypeError before any build, and a profile is
+    sampled at M as the caller would sample it."""
+
+    M = 64
+    ENTRY_POINTS = {
+        "scheme": lambda u0, eq, M: laxflow.scheme.run_scheme(laxflow.scheme.SchemeConfig(
+            eq, laxflow.scheme.make_schedule("constant", M), [0.5], u0)),
+        "kappa0": lambda u0, eq, M: find_kappa_zero(u0, EQUATIONS[eq], M),
+        "bound": lambda u0, eq, M: run_bound_suite(u0, eq, M, [1.0], [1, M], n_vectors=4),
+        "resolvent": run_resolvent_convergence,
+        "sweep": lambda u0, eq, M: run_propagator_sweep(u0, eq, M, 1.0),
+        "convergence": lambda u0, eq, M: run_convergence_study(
+            u0, eq, [M // 8], "constant", 1.0, 11, M // 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("equation, u0, want, got", [
+        # the scheme reflected this one, kappa0 refused it; the CCM sweep ran
+        # the other on a Hermitian Toeplitz A and returned numbers
+        ("BO", HardyVector([0.3, 0.1j, 0.05]), "RealSpectrum", "HardyVector"),
+        ("CCM-defocusing", RealSpectrum.from_hardy_part([0.3, 0.1j, 0.05], 64), "HardyVector",
+         "RealSpectrum"),
+    ])
+    def test_the_other_field_is_refused_before_any_build(self, monkeypatch, entry, equation,
+                                                          u0, want, got):
+        calls = []
+        for module in (diag, laxflow.lax):
+            monkeypatch.setattr(module, "mult_matrix", lambda *a: calls.append("mult_matrix"))
+        monkeypatch.setattr(laxflow.lax.Equation, "build_lax",
+                            lambda *a: calls.append("build_lax"))
+        with pytest.raises(TypeError, match=f"^{equation} data must be a {want} or an "
+                                            f"InitialProfile, got {got}$"):
+            self.ENTRY_POINTS[entry](u0, equation, self.M)
+        assert calls == []
+
+    @pytest.mark.parametrize("equation", sorted(EQUATIONS))
+    def test_suites_take_a_profile_as_its_samples_at_M(self, equation):
+        # both suites read the unsampled profile after sampling it, and ended
+        # in an AttributeError
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 6, "norm": 0.5})
+        u0 = analyze_profile(p, self.M, hardy=EQUATIONS[equation].hardy)
+        for suite in (lambda u: run_bound_suite(u, equation, self.M, [1.0, 4.0],
+                                                [1, 8, self.M], n_vectors=8),
+                      lambda u: run_resolvent_convergence(u, equation, self.M)):
+            assert suite(p) == suite(u0)
 
 
 class TestKappaZero:

@@ -170,6 +170,19 @@ class TestEquations:
             assert got.n == n
             np.testing.assert_array_equal(got.block, want.block)
 
+    @pytest.mark.parametrize("name", sorted(EQUATIONS))
+    def test_data_samples_a_profile_and_keeps_its_own_field(self, name):
+        eq = EQUATIONS[name]
+        p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 2, "norm": 0.5})
+        u0 = eq.data(p, 12)
+        assert type(u0) is (HardyVector if eq.hardy else RealSpectrum)
+        np.testing.assert_array_equal(u0.coeffs, analyze_profile(p, 12, hardy=eq.hardy).coeffs)
+        assert eq.data(u0, 5) is u0
+        other = random_real_spectrum(12, 2) if eq.hardy else random_hardy(12, 2)
+        for bad in (other, other.coeffs, None):
+            with pytest.raises(TypeError, match=f"^{name} data must be a "):
+                eq.data(bad, 12)
+
 
 class TestMultMatrix:
     """U[j, l] = u0hat(j - l), read off coeff() independently of the helper."""

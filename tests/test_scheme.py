@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 import laxflow.lax
 import laxflow.propagator
 import laxflow.scheme
+import laxflow.spectral
 from laxflow.lax import build_ccm_lax
 from laxflow.propagator import PropagatorCache
 from laxflow.scheme import (
@@ -84,6 +86,33 @@ class TestSchedules:
                 Schedule(2, "custom", bad)
         np.testing.assert_array_equal(Schedule(2, "custom", [np.int32(1), np.uint8(0)]).values,
                                       [1, 0])
+
+    @pytest.mark.parametrize("values", [[4], [4, 0], [4, 3, 3, 0, 0, 3], [2, 2, 2, 1, 1, 2, 0],
+                                        list(range(9, 0, -1)), [5] * 7])
+    def test_runs_are_the_groups_of_equal_values(self, values):
+        ns, lengths = Schedule(len(values), "custom", values).runs
+        assert list(zip(ns.tolist(), lengths.tolist())) == [
+            (n, len(list(g))) for n, g in itertools.groupby(values[1:])]
+
+    def test_an_array_is_checked_by_its_dtype(self, monkeypatch):
+        # value by value, an absurd K did O(K) Python work before its refusal
+        calls = []
+        is_integer = laxflow.spectral._is_integer
+        monkeypatch.setattr(laxflow.spectral, "_is_integer",
+                            lambda v: calls.append(v) or is_integer(v))
+        for ints in (np.arange(3, 0, -1), np.array([2, 1, 0], dtype=np.uint8)):
+            np.testing.assert_array_equal(Schedule(3, "custom", ints).values, ints)
+        assert calls == []
+        for bad in (np.array([2.0, 1.0, 0.0]), np.array([True, True, False])):
+            with pytest.raises(ValueError, match="must be integers"):
+                Schedule(3, "custom", bad)
+        # anything but an int array is checked value by value
+        calls.clear()
+        objects = np.array([2, 1, 0], dtype=object)
+        np.testing.assert_array_equal(Schedule(3, "custom", objects).values, [2, 1, 0])
+        assert calls == [2, 1, 0]
+        with pytest.raises(ValueError, match="one dimension"):
+            Schedule(3, "custom", np.ones((3, 1), dtype=int))
 
     def test_zero_seed_truncation_warns(self):
         with pytest.warns(UserWarning, match="n\\(0\\) = 0"):
@@ -408,12 +437,18 @@ class TestPreflight:
         ("BO", "constant", 256, 41), ("BO", "half-staircase", 256, 4),
         ("BO", "linear-case", 256, 41), ("CCM-defocusing", "full-staircase", 256, 41),
         # the cache's 1.3 MiB is most of this peak, 24 blocks of 16 n_max^2
-        ("CCM-defocusing", "full-staircase", 64, 41)])
+        ("CCM-defocusing", "full-staircase", 64, 41),
+        # two staircases K/2..1, K/2..2: the run holds one decomposition of each
+        # n = K/2..2 at the end of the first, 10.9 MiB of its 11.25 MiB traced
+        # peak; without that held term the count was 4.02 MiB
+        ("CCM-defocusing", "custom", 256, 1)])
     def test_preflight_counts_the_peak(self, monkeypatch, equation, kind, K, T):
         # tracemalloc's peak over one run is within what the preflight
         # counts: given one byte less, it refuses; a first run's lazy imports
         # are taken apart
-        cfg = SchemeConfig(equation, make_schedule(kind, K), np.linspace(-1.0, 1.0, T),
+        custom = ([K // 2] + list(range(K // 2, 0, -1)) + list(range(K // 2, 1, -1))
+                  if kind == "custom" else None)
+        cfg = SchemeConfig(equation, make_schedule(kind, K, custom), np.linspace(-1.0, 1.0, T),
                            bo_profile(3))
         run_scheme(cfg)
         tracemalloc.start()
@@ -425,6 +460,26 @@ class TestPreflight:
         monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: peak - 1)
         with pytest.raises(ValueError, match="physical memory"):
             run_scheme(cfg)
+
+    @pytest.mark.parametrize("kind", ["constant", "full-staircase", "custom"])
+    def test_refusal_does_no_python_work_per_step(self, monkeypatch, kind):
+        # the runs and what `held` keeps are counted in numpy, so an absurd K is
+        # refused at once: at most 10 int64 arrays of K before the check (7 on a
+        # full staircase), where a list of its K - 1 runs as (n, steps) tuples and
+        # dicts of each n's first and last run took about 40
+        K = 2**16
+        custom = ([K // 2] + list(range(K // 2, 0, -1)) + list(range(K // 2, 1, -1))
+                  if kind == "custom" else None)
+        cfg = SchemeConfig("BO", make_schedule(kind, K, custom), [1.0], bo_profile(1))
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                run_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * K
 
     def test_physical_memory_is_positive(self):
         assert laxflow.scheme._physical_memory() > 0
@@ -478,7 +533,7 @@ class TestConservation:
     @pytest.mark.parametrize("data", [
         bo_profile(8),
         # a zero mode within 1e-10 of real is made exactly real
-        HardyVector([0.3 + 1e-12j, -0.2j, 0.1, 0.05 + 0.05j, 0.02, 0.01j]),
+        RealSpectrum.from_hardy_part([0.3 + 1e-12j, -0.2j, 0.1, 0.05 + 0.05j, 0.02, 0.01j], 16),
     ])
     def test_mass_is_the_seed_zero_mode_bit_exactly(self, kind, data):
         # a real field's zero mode is exactly real by construction, and the
@@ -488,8 +543,7 @@ class TestConservation:
         sched = make_schedule(kind, K, custom_values=custom)
         times = [-1000.0, -3.7, 0.0, 0.4, 2 * math.pi, 1000.0]
         out = run("BO", sched, times, data)
-        u0 = (analyze_profile(data, K) if isinstance(data, InitialProfile)
-              else RealSpectrum.from_hardy_part(data.coeffs, K))
+        u0 = analyze_profile(data, K) if isinstance(data, InitialProfile) else data
         c0 = u0.coeff(0)
         assert c0 != 0 and c0.imag == 0.0
         assert np.all(out.coeffs[:, 0] == c0)
