@@ -103,10 +103,11 @@ _HELD_PER_VECTOR = 4
 _SANDWICH_VECTORS = 200
 
 
-def _check_memory(M: int) -> None:
-    """ValueError when the arrays a diagnostics command at M holds at once
-    exceed the memory the process may use (`scheme._check_memory`)."""
-    scheme._check_memory(16 * M * (_HELD_ARRAYS * M + _HELD_PER_VECTOR * _SANDWICH_VECTORS),
+def _check_memory(M: int, vectors: int = _SANDWICH_VECTORS) -> None:
+    """ValueError when the arrays a diagnostics command at M, drawing `vectors`
+    sandwich vectors, holds at once exceed the memory the process may use
+    (`scheme._check_memory`)."""
+    scheme._check_memory(16 * M * (_HELD_ARRAYS * M + _HELD_PER_VECTOR * vectors),
                          f"diagnostics at M={M}")
 
 
@@ -202,11 +203,12 @@ class _Spectra:
         self._resolvents: Dict[int, np.ndarray] = {}
 
     @classmethod
-    def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int) -> "_Spectra":
+    def of(cls, spectra: Optional["_Spectra"], u0, eq: Equation, M: int,
+           vectors: int = _SANDWICH_VECTORS) -> "_Spectra":
         """spectra if it is the context of (u0, eq, M), a new one of `eq.data(u0, M)`
         if None (TypeError for the other equation's field); first, ValueError for an
-        M that would not fit."""
-        _check_memory(M)
+        M that would not fit with the `vectors` sandwich vectors the caller draws."""
+        _check_memory(M, vectors)
         if spectra is None:
             return cls(eq.data(u0, M), eq, M)
         if spectra.u0 is not u0 or spectra.eq is not eq or spectra.M != M:
@@ -307,7 +309,7 @@ def run_bound_suite(
         raise ValueError(f"n_vectors must be an integer >= 1, got {n_vectors!r}")
     if not _is_philox_key(seed):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    spectra = _Spectra.of(spectra, u0, eq, M)
+    spectra = _Spectra.of(spectra, u0, eq, M, n_vectors)
     u0 = spectra.u0
     norm_u = l2_norm(u0)
     reports: List[BoundReport] = []

@@ -39,14 +39,14 @@ largest entry; the chain restarts from the bounds those checks measure.
 
 A `PropagatorCache` is a memo bounded in bytes, a plain dict from key to
 decomposition with no lock: laxflow code runs on one thread, and the BLAS
-behind numpy already uses every core.  What a run still needs, the run
-holds itself.  The shift kappa0 and the operator norms of the convergence
-analysis are `diagnostics`'s.
+behind numpy already uses every core.  A run takes every decomposition
+from it, a return to an n included, and holds only the one in use.  The
+shift kappa0 and the operator norms of the convergence analysis are
+`diagnostics`'s.
 """
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -150,7 +150,11 @@ def _gauge(ts, alpha: int, m: np.ndarray) -> np.ndarray:
         mant, ex = np.frexp(rest)
         his.append(np.ldexp(np.trunc(np.ldexp(mant, w)), ex - w))
         rest = rest - his[-1]
-    return functools.reduce(np.multiply, (_phases(m, c, alpha) for c in [*his, rest]))
+    # in place, in chunk order: another order moves the last bits of the phases
+    out = _phases(m, his[0], alpha)
+    for c in [*his[1:], rest]:
+        out *= _phases(m, c, alpha)
+    return out
 
 
 def _derivable(m: LaxMatrix, parent: Optional[HermitianEig]) -> bool:
@@ -501,9 +505,10 @@ def advance(e: HermitianEig, ts, alpha: int, X: np.ndarray, steps: int) -> np.nd
     return rows
 
 
-# the bytes of decompositions a cache keeps for a later run to hit: room for
-# reruns at small K on a shared cache (a full staircase at K = 64 leaves
-# 1.3 MiB; at K = 256 it keeps n = 1..72); no command reuses a cache across runs
+# the bytes of decompositions a cache keeps for a later hit: a run's own
+# return to an n, and reruns at small K on a shared cache (a full staircase
+# at K = 64 leaves 1.3 MiB; at K = 256 it keeps n = 1..72); no command
+# reuses a cache across runs
 _CACHE_BUDGET = 2 << 20
 
 
@@ -527,7 +532,8 @@ class PropagatorCache:
     *evicted*, dropped from the cache (`evictions`); that may be the entry
     just built, which is still returned.  A staircase on its own cache so
     ends holding its smallest decompositions, the last a rerun reaches.
-    The cache does not know what a run still needs: the run holds that.
+    The cache does not know what a run still needs: a run's return to an
+    evicted n decomposes it again.
     """
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)

@@ -249,40 +249,24 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
     Gauge phases are within a few u of exact at any t for M <= 2^26
     (`propagator._gauge`); the block's round t (1 + 2 lambda) once a step.
 
-    The cache is a memo within a byte budget (`propagator._CACHE_BUDGET`,
-    2 MiB); the run itself holds what its schedule still needs: the
-    decomposition in use, which is the next run's parent, and one of each
-    n that a later run returns to.  Before any work, ValueError when the
-    run's measured peak, 8 n x n complex arrays at the largest n(k), 4
-    (M + K) x T, the cache's budget and the most that the held
-    decompositions take at once (16 n^2 + 8 n bytes each), exceeds the
-    memory the process may use (`_check_memory`: physical memory, or the
-    cgroup limit when lower).
+    Every run at n >= 1 takes its decomposition from the cache, a memo
+    within a byte budget (`propagator._CACHE_BUDGET`, 2 MiB): a return to
+    an n is a hit while its entry is cached and is decomposed again once
+    evicted.  The run itself holds only the decomposition in use, the next
+    run's parent.  Before any work, ValueError when the run's measured
+    peak, 8 n x n complex arrays at the largest n(k), 4 (M + K) x T and the
+    cache's budget, exceeds the memory the process may use
+    (`_check_memory`: physical memory, or the cgroup limit when lower).
     """
     sched = cfg.schedule
     K = sched.K
     M = sched.ambient_size
     T = len(cfg.times)
     n_max = int(sched.values[1:].max(initial=0))
-    ns, lengths = sched.runs
-    # `held` keeps a decomposition of n, 16 n^2 + 8 n bytes, from n's first run to its
-    # last; found in numpy, in O(1) Python work and a few arrays of K (hence the `del`),
-    # so an absurd K is refused at once
-    order = np.argsort(ns, kind="stable")
-    edges = np.flatnonzero(np.diff(ns[order], prepend=-1, append=-1))
-    first, last = order[edges[:-1]], order[edges[1:] - 1]
-    del order, edges
-    size = ns[first].astype(float)
-    size *= 16.0 * size + 8.0
-    change = np.zeros(len(ns) + 1)
-    change[first] += size
-    change[last] -= size
     # the peak by tracemalloc (each family and kind, K = 16..512, T = 1..4000): 5.5 n x n
-    # complex arrays at n_max, 3.85 (M + K) x T (the buffer, the coefficients, gauge phases),
-    # the cache and what `held` keeps; counted with 2 n x n more for zheevd's workspace,
-    # which it does not see
-    _check_memory(16 * (8 * n_max**2 + 4 * (M + K) * T) + propagator._CACHE_BUDGET
-                  + int(change.cumsum(out=change).max()), "the run")
+    # complex arrays at n_max, 3.85 (M + K) x T (the buffer, the coefficients, gauge phases)
+    # and the cache; counted with 2 n x n more for zheevd's workspace, which it does not see
+    _check_memory(16 * (8 * n_max**2 + 4 * (M + K) * T) + propagator._CACHE_BUDGET, "the run")
     eq = Equation.named(cfg.equation)
     u0 = eq.data(cfg.u0, K)
 
@@ -307,28 +291,26 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
 
     def regauge(k, was, n, steps):
         """Phase the rows of u^{k-1} whose basis changes for a run at n after `was`."""
-        j = np.arange(min(n, was), min(max(was, n + steps), M))
+        lo, hi = min(n, was), min(max(was, n + steps), M)
+        j = np.arange(lo, hi)
         m = np.sign(was - n) * j * j * (j < max(n, was)) - n * n * ((n <= j) & (j < n + steps))
         if m.any():
-            buf[k - 1 + j] *= _gauge(cfg.times, eq.alpha, m)
+            rows = buf[k - 1 + lo : k - 1 + hi]  # a view: the rows are not copied
+            rows *= _gauge(cfg.times, eq.alpha, m)
 
     # built on the first cache miss only: a rerun that hits throughout builds nothing
     lax = functools.cache(lambda: eq.build_lax(u0, n_max))
-    again = np.ones(len(ns), dtype=bool)  # a later run returns to this run's n
-    again[last] = False
-    held = {}  # n -> the decomposition a later run at n needs again
+    ns, lengths = sched.runs
     k, eig, was = 1, None, int(sched.values[0])
-    for n, steps, keep in zip(ns.tolist(), lengths.tolist(), again.tolist()):
+    for n, steps in zip(ns.tolist(), lengths.tolist()):
         regauge(k, was, n, steps)
         if n == 0:
             coeffs[:, k : k + steps] = buf[k : k + steps].T
         else:
             # the run before's decomposition is this one's parent, derived from on a
             # staircase n -> n - 1; keys hold no K, so runs of any K share them
-            eig = held.pop(n) if n in held else cache.get_or_build(
-                (eq.name, n, digest), lambda: lax().truncated(n), parent=eig)
-            if keep:
-                held[n] = eig
+            eig = cache.get_or_build((eq.name, n, digest), lambda: lax().truncated(n),
+                                     parent=eig)
             coeffs[:, k : k + steps] = advance(eig, cfg.times, eq.alpha,
                                                buf[k - 1 : k - 1 + n + steps], steps)
         k, was = k + steps, n

@@ -537,6 +537,22 @@ class TestMemoryPreflight:
             self.SUITES[suite](u0, equation, M)
         assert calls == []
 
+    def test_bound_suite_counts_its_sandwich_vectors(self, monkeypatch):
+        # 20000 vectors peaked at 60.4 MiB under tracemalloc and ran to the end
+        # under the count for 200, 1.22 MiB at M = 64
+        M = 64
+        u0 = InitialProfile("random-sobolev", {"s": 1.0, "seed": 3, "norm": 0.5})
+        calls = []
+        mult_matrix = diag.mult_matrix
+        monkeypatch.setattr(diag, "mult_matrix", lambda *a: calls.append(a) or mult_matrix(*a))
+        need = 16 * M * (diag._HELD_ARRAYS * M + diag._HELD_PER_VECTOR * diag._SANDWICH_VECTORS)
+        monkeypatch.setattr(laxflow.scheme, "_physical_memory", lambda: need)
+        with pytest.raises(ValueError, match="diagnostics at M=64 needs .* physical memory"):
+            run_bound_suite(u0, "BO", M, [1.0], [1, M], n_vectors=20000)
+        assert calls == []
+        assert run_bound_suite(u0, "BO", M, [1.0], [1, M], n_vectors=200)
+        assert calls
+
     def test_passed_context_is_checked_too(self, monkeypatch):
         M = 64
         u0 = bo_data(M)

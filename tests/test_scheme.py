@@ -240,6 +240,23 @@ class TestLinearCase:
         half = run("BO", make_schedule("half-staircase", 16), [0.5, 2.0], bo_profile(1))
         assert (lin.decompositions, half.decompositions) == (0, 1)
 
+    def test_regauge_phases_the_rows_in_place(self):
+        # the rows are a view of the buffer, phased by one array: above the buffer and
+        # the coefficients the peak was 2.26 (M + K) x T complex arrays with the rows
+        # gathered, scattered back and phased by a product of the chunks' phases
+        K, T = 64, 4000
+        cfg = SchemeConfig("BO", make_schedule("linear-case", K), np.linspace(-1.0, 1.0, T),
+                           bo_profile(3))
+        run_scheme(cfg)
+        tracemalloc.start()
+        try:
+            out = run_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = 16 * (K + K) * T
+        assert peak - out.coeffs.nbytes - unit <= 2 * unit, peak / unit
+
 
 class TestTravelingWave:
     """BO data with Hardy coefficients q^k, k >= 1, and mean 0 is a traveling
@@ -353,7 +370,8 @@ class TestDerivedStaircase:
 
 class TestCacheLifetime:
     """The cache keeps decompositions within its budget only; the run holds
-    what its schedule still needs."""
+    the decomposition in use and its parent, and a return to an n goes
+    through the cache."""
 
     def test_full_staircase_holds_a_few_blocks(self, monkeypatch):
         # with nothing cached, the peak is the build, the decomposition in
@@ -389,14 +407,39 @@ class TestCacheLifetime:
         np.testing.assert_array_equal(first.coeffs, again.coeffs)
         np.testing.assert_array_equal(first.final_iterate, again.final_iterate)
 
-    def test_returning_schedule_decomposes_each_n_once(self, monkeypatch):
-        # 8 is needed again after 4: the run holds it through the run at 4,
-        # though the cache evicts every entry as soon as it is built
-        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
+    def test_a_return_within_the_budget_is_a_cache_hit(self):
+        # 8 is needed again after 4, and its entry is still cached
         sched = make_schedule("custom", 8, [8, 8, 4, 4, 8, 8, 2, 2])
         out = run("BO", sched, [0.3, 1.7], bo_profile(6))
-        assert (out.decompositions, out.cache.hits) == (3, 0)
-        assert (out.cache.evictions, out.cache.nbytes) == (3, 0)
+        assert (out.decompositions, out.cache.hits) == (3, 1)
+
+    def test_an_evicted_return_is_decomposed_again_to_the_same_bytes(self, monkeypatch):
+        sched = make_schedule("custom", 8, [8, 8, 4, 4, 8, 8, 2, 2])
+        cached = run("BO", sched, [0.3, 1.7], bo_profile(6))
+        monkeypatch.setattr(laxflow.propagator, "_CACHE_BUDGET", 0)
+        out = run("BO", sched, [0.3, 1.7], bo_profile(6))
+        assert out.decompositions == 4
+        assert (out.cache.evictions, out.cache.nbytes) == (4, 0)
+        np.testing.assert_array_equal(out.coeffs, cached.coeffs)
+        np.testing.assert_array_equal(out.final_iterate, cached.final_iterate)
+
+    def test_returning_staircases_peak_within_the_preflight_count(self):
+        # two staircases K/2..1, K/2..2: the run holds no decomposition for a
+        # later run, so its peak is within the count of every schedule, 4.03 MiB
+        # here; holding one of each n = K/2..2 for the second staircase took 11.25
+        K = 256
+        custom = [K // 2] + list(range(K // 2, 0, -1)) + list(range(K // 2, 1, -1))
+        cfg = SchemeConfig("CCM-defocusing", make_schedule("custom", K, custom), [1.0],
+                           bo_profile(3))
+        run_scheme(cfg)
+        tracemalloc.start()
+        try:
+            run_scheme(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_max = K // 2
+        assert peak <= 16 * (8 * n_max**2 + 4 * (K + K)) + laxflow.propagator._CACHE_BUDGET
 
     def test_rerun_on_its_own_cache_hits_every_kept_entry(self):
         # a K = 128 full staircase overflows the 2 MiB budget; the cache keeps
@@ -438,9 +481,8 @@ class TestPreflight:
         ("BO", "linear-case", 256, 41), ("CCM-defocusing", "full-staircase", 256, 41),
         # the cache's 1.3 MiB is most of this peak, 24 blocks of 16 n_max^2
         ("CCM-defocusing", "full-staircase", 64, 41),
-        # two staircases K/2..1, K/2..2: the run holds one decomposition of each
-        # n = K/2..2 at the end of the first, 10.9 MiB of its 11.25 MiB traced
-        # peak; without that held term the count was 4.02 MiB
+        # two staircases K/2..1, K/2..2: the second's returns go through the
+        # cache, so the run holds only the decomposition in use and its parent
         ("CCM-defocusing", "custom", 256, 1)])
     def test_preflight_counts_the_peak(self, monkeypatch, equation, kind, K, T):
         # tracemalloc's peak over one run is within what the preflight
@@ -463,10 +505,10 @@ class TestPreflight:
 
     @pytest.mark.parametrize("kind", ["constant", "full-staircase", "custom"])
     def test_refusal_does_no_python_work_per_step(self, monkeypatch, kind):
-        # the runs and what `held` keeps are counted in numpy, so an absurd K is
-        # refused at once: at most 10 int64 arrays of K before the check (7 on a
-        # full staircase), where a list of its K - 1 runs as (n, steps) tuples and
-        # dicts of each n's first and last run took about 40
+        # the check reads n_max alone and the runs are found after it, so an
+        # absurd K is refused at once: at most 10 int64 arrays of K before the
+        # check, where a list of a full staircase's K - 1 runs as (n, steps)
+        # tuples and dicts of each n's first and last run took about 40
         K = 2**16
         custom = ([K // 2] + list(range(K // 2, 0, -1)) + list(range(K // 2, 1, -1))
                   if kind == "custom" else None)
