@@ -23,19 +23,22 @@ a staircase n -> n - 1 each decomposition follows from the one before:
 `eig_hermitian` given that parent solves a secular equation for the new
 eigenvalues and forms the eigenvectors with one real product, instead of a
 fresh O(n^3) `eigh`.  Each root starts at the root of a one-pole model
-about its nearer pole, where most roots already meet the stopping test, and
-the rest take about one rational step; every evaluation is a matrix-vector
-product.  A decomposition is accepted in one of two ways.  A derived one,
-tried only when its block and its parent's are leading blocks of one live
-read-only build, and so equal by construction, is accepted on a
-certificate: spectral-norm bounds on its defects, rounding included,
-carried from the parent's in O(n^2) plus one real n x n product, that
-prove the dense checks would pass with half their tolerance to spare
-(scaled by the block's diagonal, a lower bound of its largest entry).
-Everything else, a certificate that declines included, is an `eigh`
-result, which passes the dense reconstruction and orthonormality checks,
-two complex n x n products, the reconstruction scaled by the block's
-largest entry; the chain restarts from the bounds those checks measure.
+about its nearer pole, where a third of the roots meet the stopping test
+for n >= 200 and almost none below 128; the others take one rational step,
+about 1% of them a second.  Every evaluation is a matrix-vector product
+and every n^2 pass one whole-array numpy call, a fixed number of each per
+pass of the loop.  A decomposition is accepted in one of two ways.  A
+derived one, tried only when its block and its parent's are leading
+blocks of one live read-only build, and so equal by construction, is
+accepted on a certificate: spectral-norm bounds on its defects, rounding
+included, carried from the parent's in O(n^2) plus one real n x n
+product, that prove the dense checks would pass with half their
+tolerance to spare (scaled by the block's diagonal, a lower bound of its
+largest entry).  Everything else, a certificate that declines included,
+is an `eigh` result, which passes the dense reconstruction and
+orthonormality checks, two complex n x n products, the reconstruction
+scaled by the block's largest entry; the chain restarts from the bounds
+those checks measure.
 
 A `PropagatorCache` is a memo bounded in bytes, a plain dict from key to
 decomposition with no lock: laxflow code runs on one thread, and the BLAS
@@ -47,6 +50,7 @@ shift kappa0 and the operator norms of the convergence analysis are
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -129,8 +133,8 @@ class HermitianEig:
 def _phases(rates, ts, alpha: int) -> np.ndarray:
     """e^{i alpha t r} for r in rates, shape (len(rates), len(ts)); ValueError on overflow."""
     with np.errstate(over="ignore"):
-        arg = np.outer(rates, ts)
-    if not np.all(np.isfinite(arg)):
+        arg = np.multiply.outer(rates, ts)
+    if not np.isfinite(arg).all():
         raise ValueError(f"phase argument overflows: |t| up to {np.max(np.abs(ts)):g} times "
                          f"a rate (1 + 2 lambda, or j^2 in the tail's gauge) up to "
                          f"{np.max(np.abs(rates)):g}")
@@ -223,7 +227,8 @@ def _abs_norm(a: np.ndarray) -> float:
     """For a = |x| entrywise, sqrt(||a||_1 ||a||_inf) >= || |x| || >= ||x||; 0 if empty."""
     cols, rows = np.ones(len(a)) @ a, a @ np.ones(a.shape[1])
     # two roots: the product of the sums overflows once both pass about 1e154
-    return float(np.sqrt(cols.max(initial=0.0)) * np.sqrt(rows.max(initial=0.0)))
+    return (math.sqrt(np.maximum.reduce(cols, initial=0.0))
+            * math.sqrt(np.maximum.reduce(rows, initial=0.0)))
 
 
 def _gamma(k: int) -> float:
@@ -297,20 +302,24 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     at the gap's midpoint names the half that holds the root and so its
     nearer pole lam_k; the root is carried as an offset tau_j from that
     pole, so that the differences lam_i - mu_j keep their relative
-    accuracy.  It starts where the pole model w_k / (lam_k - mu) + F_k(lam_k)
-    = 0 puts it, F_k the other terms of f, as for a root within O(w_k) of
-    its pole (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978), or at
-    the midpoint when that start leaves the half.  Few roots meet the
-    stopping test there (in CCM full-staircase runs about 40% for n >= 200
-    and almost none for n < 128); most take one two-pole rational step as
-    in LAPACK dlaed4, about 1% a second, kept inside the half by
-    bisection.  With r = 1 / (lam - mu), f and the stopping test's
-    sum_i |w_i r_i| are the products w r and w |r|, and the slopes of the
-    terms below and above the gap the half difference and half sum of
-    w r^2 and w (r |r|): matrix-vector products with no mask, on the roots
-    still open.  |z| is then recomputed from the
-    roots by Loewner's formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl.
-    16, 1995), which keeps the eigenvectors orthogonal; the phase of z is
+    accuracy.  The differences lam_i - lam_k and lam_i - mid_j are one
+    rank-2 product, each entry a single rounding of its exact value.  A
+    root starts where the pole model w_k / (lam_k - mu) + F_k(lam_k) = 0
+    puts it, F_k the other terms of f, as for a root within O(w_k) of its
+    pole (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978), or at the
+    midpoint when that start leaves the half.  Each pass of the loop
+    evaluates f and the stopping test's sum_i |w_i r_i|, r = 1 / (lam -
+    mu), as the products w r and w |r| on the roots still open, keeps the
+    rows and the tau and bracket of those that fail, and takes one
+    two-pole rational step for them as in LAPACK dlaed4, kept inside the
+    half by bisection: the slopes of the terms below and above the gap are
+    the half difference and half sum of w r^2 and w (r |r|),
+    matrix-vector products with no mask.  In CCM full-staircase runs at
+    K = 256 the start leaves 66% of the roots open for n >= 200, 87% for
+    n from 128 to 199 and 99% below; one step leaves 0.4%, 0.6% and 2%
+    open, and a second none.  |z| is then recomputed from the roots by
+    Loewner's formula (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16,
+    1995), which keeps the eigenvectors orthogonal; the phase of z is
     kept, so Q[:-1] enters through one real product.  All of it is O(n^2)
     but that product.  The reciprocals 1 / (lam_i - mu_j) are always taken
     from the offsets, as 1 / (delta0 - tau), which `_certify` relies on.
@@ -321,56 +330,62 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     n = parent.n
     lam = parent.eigenvalues
     last = parent.eigenvectors[-1]
-    w = np.abs(last) ** 2
-    gaps = np.diff(lam)
-    if w.min() <= _EPS**2 or gaps.min() <= _EPS * (1.0 + np.abs(lam).max()):
+    abs_last = np.abs(last)
+    w = abs_last**2
+    gaps = lam[1:] - lam[:-1]
+    if w.min() <= _EPS**2 or gaps.min() <= _EPS * (1.0 + max(-lam[0], lam[-1])):
         return None
     # row j of each matrix below is root j, column i pole i; diff[k, i] is
     # lam_i - lam_k, and row k of it the offsets delta0 from origin lam_k
-    j = np.arange(n - 1)
     half = 0.5 * gaps
-    diff = lam - lam[:, None]
+    # rows k < n: lam_i - lam_k; rows n + j: lam_i - mid_j, mid_j = lam_j + half_j:
+    # one rank-2 product, each entry exact but for one rounding of lam_i - x
+    x = np.concatenate((lam, lam[:-1] + half))
+    diff = np.array([np.ones(2 * n - 1), x]).T @ np.array([lam, -np.ones(n)])
+    diff, r = diff[:n], diff[n:]
     # f rises from -inf to +inf across each gap: its sign at the midpoint
     # names the half that holds the root, and so the nearer pole k
-    r = diff[:-1] - half[:, None]
     upper = np.reciprocal(r, out=r) @ w < 0
-    k = j + upper
-    lo, hi = np.where(upper, -half, 0.0), np.where(upper, 0.0, half)
+    k = np.arange(n - 1) + upper
+    d0 = diff[k]
+    # 1 / (lam_i - lam_k), 0 at i = k, in diff's place
+    diff.ravel()[:: n + 1] = np.inf  # leading rows of a fresh product: ravel is a view
+    inv = np.reciprocal(diff, out=diff)
+    # each open root's bracket (lo, hi) and its gap's ends, offsets from lam_k
+    lo, hi = upper * -half, ~upper * half
+    ends = 2.0 * np.array([lo, hi]).T
     tol = _SECULAR_TOL * n
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.reciprocal(diff)  # 1 / (lam_i - lam_k), inf at i = k
-        inv.flat[:: n + 1] = 0.0
         # the pole model's root lam_k + w_k / F_k, F_k the other terms at lam_k
         tau = w[k] / (inv @ w)[k]
-        tau = np.where((lo < tau) & (tau < hi), tau, np.where(upper, lo, hi))
-        np.reciprocal(np.subtract(diff[k], tau[:, None], out=r), out=r)
-        o, ro = j, r  # the roots still open and their rows of r
+        tau = np.where((lo < tau) & (tau < hi), tau, lo + hi)
+        np.reciprocal(np.subtract(d0, tau[:, None], out=r), out=r)
+        # the open roots, their rows of r and their taus
+        o, ro, to = np.arange(n - 1), r, tau
         for _ in range(_SECULAR_MAX_STEPS):
-            fo, to = ro @ w, tau[o]
-            done = np.abs(fo) <= tol * (np.abs(ro) @ w)
-            if done.all():
+            f = ro @ w
+            left = (~(np.abs(f) <= tol * (np.abs(ro) @ w))).nonzero()[0]
+            if not len(left):
                 break
-            left = ~done
-            o, ro, fo, to = o[left], ro[left], fo[left], to[left]
+            o, ro, f, to, lo, hi = o[left], ro[left], f[left], to[left], lo[left], hi[left]
             steps += len(o)
-            lo[o] = lo_o = np.where(fo < 0, to, lo[o])
-            hi[o] = hi_o = np.where(fo > 0, to, hi[o])
+            lo, hi = np.where(f < 0, to, lo), np.where(f > 0, to, hi)
             # fit c + s / (dlo - eta) + S / (dhi - eta) to the value and slope
             # of the terms below and above the gap, and step to its root; the
             # terms below are negative and those above positive, so their
             # slopes are (d2 - d2s) / 2 and (d2 + d2s) / 2
-            d2, d2s = (ro * ro) @ w, (ro * np.abs(ro)) @ w
-            ko = k[o]
-            dlo, dhi = diff[ko, o] - to, diff[ko, o + 1] - to
-            c = fo - 0.5 * ((dlo + dhi) * d2 + (dhi - dlo) * d2s)
-            a = (dlo + dhi) * fo - dlo * dhi * d2
-            b = dlo * dhi * fo
+            d2, d2s = np.square(ro) @ w, (ro * np.abs(ro)) @ w
+            dlo, dhi = (ends[o] - to[:, None]).T
+            add, mul = dlo + dhi, dlo * dhi
+            c = f - 0.5 * (add * d2 + (dhi - dlo) * d2s)
+            a = add * f - mul * d2
+            b = mul * f
             disc = np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0))
-            step = to + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
-            tau[o] = np.where((lo_o < step) & (step < hi_o), step, 0.5 * (lo_o + hi_o))
-            ro = diff[ko]
-            ro -= tau[o, None]
+            to = to + np.where(a > 0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+            tau[o] = to = np.where((lo < to) & (to < hi), to, 0.5 * (lo + hi))
+            ro = d0[o]
+            ro -= to[:, None]
             r[o] = np.reciprocal(ro, out=ro)
         else:
             return None
@@ -380,13 +395,14 @@ def _delete_last(parent: HermitianEig) -> Optional[_Derivation]:
     # Row i of inv less its diagonal holds 1 / (lam_k - lam_i) for exactly
     # those k, in order, so off.T / r is minus the ratios
     off = inv.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
-    zhat = np.sqrt(np.abs(np.prod(np.divide(off.T, r), axis=0)))
+    zhat2 = np.abs(np.multiply.reduce(np.divide(off.T, r), 0))
+    zhat = np.sqrt(zhat2)
+    nu = np.sqrt(np.square(r) @ zhat2)
     s = np.multiply(r, zhat, out=r)
-    nu = np.sqrt(np.einsum("ji,ji->j", s, s))
-    s /= nu[:, None]
+    s *= (1.0 / nu)[:, None]
     # Q[:-1] diag(phase(z)) s is one real product: the transposed complex
     # factor, viewed as reals, interleaves real and imaginary parts
-    phase = np.conj(last) / np.abs(last)
+    phase = np.conj(last) / abs_last
     rows_t = np.multiply(parent.eigenvectors[:-1].T, phase[:, None], order="C")
     q = (s @ rows_t.view(np.float64)).view(np.complex128).T
     return _Derivation(lam[k], tau, q, s.T, zhat, nu, phase, steps)
@@ -407,14 +423,18 @@ def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
     * column j of C Y - Y diag(mu) is P Q D r_j + (1 / nu_j + c g_j) h
       - g_j P B (I - Q Q^H) e_{n-1} plus the parent's residual carried
       through, where mu_j = origin_j + tau_j exactly, h = P Q Q^H
-      e_{n-1} = P Q D conj(D l) has norm <= the parent's orthonormality
-      bound, c is any shift (the Rayleigh quotient of |l| is taken) and
+      e_{n-1} = P Q D conj(D l), c is any shift (the Rayleigh quotient of
+      |l| is taken) and
       r_j = (lam - mu_j) s_j - conj(D l) / nu_j - g_j (lam - c) conj(D l).
-      (lam - mu_j) s_j is zhat / nu_j to 8 u per entry, because
-      1 / (lam_i - mu_j) was taken as 1 / (delta0 - tau) with
-      |delta0 / (delta0 - tau)| <= 2, so ||r_j|| <= (||zhat - conj(D l)||
-      + 8 u ||zhat||) / nu_j + |g_j| ||(lam - c) l||: O(1) per column
-      once g is known.
+      ||h|| = ||P (Q Q^H - I) e_{n-1}|| <= ||Q^H Q - I||, so the parent's
+      orthonormality bound is taken for it, with no product.
+      (lam - mu_j) s_j is zhat / nu_j to 8 u per entry: 1 / (lam_i - mu_j)
+      was taken as 1 / (delta0 - tau) with |delta0 / (delta0 - tau)| <= 2,
+      so delta0's rounding counts twice, and five roundings follow (delta0
+      - tau, its reciprocal, the product with zhat, 1 / nu_j and the
+      product with that).  So ||r_j|| <= (||zhat - conj(D l)|| + 8 u
+      ||zhat||) / nu_j + |g_j| ||(lam - c) l||: O(1) per column once g is
+      known.
 
     Delta covers two terms: D's rounding and Q[:-1] D (6 u |Q|: two
     divisions, then a complex product), and the real product of that with
@@ -427,38 +447,40 @@ def _certify(parent: HermitianEig, d: _Derivation) -> Optional[_Bounds]:
     |diag(C)|, an O(n) lower bound on it, read from the build that the
     parent's `_root` names, alive whenever `eig_hermitian` certifies.
     """
-    Q, (e_p, rho_p, abs_q_p, b) = parent.eigenvectors, parent.bounds
-    n = parent.n
-    lam, ell, s = parent.eigenvalues, Q[-1], d.s
-    gam, row = _gamma(n), np.sqrt(1.0 + e_p)  # row >= ||Q|| >= ||l||
+    (e_p, rho_p, abs_q_p, b), n = parent.bounds, parent.n
+    lam, ell, s = parent.eigenvalues, parent.eigenvectors[-1], d.s
+    gam, row = _gamma(n), math.sqrt(1.0 + e_p)  # row >= ||Q|| >= ||l||
     s_abs, abs_ell = np.abs(s), np.abs(ell)
     v = ell * d.phase
-    # >= |g|: |D l - (D l)exact| <= 6 u |l|, and the product's rounding
-    g = np.hypot(s.T @ v.real, s.T @ v.imag) + (6 * _U + gam) * (s_abs.T @ abs_ell)
-    g_norm = float(np.linalg.norm(g))
+    # >= |g|: |D l - (D l)exact| <= 6 u |l|, and the product's rounding; the
+    # real and imaginary parts of s^T v in one product, v viewed as reals
+    g_re, g_im = (s.T @ v.view(np.float64).reshape(n, 2)).T
+    g = np.hypot(g_re, g_im) + (6 * _U + gam) * (s_abs.T @ abs_ell)
+    g_norm = math.sqrt(g @ g)
     abs_s = _abs_norm(s_abs)  # >= || |s| ||
     sts = s.T @ s
-    sts.flat[:: len(sts) + 1] -= 1.0
+    sts.ravel()[:: n] -= 1.0  # sts is a fresh product: ravel is a view
     # s^T s - I is symmetric, so its 1-norm bounds its spectral norm; the
     # product's rounding is at most gamma |s|^T |s|, of 1-norm <= abs_s^2
-    f = _SAFETY * ((np.ones(len(sts)) @ np.abs(sts)).max(initial=0.0) + gam * abs_s**2)
-    sig = np.sqrt(1.0 + f)  # >= ||s|| up to the roundings _UP covers
+    f = _SAFETY * (np.maximum.reduce(np.ones(n - 1) @ np.abs(sts, out=sts), initial=0.0)
+                   + gam * abs_s**2)
+    sig = math.sqrt(1.0 + f)  # >= ||s|| up to the roundings _UP covers
     y = row * sig  # >= ||Y||
     delta = abs_q_p * abs_s * (gam + 6 * _U)  # >= ||Delta||
     ortho = _UP * sig**2 * e_p + f + _SAFETY * (g_norm**2 + 2 * y * delta + delta**2)
-    h = min(float(np.linalg.norm(Q[:-1] @ np.conj(ell))) + gam * abs_q_p * row, e_p)
     dz = float(np.linalg.norm(d.zhat - np.conj(v))) + 6 * _U * row
     # P Q D (c g_j conj(D l)) = c g_j h for any c, so lam may be shifted by c in r_j
     c = float(lam @ abs_ell**2 / (abs_ell @ abs_ell))
-    r = ((dz + 8 * _U * np.linalg.norm(d.zhat)) / d.nu
-         + g * np.linalg.norm((lam - c) * abs_ell))
-    mu = d.mu
-    mu_max = max(abs(mu[0]), abs(mu[-1]))  # mu ascends
+    lw = (lam - c) * abs_ell
+    r = (dz + 8 * _U * math.sqrt(d.zhat @ d.zhat)) / d.nu + g * math.sqrt(lw @ lw)
+    inv_nu = 1.0 / d.nu
+    mu_max = max(abs(d.origin[0] + d.tau[0]), abs(d.origin[-1] + d.tau[-1]))  # mu ascends
     residual = _UP * rho_p * (sig + row * g_norm) + _SAFETY * (
-        row * np.linalg.norm(r) + h * (np.linalg.norm(1.0 / d.nu) + abs(c) * g_norm)
+        row * math.sqrt(r @ r) + e_p * (math.sqrt(inv_nu @ inv_nu) + abs(c) * g_norm)
         + b * e_p * g_norm + (b + mu_max) * delta + y * _U * mu_max)
     bounds = _Bounds(ortho, residual, _SAFETY * _abs_norm(np.abs(d.q)), b)
-    scale = 1.0 + float(np.max(np.abs(np.diagonal(parent._root())[: n - 1]), initial=0.0))
+    scale = 1.0 + float(np.maximum.reduce(np.abs(parent._root().diagonal()[: n - 1].real),
+                                          initial=0.0))
     if bounds.ortho <= 0.5 * _RECON_TOL and bounds.recon() <= 0.5 * _RECON_TOL * scale:
         return bounds
     return None
@@ -500,8 +522,9 @@ def advance(e: HermitianEig, ts, alpha: int, X: np.ndarray, steps: int) -> np.nd
         return rows
     for s in range(steps):
         # Q^H x as conj(Q^T conj(x)): no conjugate copy of Q, only of the n x T x
-        X[s + 1 : s + n + 1] = q @ (phases * (q.T @ X[s + 1 : s + n + 1].conj()).conj())
-        rows[:, s] = X[s + 1]
+        x = X[s + 1 : s + n + 1]
+        x[:] = q @ (phases * (q.T @ x.conj()).conj())
+        rows[:, s] = x[0]
     return rows
 
 
@@ -537,6 +560,7 @@ class PropagatorCache:
     """
 
     _store: Dict[Tuple, HermitianEig] = field(default_factory=dict)
+    _sizes: Dict[Tuple, int] = field(default_factory=dict, repr=False)  # bytes of each entry
     decompositions: int = 0
     hits: int = 0
     derived: int = 0
@@ -547,7 +571,7 @@ class PropagatorCache:
     @property
     def nbytes(self) -> int:
         """Resident bytes of the cached decompositions: 16 n^2 + 8 n each."""
-        return sum(map(_nbytes, self._store.values()))
+        return sum(self._sizes.values())
 
     def get_or_build(self, key: Tuple, factory: Callable[[], LaxMatrix],
                      parent: Optional[HermitianEig] = None) -> HermitianEig:
@@ -557,12 +581,14 @@ class PropagatorCache:
             return cached
         m = factory()
         built = self._store[key] = eig_hermitian(m, parent)
+        self._sizes[key] = _nbytes(built)
         self.decompositions += 1
         self.derived += built.derived
         self.secular_steps += built.secular_steps  # 0 unless derived
         self.fallbacks += _derivable(m, parent) and not built.derived
         while self.nbytes > _CACHE_BUDGET:
             # max takes the first of equal sizes, and a dict iterates oldest first
-            del self._store[max(self._store, key=lambda k: _nbytes(self._store[k]))]
+            largest = max(self._sizes, key=self._sizes.get)
+            del self._store[largest], self._sizes[largest]
             self.evictions += 1
         return built

@@ -291,9 +291,13 @@ def run_scheme(cfg: SchemeConfig, cache: Optional[PropagatorCache] = None) -> Sc
 
     def regauge(k, was, n, steps):
         """Phase the rows of u^{k-1} whose basis changes for a run at n after `was`."""
-        lo, hi = min(n, was), min(max(was, n + steps), M)
-        j = np.arange(lo, hi)
-        m = np.sign(was - n) * j * j * (j < max(n, was)) - n * n * ((n <= j) & (j < n + steps))
+        # m_j, lo <= j < hi: +j^2 on the rows that leave the block (n < was), -j^2 on
+        # those that join it (n > was), less n^2 on each row the run takes in
+        lo, top, hi = min(n, was), max(n, was), min(max(was, n + steps), M)
+        j = np.arange(lo, top)
+        m = np.zeros(hi - lo, dtype=np.int64)
+        m[: top - lo] = ((was > n) - (was < n)) * j * j
+        m[n - lo : n + steps - lo] -= n * n
         if m.any():
             rows = buf[k - 1 + lo : k - 1 + hi]  # a view: the rows are not copied
             rows *= _gauge(cfg.times, eq.alpha, m)

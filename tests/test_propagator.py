@@ -295,12 +295,12 @@ class TestCache:
 K_CHAIN = 64
 
 
-def staircase_chain(family, K=K_CHAIN):
+def staircase_chain(family, K=K_CHAIN, seed=7, norm=0.5):
     """(Lax matrix, decomposition) down the full staircase n = K - 1..1,
     every L_n sliced from one build, as `run_scheme` does, each
     decomposition built with the one before it as parent."""
     eq = EQUATIONS[family]
-    p = InitialProfile("random-sobolev", {"s": 1.0, "seed": 7, "norm": 0.5})
+    p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": norm})
     lax = eq.build_lax(analyze_profile(p, K, hardy=eq.hardy), K - 1)
     parent, chain = None, []
     for n in range(K - 1, 0, -1):
@@ -413,6 +413,30 @@ def test_densely_checked_bounds_cover_abs_q(family):
         assert e.bounds.abs_q >= np.linalg.norm(np.abs(e.eigenvectors), ord=2)
 
 
+def spectral_norm_ld(a):
+    """The spectral norm, in float64, of a defect taken in clongdouble."""
+    return np.linalg.norm(a.astype(np.complex128), ord=2)
+
+
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+@pytest.mark.parametrize("norm, K", [(1e-3, 32), (1e3, 32), (1.0, 64)])
+def test_every_bound_holds_against_an_extended_precision_witness(family, norm, K):
+    """Each field of every decomposition's `_Bounds`, derived or eigh, down a
+    full staircase, is at least the defect it bounds, the products that form
+    the defects taken in clongdouble: the rounding terms of the certificate
+    and of the dense check are what keep the bounds rigorous."""
+    derived = 0
+    for m, e in staircase_chain(family, K, seed=1000, norm=norm):
+        b = m.block.astype(np.clongdouble)
+        q, lam = e.eigenvectors.astype(np.clongdouble), e.eigenvalues.astype(np.longdouble)
+        assert e.bounds.ortho >= spectral_norm_ld(q.conj().T @ q - np.eye(m.n))
+        assert e.bounds.residual >= spectral_norm_ld(b @ q - q * lam)
+        assert e.bounds.abs_q >= np.linalg.norm(np.abs(e.eigenvectors), ord=2)
+        assert e.bounds.norm >= np.linalg.norm(m.block, ord=2)
+        derived += e.derived
+    assert derived >= K - 4
+
+
 def test_abs_norm_of_huge_entries_is_finite():
     # sqrt(||a||_1 ||a||_inf) = 4e200, though the product of the two is 1.6e401
     assert propagator._abs_norm(np.full((4, 4), 1e200)) == pytest.approx(4e200)
@@ -517,6 +541,18 @@ class TestCertificate:
         if family == "CCM-defocusing":
             # seed 1000 is a chain on which the loose roots often fail the dense check
             assert rejected["loose_tol"] > self.K // 2
+
+
+@pytest.mark.parametrize("family", ["BO", "CCM-focusing", "CCM-defocusing"])
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_full_staircase_derivation_counts(family, seed):
+    """A K = 256 full staircase on rough data derives all but two of its 254
+    decompositions below the top: a change that makes the certificate
+    decline more often, or the derivation fail, shows here as a count."""
+    p = InitialProfile("random-sobolev", {"s": 1.0, "seed": seed, "norm": 0.5})
+    times = [np.pi / 2, np.pi / 3, np.pi / 6, np.sqrt(2) * np.pi]
+    out = run_scheme(SchemeConfig(family, make_schedule("full-staircase", 256), times, p))
+    assert (out.cache.derived, out.cache.fallbacks) == (252, 2)
 
 
 # the steps of eig_hermitian that TestSharedBuild records, in call order
