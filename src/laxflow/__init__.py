@@ -27,7 +27,6 @@ from .propagator import (  # noqa: F401
     PropagatorCache,
     eig_hermitian,
 )
-from .diagnostics import find_kappa_zero  # noqa: F401
 from .scheme import (  # noqa: F401
     Schedule,
     SchemeConfig,

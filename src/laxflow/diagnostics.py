@@ -21,8 +21,8 @@ tail diag(n..M-1).
 The three Lax-operator suites read one spectral context per (data,
 equation, M), `_Spectra`, which computes each quantity when a suite first
 asks for it: the build of L_M, of which every L_n is a slice; kappa0, the
-one implementation of the shift (`find_kappa_zero` reads it); for CCM,
-G^2 = (A A^H)^2, from which the kappa0 search and the bound suite each take
+one implementation of the shift; for CCM, G^2 for the Gram block G = A A^H
+of that build, from which the kappa0 search and the bound suite each take
 their norms ||G R0(kappa)|| at n = M; one decomposition of each L_n, which
 gives the semibound's smallest eigenvalue and the sweep's groups; and one
 resolvent R_n(kappa0) = Q (Lambda + kappa0)^-1 Q^H of each n, which the
@@ -59,7 +59,6 @@ __all__ = [
     "run_convergence_study",
     "fit_rate",
     "run_propagator_sweep",
-    "find_kappa_zero",
 ]
 
 _PASS_TOL = 1e-10
@@ -93,9 +92,11 @@ def _time_grid(T: float, points: int) -> np.ndarray:
 # a diagnostics command's peak, by tracemalloc over one command (imports
 # warm, each equation), in M x M complex arrays: 17.0-17.3 at M = 64 and 8.5
 # at 128 in the bound suite, whose F, its block and tail products and their
-# concatenation are M x 200 each; 6.5 at 256, 5.95 at 512 and 5.7 at 1024 in
-# the resolvent suite (L_M, the decompositions at M and M/2, R_M, a
-# difference, a Lanczos basis); the sweep peaks below both.  Counted: 7 M x M
+# concatenation are M x 200 each; 6.5 at 256 in the resolvent suite (L_M, the
+# decompositions at M and M/2, R_M, a difference, a Lanczos basis), and for BO
+# 5.95 at 512 and 5.7 at 1024; for CCM 6.4 at 512 and 6.35 at 1024 in the bound
+# suite, which holds L_M, built for G^2, beside U, U^H U, the cores and a
+# norm's scaled Gram; the sweep peaks below both.  Counted: 7 M x M
 # arrays and 4 M-vectors per sandwich vector, the fourth for what does not
 # grow with M
 _HELD_ARRAYS = 7
@@ -222,10 +223,11 @@ class _Spectra:
 
     @cached_property
     def _gram2(self) -> np.ndarray:
-        """G^2 for the CCM Gram block G = A A^H at M, A = mult_matrix(u0, M)."""
-        a = mult_matrix(self.u0, self.M)
-        gram = a @ a.conj().T
-        return gram @ gram  # G is Hermitian: G^2 = G^H G
+        """G^2 for the CCM Gram block G of L_M: the build's block less diag(0..M-1)
+        is G up to the sign, which the square loses bit for bit."""
+        g = self.lax.block.copy()
+        g.flat[:: self.M + 1] -= np.arange(self.M)
+        return g @ g  # G is Hermitian: G^2 = G^H G
 
     @cached_property
     def kappa0(self) -> float:
@@ -266,14 +268,6 @@ class _Spectra:
             r.flags.writeable = False
             self._resolvents[n] = r
         return self._resolvents[n]
-
-
-def find_kappa_zero(u0, eq: Equation, M: int) -> float:
-    """kappa0 of (u0, eq, M) (`_Spectra.kappa0`), a profile sampled at M;
-    ValueError unless M >= 4."""
-    if M < 4:
-        raise ValueError("M must be >= 4")
-    return _Spectra(eq.data(u0, M), eq, M).kappa0
 
 
 def run_bound_suite(

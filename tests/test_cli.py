@@ -29,7 +29,6 @@ from laxflow.cli import (
     parse_time_expr,
     write_csv,
 )
-from laxflow.diagnostics import find_kappa_zero
 from laxflow.scheme import SCHEDULE_KINDS, SchemeConfig, make_schedule, run_scheme
 from laxflow.spectral import sample_grid
 
@@ -683,11 +682,69 @@ _diagnostics_configs = st.tuples(
 @example({"M": 64, "profile": {"kind": "explicit", "coeffs": [1e308, 1e308]}})
 def test_diagnostics_config_file_fuzz(config):
     """Whatever a config file holds, diagnostics exits 0, 1 or 2 and raises nothing."""
+    assert run_config_file("diagnostics", config) in (0, 1, 2)
+
+
+def run_config_file(command, config):
+    """main's exit code for command with config as its config file, writing
+    to a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
-        out = str(Path(tmp) / "run")
-        assert main(["diagnostics", "--config", str(cfg), "--out", out]) in (0, 1, 2)
+        return main([command, "--config", str(cfg), "--out", str(Path(tmp) / "run")])
+
+
+# K and Ks/kref are always drawn small, as the defaults (K = 1024, kref = 1024)
+# would make each example a long run; at most one field, or a field the
+# command lacks, takes any JSON value, which may replace them
+_talbot_configs = st.tuples(
+    st.fixed_dictionaries({"K": st.integers(-1, 16)}, optional={
+        field: _EVOLVE_FIELDS[field]
+        for field in ("times", "schedule", "profile", "equation", "schema_version")}
+        | {"command": st.just("talbot")}),
+    st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from(["K", "times", "schedule", "profile", "equation", "config", "T"]),
+        _json, min_size=1, max_size=1)),
+).map(lambda t: {**t[0], **t[1]})
+_convergence_configs = st.tuples(
+    st.fixed_dictionaries({
+        "Ks": st.one_of(st.sampled_from(["2,4,8,16", "4,8,16", "2,4"]),
+                        st.sampled_from(["8,4,16,32", "0,2,4,8", "1,,2", ""]),
+                        st.lists(st.integers(-1, 8), min_size=1, max_size=4)
+                        .map(lambda ks: ",".join(map(str, ks)))),
+        "kref": st.one_of(st.just(64), st.integers(-1, 64)),
+    }, optional={
+        field: _EVOLVE_FIELDS[field]
+        for field in ("T", "schedule", "profile", "equation", "schema_version")}
+        | {"grid_points": st.integers(-1, 13), "command": st.just("convergence")}),
+    st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from(["Ks", "kref", "T", "grid_points", "schedule", "profile", "config",
+                         "K"]),
+        _json, min_size=1, max_size=1)),
+).map(lambda t: {**t[0], **t[1]})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:schedule has n\\(0\\) = 0")
+@settings(max_examples=50, deadline=None)
+@given(_talbot_configs)
+@example({"K": 8, "profile": {"kind": "explicit", "coeffs": [1e308, 1e308]}})
+def test_talbot_config_file_fuzz(config):
+    """Whatever a config file holds, talbot exits 0, 1 or 2 and raises nothing."""
+    assert run_config_file("talbot", config) in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:schedule has n\\(0\\) = 0")
+@settings(max_examples=50, deadline=None)
+@given(_convergence_configs)
+@example({"Ks": "2,4,8,16", "kref": 64, "equation": "CCM-focusing",
+          "profile": "random-sobolev:s=1,seed=0,norm=2"})
+@example({"Ks": "4,8,16", "kref": 64, "T": "pi", "schedule": "full-staircase",
+          "equation": "CCM-defocusing"})
+def test_convergence_config_file_fuzz(config):
+    """Whatever a config file holds, convergence exits 0, 1 or 2 and raises nothing."""
+    assert run_config_file("convergence", config) in (0, 1, 2)
 
 
 REPLAYS = {
@@ -1125,12 +1182,12 @@ class TestDiagnostics:
         summary = json.loads((out / "summary.json").read_text())
         eq = laxflow.EQUATIONS[equation]
         u0 = laxflow.analyze_profile(parse_profile(profile), M, hardy=eq.hardy)
-        assert summary["kappa0"] == find_kappa_zero(u0, eq, M)
+        assert summary["kappa0"] == diag._Spectra.of(None, u0, eq, M).kappa0
         assert summary["kappa0_method"] == method
 
     def test_kappa0_searched_once_per_suite(self, tmp_path, monkeypatch):
         # the suites share one search through their spectral context; every
-        # search, through find_kappa_zero or not, is a _Spectra's kappa0
+        # search is a _Spectra's kappa0
         calls = []
         count_kappa0_searches(monkeypatch, calls)
         rc = main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
@@ -1139,16 +1196,23 @@ class TestDiagnostics:
         assert calls == [64]
 
     def test_one_lax_build_per_command(self, tmp_path, monkeypatch):
-        calls, real = [], laxflow.lax.build_ccm_lax
+        # G^2 is squared from the build's own Gram block: the build's Toeplitz
+        # copy and the bound suite's U are the command's only two
+        calls = []
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counting(name, real):
+            def count(*args):
+                calls.append((name, args[1]))
+                return real(*args)
+            return count
 
-        monkeypatch.setattr(laxflow.lax, "build_ccm_lax", counting)
+        monkeypatch.setattr(laxflow.lax, "build_ccm_lax",
+                            counting("build_ccm_lax", laxflow.lax.build_ccm_lax))
+        for module in (laxflow.lax, diag):
+            monkeypatch.setattr(module, "mult_matrix", counting("mult_matrix", module.mult_matrix))
         assert main(["diagnostics", "--M", "64", "--equation", "CCM-defocusing",
                      "--out", str(tmp_path / "run")]) == 0
-        assert calls == [64]
+        assert sorted(calls) == [("build_ccm_lax", 64), ("mult_matrix", 64), ("mult_matrix", 64)]
 
     @pytest.mark.parametrize("equation", ["BO", "CCM-defocusing"])
     def test_resolvent_and_sweep_csv_rows_are_the_suites(self, tmp_path, equation):
